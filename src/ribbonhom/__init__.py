@@ -8,7 +8,7 @@ square roots); there are no floats anywhere in the computational path.
 from .ainfinity import (AInfinityAlgebra, CharacteristicClass,
                         characteristic_class, connected_partition_function,
                         direct_sum, exp_chain, hamiltonian_from_products,
-                        inverse_form, partition_function, twist, validate)
+                        partition_function, twist, validate)
 from .complexes import (GraphChain, basis, boundary, coboundary,
                         homology_dims, is_boundary, pairing)
 from .feynman import (amplitude, integral_I, integral_I_inverse,
@@ -21,7 +21,7 @@ from .lie import (CEChain, CoinvariantCoordinates, CyclicWord, DarbouxError,
                   SymplecticForm, bracket, ce_differential,
                   coinvariant_reduce, darboux_linear, osp_act, osp_basis)
 from .scalars import Surd, format_scalar, json_scalar, parse_scalar
-from .superspace import SuperDim, SuperTensor, koszul_apply
+from .superspace import SuperDim, SuperTensor, contract, koszul_apply
 from .tcft import (EMPTY_LEGGED, LeggedGraph, MorphismChain,
                    canonicalize_legged, compose, compose_tensors,
                    composition_compatibility, correlation,

@@ -8,12 +8,13 @@ product; the dictionary between the tensors and the word chain is
 N(word chain's rank-k part) = h_k, i.e. the word chain carries a 1/k.
 
 From such data we build: the partition function (a graph chain whose
-coefficient at a graph contracts one h-tensor per vertex along the edges
-with the dual pairing, divided by the automorphism count), its connected
-part and the exponential identity between them, direct sums, twists by
-even Hamiltonian flows, and the characteristic class (the wedge
-exponential of the Darboux-normalized word chain), which pairs against
-graphs to the same numbers as the partition function.
+coefficient at a graph is the state sum `superspace.contract` of one
+h-tensor per vertex along the edges with the dual pairing, divided by the
+automorphism count), its connected part and the exponential identity
+between them, direct sums, twists by even Hamiltonian flows, and the
+characteristic class (the wedge exponential of the Darboux-normalized
+word chain), which pairs against graphs to the same numbers as the
+partition function.
 """
 
 from __future__ import annotations
@@ -24,17 +25,9 @@ from .complexes import GraphChain
 from .graphs import EMPTY_GRAPH, disjoint_union, enumerate_graphs
 from .lie import (CEChain, CyclicWord, bracket, darboux_linear,
                   substitute_letters)
-from .scalars import format_scalar, mat_inverse, mat_transpose
-from .superspace import (SuperDim, SuperTensor, SymplecticForm, cyclic_shift,
-                         koszul_apply, norm)
-from .feynman import sigma_chords
-
-
-def inverse_form(form: SymplecticForm):
-    """Matrix of the induced inner product on the dual basis: the
-    transpose of the inverse.  An involution up to the double-dual
-    identification, and the identity on canonical forms."""
-    return mat_transpose(mat_inverse([list(r) for r in form.matrix]))
+from .scalars import format_scalar, mat_transpose
+from .superspace import (SuperDim, SuperTensor, SymplecticForm, contract,
+                         cyclic_shift, norm)
 
 
 class AInfinityAlgebra:
@@ -75,7 +68,7 @@ class AInfinityAlgebra:
         return total
 
     def dual_pairing(self):
-        return inverse_form(self.form)
+        return self.form.dual_matrix()
 
     def __repr__(self):
         ks = ",".join(str(k) for k in sorted(self.hamiltonians)) or "-"
@@ -205,31 +198,13 @@ def validate(algebra: AInfinityAlgebra) -> ValidationReport:
 
 # ------------------------------------------------------ partition function
 
-def _contract_pairs(t: SuperTensor, pairing):
-    total = Fraction(0)
-    for word, coeff in t.terms.items():
-        val = coeff
-        for r in range(0, t.rank, 2):
-            val = val * pairing[word[r]][word[r + 1]]
-            if not val:
-                break
-        total = total + val
-    return total
-
-
 def _graph_value(algebra: AInfinityAlgebra, g, pairing):
-    """One h-tensor per vertex, slots shuffled to the edge pairs, letters
-    contracted along edges with the dual pairing, all over |Aut|."""
+    """The state sum of one h-tensor per vertex, letters contracted along
+    the edges with the dual pairing, over |Aut|."""
     if g is EMPTY_GRAPH:
         return Fraction(1)
-    for k in g.vtype:
-        if k not in algebra.hamiltonians:
-            return Fraction(0)
-    t = algebra.hamiltonians[g.vtype[0]]
-    for k in g.vtype[1:]:
-        t = t.tensor(algebra.hamiltonians[k])
-    shuffled = koszul_apply(sigma_chords(g.chords, t.rank), t)
-    return _contract_pairs(shuffled, pairing) / g.aut
+    tensors = [algebra.hamiltonian(k) for k in g.vtype]
+    return contract(tensors, g.chords, pairing).scalar() / g.aut
 
 
 class PartitionFunction:

@@ -1,8 +1,10 @@
 """Amplitudes pairing wedge chains of cyclic words with ribbon graphs.
 
-An oriented chord diagram on 2k points determines a shuffle that gathers
-each chord's two slots next to each other; composing with the product of
-canonical pairings gives the basic amplitude beta.  Distributing the wedge
+The basic amplitude beta of an oriented chord diagram on 2k tensor slots
+pairs the letters at each chord's two ends through the canonical inner
+product, with the Koszul sign of gathering them; it is the state sum
+`superspace.contract`, which every amplitude below calls with the
+per-vertex tensors and the canonical form matrix.  Distributing the wedge
 factors of a chain over the vertices of a graph (all assignments, graded
 signs) turns beta into a pairing between chains and graphs, and summing
 graphs against all chord diagrams turns a chain into a graph chain -- a
@@ -21,21 +23,7 @@ from .graphs import (EMPTY_GRAPH, FullyOrderedGraph, RibbonGraph,
                      canonicalize, perfect_matchings)
 from .lie import CEChain
 from .superspace import (SuperDim, SuperTensor, canonical_form_matrix,
-                         koszul_apply, koszul_sign, norm, perm_parity)
-
-
-def sigma_chords(chords, rank: int):
-    """The permutation sending chord r's slots to positions 2r, 2r+1.
-
-    Returned in image form: perm[slot] is the new position of `slot`.
-    """
-    perm = [None] * rank
-    for r, (a, b) in enumerate(chords):
-        perm[a] = 2 * r
-        perm[b] = 2 * r + 1
-    if None in perm:
-        raise ValueError("chords do not cover the slots")
-    return tuple(perm)
+                         contract, koszul_sign, norm, perm_parity)
 
 
 def kappa(t: SuperTensor):
@@ -43,33 +31,22 @@ def kappa(t: SuperTensor):
     inner product and multiply."""
     if t.rank % 2:
         raise ValueError("kappa needs an even-rank tensor")
-    mat = canonical_form_matrix(t.dim)
-    total = Fraction(0)
-    for word, coeff in t.terms.items():
-        val = coeff
-        for r in range(0, t.rank, 2):
-            val = val * mat[word[r]][word[r + 1]]
-            if not val:
-                break
-        total = total + val
-    return total
+    return beta([(r, r + 1) for r in range(0, t.rank, 2)], t)
 
 
 def beta(chords, t: SuperTensor):
-    """Amplitude of an oriented chord diagram on a tensor: shuffle each
-    chord's slots together (with Koszul signs), then apply kappa."""
-    chords = tuple(chords)
-    if 2 * len(chords) != t.rank:
-        raise ValueError("chord diagram size does not match tensor rank")
-    return kappa(koszul_apply(sigma_chords(chords, t.rank), t))
+    """Amplitude of an oriented chord diagram on a tensor: the state sum
+    pairing each chord's slots through the canonical inner product, with
+    the Koszul sign of gathering them."""
+    return contract([t], chords, canonical_form_matrix(t.dim)).scalar()
 
 
 def amplitude_ordered(graph: FullyOrderedGraph, blocks):
     """Amplitude of a fully ordered graph on a tuple of per-vertex tensors.
 
-    Zero when the block ranks do not match the valencies; otherwise beta of
-    the graph's chord diagram on the product tensor, with chords read in
-    the graph's own labelling.
+    Zero when the block ranks do not match the valencies; otherwise the
+    state sum of the blocks along the graph's chords, read in the graph's
+    own labelling.
     """
     blocks = list(blocks)
     if tuple(t.rank for t in blocks) != tuple(len(v) for v in graph.vertices):
@@ -79,10 +56,8 @@ def amplitude_ordered(graph: FullyOrderedGraph, blocks):
         for h in v:
             slot[h] = len(slot)
     chords = tuple((slot[a], slot[b]) for a, b in graph.edges)
-    total = blocks[0]
-    for t in blocks[1:]:
-        total = total.tensor(t)
-    return beta(chords, total)
+    return contract(blocks, chords,
+                    canonical_form_matrix(blocks[0].dim)).scalar()
 
 
 def _norm_blocks(dim: SuperDim, factors, project: bool):
@@ -111,6 +86,7 @@ def amplitude(graph, x: CEChain):
     if g.zero or g is EMPTY_GRAPH:
         return Fraction(0)
     dim = x.dim
+    mat = canonical_form_matrix(dim)
     nv = len(g.vtype)
     total = Fraction(0)
     for factors, coeff in x.terms.items():
@@ -129,10 +105,8 @@ def amplitude(graph, x: CEChain):
             for v, f in enumerate(assign):
                 perm[f] = v
             sign = perm_parity(tuple(perm)) * koszul_sign(pars, perm)
-            t = blocks[assign[0]]
-            for v in range(1, nv):
-                t = t.tensor(blocks[assign[v]])
-            val = beta(g.chords, t)
+            val = contract([blocks[f] for f in assign], g.chords,
+                           mat).scalar()
             if val:
                 total = total + coeff * val * sign
     return total * gsign
@@ -157,6 +131,7 @@ def integral_I(x: CEChain) -> GraphChain:
     against every chord diagram on its slots, the diagram oriented by
     increasing pairs."""
     dim = x.dim
+    mat = canonical_form_matrix(dim)
     acc: dict = {}
     for factors, coeff in x.terms.items():
         ranks = tuple(len(w) for w in factors)
@@ -167,11 +142,8 @@ def integral_I(x: CEChain) -> GraphChain:
         if order % 2:
             continue
         blocks = _norm_blocks(dim, factors, project=True)
-        t = blocks[0]
-        for b in blocks[1:]:
-            t = t.tensor(b)
         for matching in perfect_matchings(range(order)):
-            val = beta(matching, t)
+            val = contract(blocks, matching, mat).scalar()
             if not val:
                 continue
             fog = FullyOrderedGraph.from_chords(ranks, matching)

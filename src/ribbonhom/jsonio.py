@@ -26,11 +26,17 @@ from .graphs import RibbonGraph, canonicalize
 from .lie import CEChain
 from .scalars import json_scalar, parse_scalar
 from .superspace import SuperDim, SuperTensor, SymplecticForm
-from .tcft import LeggedGraph, canonicalize_legged
+from .tcft import LeggedGraph, canonicalize_legged, check_diagram
 
 
 def _signature(dim: SuperDim) -> dict:
     return {"n": dim.n, "m": dim.m}
+
+
+def _expect_object(obj, what):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, "
+                         f"not {type(obj).__name__}")
 
 
 def _dim_of(obj) -> SuperDim:
@@ -83,7 +89,9 @@ def graph_to_json(g) -> dict:
 def graph_from_json(obj):
     """Read a (possibly legged) graph diagram: (graph, sign) with
     [diagram] = sign * [canonical].  Vertex blocks may use arbitrary
-    half-edge ids; they are relabeled in block order."""
+    half-edge ids; they are relabeled in block order.  Every vertex must
+    have valency >= 3, and legs and edges must use each half-edge once."""
+    _expect_object(obj, "graph")
     blocks = [list(v) for v in obj["vertices"]]
     relabel = {}
     for blk in blocks:
@@ -91,12 +99,19 @@ def graph_from_json(obj):
             if h in relabel:
                 raise ValueError(f"duplicate half-edge id {h}")
             relabel[h] = len(relabel)
+
+    def slot(h):
+        if h not in relabel:
+            raise ValueError(f"unknown half-edge id {h}")
+        return relabel[h]
+
     vtype = tuple(len(b) for b in blocks)
-    edges = tuple((relabel[a], relabel[b]) for a, b in obj["edges"])
-    legs_in = tuple(relabel[h] for h in obj.get("legs_in", ()))
-    legs_out = tuple(relabel[h] for h in obj.get("legs_out", ()))
+    edges = tuple((slot(a), slot(b)) for a, b in obj["edges"])
+    legs_in = tuple(slot(h) for h in obj.get("legs_in", ()))
+    legs_out = tuple(slot(h) for h in obj.get("legs_out", ()))
     if "half_edges" in obj and int(obj["half_edges"]) != len(relabel):
         raise ValueError("half_edges count does not match the vertices")
+    check_diagram(vtype, legs_in, legs_out, edges)
     if legs_in or legs_out or "legs_in" in obj or "legs_out" in obj:
         return canonicalize_legged((vtype, legs_in, legs_out, edges))
     return canonicalize((vtype, edges))
@@ -148,6 +163,7 @@ def algebra_to_json(a: AInfinityAlgebra) -> dict:
 
 
 def algebra_from_json(obj) -> AInfinityAlgebra:
+    _expect_object(obj, "algebra")
     dim = _dim_of(obj["signature"])
     form = SymplecticForm(dim, matrix_from_json(obj["omega"]))
     hams = {}

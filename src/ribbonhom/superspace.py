@@ -282,20 +282,11 @@ class SuperTensor:
 
     __rmul__ = __mul__
 
-    def tensor(self, other: "SuperTensor") -> "SuperTensor":
-        """Concatenation product (no sign: coefficients are even)."""
-        if other.dim != self.dim:
-            raise ValueError("tensor factors over different spaces")
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                out[w] = out.get(w, 0) + c1 * c2
-        t = object.__new__(SuperTensor)
-        t.dim = self.dim
-        t.rank = self.rank + other.rank
-        t.terms = {w: c for w, c in out.items() if c}
-        return t
+    def scalar(self):
+        """The coefficient of a rank-0 tensor."""
+        if self.rank:
+            raise ValueError(f"rank {self.rank} tensor is not a scalar")
+        return self.terms.get((), Fraction(0))
 
     def word_parity(self, word) -> int:
         return sum(self.dim.parities(word)) % 2
@@ -330,6 +321,79 @@ def koszul_apply(perm, t: SuperTensor) -> SuperTensor:
         w = tuple(new)
         out[w] = out.get(w, 0) + sign * coeff
     return SuperTensor(t.dim, t.rank, out)
+
+
+def contract(tensors, chords, pairing, legs=()) -> SuperTensor:
+    """State sum of tensors placed side by side and paired along chords.
+
+    The slots of the tensors are numbered consecutively, tensor by tensor.
+    A chord (a, b) pairs the letter x in slot a with the letter y in slot
+    b through pairing[x][y]; the slots in `legs` stay open and, in that
+    order, spell the words of the result, a tensor of rank len(legs).  The
+    sign is the Koszul sign of the shuffle sending chord r's slots to
+    positions 2r, 2r+1 and leg i to position 2 len(chords) + i: the result
+    is koszul_apply of that shuffle on the tensor product, with the
+    leading slot pairs then paired off.
+
+    The product itself is never formed.  Words are placed one tensor at a
+    time, a chord's pairing entry is multiplied in as soon as both of its
+    ends are placed, a branch is dropped when that entry vanishes, and the
+    Koszul sign is taken only for words that survive.
+
+    >>> d = SuperDim(1, 0)
+    >>> p, q = SuperTensor.word(d, (0,)), SuperTensor.word(d, (1,))
+    >>> contract([p, q], [(1, 0)], canonical_form_matrix(d)).scalar()
+    Fraction(-1, 1)
+    """
+    tensors = list(tensors)
+    if not tensors:
+        raise ValueError("a state sum needs at least one tensor")
+    dim = tensors[0].dim
+    if any(t.dim != dim for t in tensors):
+        raise ValueError("tensor factors over different spaces")
+    chords = tuple(chords)
+    legs = tuple(legs)
+    owner = [i for i, t in enumerate(tensors) for _ in range(t.rank)]
+    ends = [s for chord in chords for s in chord] + list(legs)
+    if sorted(ends) != list(range(len(owner))):
+        raise ValueError("chords and legs do not cover the slots")
+    target = [0] * len(owner)
+    closing = [[] for _ in tensors]
+    for r, (a, b) in enumerate(chords):
+        target[a], target[b] = 2 * r, 2 * r + 1
+        closing[max(owner[a], owner[b])].append((a, b))
+    for i, s in enumerate(legs, 2 * len(chords)):
+        target[s] = i
+    if not all(tensors):
+        return SuperTensor.zero(dim, len(legs))
+    odd = [dim.parity(x) for x in range(dim.total)]
+    layers = []
+    offset = 0
+    for t, closes in zip(tensors, closing):
+        layers.append((offset, offset + t.rank, list(t.terms.items()), closes))
+        offset += t.rank
+    word = [0] * len(owner)
+    out: dict = {}
+
+    def place(depth, val):
+        if depth == len(layers):
+            sign = koszul_sign([odd[x] for x in word], target)
+            key = tuple(word[s] for s in legs)
+            out[key] = out.get(key, 0) + sign * val
+            return
+        start, stop, terms, closes = layers[depth]
+        for w, c in terms:
+            word[start:stop] = w
+            v = val * c
+            for a, b in closes:
+                v = v * pairing[word[a]][word[b]]
+                if not v:
+                    break
+            if v:
+                place(depth + 1, v)
+
+    place(0, 1)
+    return SuperTensor(dim, len(legs), out)
 
 
 def cyclic_shift(t: SuperTensor) -> SuperTensor:

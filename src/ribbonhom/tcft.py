@@ -15,14 +15,15 @@ parity-even (the list order of the edges is immaterial).
 
 Gluing joins outgoing leg j of the first graph to incoming leg j of the
 second by a new internal edge directed first-to-second.  The correlator
-of an algebra over a legged graph is the partition-function state sum --
-one Hamiltonian tensor per vertex, internal edges contracted with the
-dual inner product -- with the leg slots left open, ordered incoming
-labels then outgoing labels, and no automorphism division (so a graph
-without legs evaluates to |Aut| times its partition-function
-coefficient).  Gluing then corresponds to composing correlators:
-contract the outgoing slots of the first against the incoming slots of
-the second with the same dual pairing.
+of an algebra over a legged graph is the partition-function state sum
+`superspace.contract` -- one Hamiltonian tensor per vertex, internal
+edges contracted with the dual inner product -- with the leg slots left
+open, ordered incoming labels then outgoing labels, and no automorphism
+division (so a graph without legs evaluates to |Aut| times its
+partition-function coefficient).  Gluing then corresponds to composing
+correlators, the same state sum over the two correlators: contract the
+outgoing slots of the first against the incoming slots of the second
+with the same dual pairing.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from functools import lru_cache
 from .ainfinity import AInfinityAlgebra, ValidationReport
 from .graphs import perfect_matchings, type_offsets
 from .scalars import format_scalar
-from .superspace import SuperTensor, koszul_apply, perm_parity
+from .superspace import SuperTensor, contract, perm_parity
 
 
 # ---------------------------------------------------------- canonical scan
@@ -176,7 +177,7 @@ def _make_legged(vtype, legs_in, legs_out, chords, aut, zero) -> LeggedGraph:
 EMPTY_LEGGED = _make_legged((), (), (), (), 1, False)
 
 
-def _check_diagram(vtype, legs_in, legs_out, chords):
+def check_diagram(vtype, legs_in, legs_out, chords):
     if any(k < 3 for k in vtype):
         raise ValueError("internal valencies must be >= 3")
     ends = list(legs_in) + list(legs_out) + [h for c in chords for h in c]
@@ -213,7 +214,7 @@ def canonicalize_legged(diagram):
     legs_in = tuple(legs_in)
     legs_out = tuple(legs_out)
     chords = tuple(tuple(c) for c in chords)
-    _check_diagram(vtype, legs_in, legs_out, chords)
+    check_diagram(vtype, legs_in, legs_out, chords)
     if not vtype:
         return EMPTY_LEGGED, 1
     (vtype, legs_in, legs_out, chords), sign = \
@@ -343,22 +344,6 @@ def compose(x: MorphismChain, y: MorphismChain) -> MorphismChain:
 
 # ------------------------------------------------------------ correlators
 
-def _contract_leading(t: SuperTensor, npairs, pairing) -> SuperTensor:
-    """Contract the first npairs consecutive slot pairs with the pairing
-    matrix; no residual sign since nonzero pairing entries are even."""
-    out: dict = {}
-    for word, coeff in t.terms.items():
-        val = coeff
-        for r in range(0, 2 * npairs, 2):
-            val = val * pairing[word[r]][word[r + 1]]
-            if not val:
-                break
-        if val:
-            w = word[2 * npairs:]
-            out[w] = out.get(w, 0) + val
-    return SuperTensor(t.dim, t.rank - 2 * npairs, out)
-
-
 def correlation(algebra: AInfinityAlgebra, graph) -> SuperTensor:
     """State-sum correlator of a legged graph: one Hamiltonian tensor per
     vertex, internal edges contracted with the dual pairing, leg slots
@@ -374,26 +359,10 @@ def correlation(algebra: AInfinityAlgebra, graph) -> SuperTensor:
         vtype, legs_in, legs_out, chords = graph.diagram()
     else:
         vtype, legs_in, legs_out, chords = _as_diagram(graph)
-    rank = len(legs_in) + len(legs_out)
     if not vtype:
         return SuperTensor(dim, 0, {(): Fraction(1)})
-    for k in vtype:
-        if not algebra.hamiltonian(k):
-            return SuperTensor.zero(dim, rank)
-    t = algebra.hamiltonian(vtype[0])
-    for k in vtype[1:]:
-        t = t.tensor(algebra.hamiltonian(k))
-    e = len(chords)
-    perm = [0] * t.rank
-    for r, (a, b) in enumerate(chords):
-        perm[a] = 2 * r
-        perm[b] = 2 * r + 1
-    for i, s in enumerate(legs_in):
-        perm[s] = 2 * e + i
-    for j, s in enumerate(legs_out):
-        perm[s] = 2 * e + len(legs_in) + j
-    shuffled = koszul_apply(tuple(perm), t)
-    return _contract_leading(shuffled, e, algebra.dual_pairing())
+    return contract([algebra.hamiltonian(k) for k in vtype], chords,
+                    algebra.dual_pairing(), legs_in + legs_out)
 
 
 def compose_tensors(t1: SuperTensor, t2: SuperTensor, n, pairing):
@@ -403,17 +372,10 @@ def compose_tensors(t1: SuperTensor, t2: SuperTensor, n, pairing):
     if n > t1.rank or n > t2.rank:
         raise ValueError("fewer tensor slots than legs to glue")
     m = t1.rank - n
-    k = t2.rank - n
-    big = t1.tensor(t2)
-    perm = [0] * (t1.rank + t2.rank)
-    for i in range(m):
-        perm[i] = 2 * n + i
-    for j in range(n):
-        perm[m + j] = 2 * j
-        perm[t1.rank + j] = 2 * j + 1
-    for l in range(k):
-        perm[t1.rank + n + l] = 2 * n + m + l
-    return _contract_leading(koszul_apply(tuple(perm), big), n, pairing)
+    size = t1.rank + t2.rank
+    chords = [(m + j, t1.rank + j) for j in range(n)]
+    legs = list(range(m)) + list(range(t1.rank + n, size))
+    return contract([t1, t2], chords, pairing, legs)
 
 
 def composition_compatibility(algebra: AInfinityAlgebra, g1, g2):

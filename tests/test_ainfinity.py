@@ -8,8 +8,7 @@ import pytest
 from ribbonhom.ainfinity import (AInfinityAlgebra, characteristic_class,
                                  connected_partition_function, direct_sum,
                                  exp_chain, hamiltonian_from_products,
-                                 inverse_form, partition_function, twist,
-                                 validate)
+                                 partition_function, twist, validate)
 from ribbonhom.complexes import GraphChain, coboundary, is_boundary
 from ribbonhom.feynman import pair_chain_graph
 from ribbonhom.fixtures import (frobenius_pair, nilpotent_11,
@@ -17,6 +16,8 @@ from ribbonhom.fixtures import (frobenius_pair, nilpotent_11,
 from ribbonhom.graphs import canonicalize, enumerate_graphs
 from ribbonhom.lie import CEChain, CyclicWord, DarbouxError, ce_differential
 from ribbonhom.superspace import SuperDim, SuperTensor, SymplecticForm
+
+from oracles import z_value_oracle
 
 DUMBBELL = canonicalize(((3, 3), ((0, 1), (2, 3), (4, 5))))[0]
 THETA_TWISTED = canonicalize(((3, 3), ((0, 3), (1, 4), (2, 5))))[0]
@@ -63,10 +64,10 @@ def test_hamiltonian_from_products():
 def test_inverse_form():
     d01 = SuperDim(0, 1)
     f = SymplecticForm(d01, [[Fraction(4)]])
-    assert inverse_form(f) == [[Fraction(1, 4)]]
+    assert f.dual_matrix() == [[Fraction(1, 4)]]
     can = SymplecticForm.canonical(SuperDim(1, 0))
-    assert inverse_form(can) == [list(r) for r in can.matrix]
-    assert inverse_form(SymplecticForm(d01, inverse_form(f))) == [[Fraction(4)]]
+    assert can.dual_matrix() == [list(r) for r in can.matrix]
+    assert SymplecticForm(d01, f.dual_matrix()).dual_matrix() == [[Fraction(4)]]
 
 
 def test_partition_function_pinned_values():
@@ -76,6 +77,30 @@ def test_partition_function_pinned_values():
     assert pf.value(THETA_PLANAR) == Fraction(1, 3)
     assert pf.chain.terms[DUMBBELL] == 1
     assert pf.value(LOOP_PAIR) == 0  # odd vertex count
+
+
+def test_partition_function_matches_oracle_on_twisted_11():
+    # orders 3, 5 and 7, even and odd letters, and the skew dual pairing
+    # of C^{2|1}: every nonzero class of the window against the brute force
+    A = twisted_11()
+    pairing = A.dual_pairing()
+    parities = [A.dim.parity(a) for a in range(A.dim.total)]
+    h_by_k = {k: A.hamiltonian(k).terms for k in range(3, 13)}
+    pf = partition_function(A, (4, 6))
+    checked = 0
+    orders = set()
+    for v in range(1, 5):
+        for e in range(1, 7):
+            for g in enumerate_graphs(v, e):
+                if g.zero:
+                    continue
+                want = z_value_oracle(g.vtype, g.chords, h_by_k, parities,
+                                      pairing, g.aut)
+                assert pf.chain.terms.get(g, 0) == want, g
+                checked += 1
+                if want:
+                    orders.update(g.vtype)
+    assert checked > 1000 and orders == {3, 5, 7}
 
 
 def test_partition_function_is_a_cycle():

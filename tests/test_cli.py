@@ -128,6 +128,29 @@ def test_input_errors_exit_2(capsys, tmp_path):
         "truncation": 5}))
     code, _, err = run(capsys, "partition", "--algebra", str(bad))
     assert code == 2 and "invalid algebra" in err
+    graphs = {
+        "bivalent": ({"vertices": [[0, 1]], "edges": [[0, 1]]},
+                     "valencies"),
+        "reused": ({"vertices": [[0, 1, 2, 3]], "edges": [[0, 1], [1, 2]]},
+                   "partition"),
+        "uncovered": ({"vertices": [[0, 1, 2, 3, 4]],
+                       "edges": [[0, 1], [2, 3]]}, "partition"),
+        "unknown": ({"vertices": [[0, 1, 2], [3, 4, 5]],
+                     "edges": [[0, 3], [1, 4], [2, 9]]}, "half-edge id 9"),
+        "list": ([], "JSON object"),
+        "number": (3, "JSON object"),
+    }
+    for name, (doc, words) in graphs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "correlate", str(path),
+                           "--algebra", ALGEBRA)
+        assert code == 2 and err.startswith("error:") and words in err, name
+    for doc in ([], 3):
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "partition", "--algebra", str(path))
+        assert code == 2 and err.startswith("error:") and "JSON object" in err
 
 
 def test_usage_errors(capsys):

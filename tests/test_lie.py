@@ -13,6 +13,8 @@ from ribbonhom.scalars import mat_mul, mat_transpose
 from ribbonhom.superspace import (SuperDim, SuperTensor, SymplecticForm,
                                   canonical_form_matrix)
 
+import oracles
+
 D10 = SuperDim(1, 0)
 D11 = SuperDim(1, 1)
 D02 = SuperDim(0, 2)
@@ -42,6 +44,32 @@ def test_cyclic_reduce_is_rotation_invariant():
                     assert rot is None
                 else:
                     assert rot is not None and rot[0] == base[0]
+
+
+def test_cyclic_reduce_matches_oracle():
+    rng = random.Random(7)
+    for dim in [D11, D02, SuperDim(2, 1)]:
+        pars = [dim.parity(a) for a in range(dim.total)]
+        for _ in range(200):
+            w = tuple(rng.randrange(dim.total)
+                      for _ in range(rng.randint(1, 6)))
+            assert cyclic_reduce(w, dim) == \
+                oracles.cyclic_reduce_oracle(list(w), pars), (dim, w)
+
+
+def test_bracket_matches_oracle():
+    rng = random.Random(8)
+    for dim in [D10, D11, D02, SuperDim(2, 1)]:
+        pars = [dim.parity(a) for a in range(dim.total)]
+        mat = canonical_form_matrix(dim)
+        for _ in range(60):
+            a, b = (CyclicWord(dim, {
+                tuple(rng.randrange(dim.total)
+                      for _ in range(rng.randint(1, 4))):
+                Fraction(rng.randint(-3, 3))
+                for _ in range(rng.randint(1, 2))}) for _ in range(2))
+            assert bracket(a, b).terms == \
+                oracles.bracket_oracle(a.terms, b.terms, pars, mat), (a, b)
 
 
 def test_cyclic_reduce_kills_odd_symmetric_orbits():

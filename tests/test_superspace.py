@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from ribbonhom.superspace import (SuperDim, SuperTensor, SymplecticForm,
                                   antisymmetrize, block_perm_embed,
                                   canonical_form_matrix, compose_perms,
-                                  cycle_perm, cyclic_shift, invert_perm,
+                                  contract, cycle_perm, cyclic_shift, invert_perm,
                                   koszul_apply, koszul_sign, norm,
                                   perm_parity)
 
@@ -97,14 +97,69 @@ def test_cyclic_shift_and_norm():
     assert cyclic_shift(total) == total
 
 
-def test_tensor_product_bilinear_and_associative():
-    a = SuperTensor.word(D11, (0,), Fraction(2))
-    b = SuperTensor.word(D11, (2, 1))
-    c = SuperTensor.word(D11, (1,))
-    assert a.tensor(b).rank == 3
-    assert a.tensor(b.tensor(c)) == a.tensor(b).tensor(c)
-    zero = SuperTensor.zero(D11, 2)
-    assert not a.tensor(zero)
+def _shuffle_then_pair(tensors, chords, pairing, legs):
+    """Reference state sum: the full tensor product, Koszul-shuffled so
+    chord r sits at slots 2r, 2r+1 and the legs follow, then paired off
+    slot pair by slot pair."""
+    dim = tensors[0].dim
+    product = {(): Fraction(1)}
+    for t in tensors:
+        product = {w1 + w2: c1 * c2 for w1, c1 in product.items()
+                   for w2, c2 in t.terms.items()}
+    rank = sum(t.rank for t in tensors)
+    perm = [0] * rank
+    for r, (a, b) in enumerate(chords):
+        perm[a], perm[b] = 2 * r, 2 * r + 1
+    for i, s in enumerate(legs):
+        perm[s] = 2 * len(chords) + i
+    shuffled = koszul_apply(tuple(perm), SuperTensor(dim, rank, product))
+    out = {}
+    for word, coeff in shuffled.terms.items():
+        for r in range(len(chords)):
+            coeff = coeff * pairing[word[2 * r]][word[2 * r + 1]]
+        rest = word[2 * len(chords):]
+        out[rest] = out.get(rest, 0) + coeff
+    return SuperTensor(dim, len(legs), out)
+
+
+@given(st.data())
+def test_contract_matches_shuffle_then_pair(data):
+    dim = data.draw(st.sampled_from([SuperDim(1, 0), D11, D02,
+                                     SuperDim(2, 1)]))
+    letter = st.integers(0, dim.total - 1)
+    coeff = st.sampled_from([-2, -1, 1, 3]).map(Fraction)
+    tensors = []
+    for rank in data.draw(st.lists(st.integers(0, 3), min_size=1,
+                                   max_size=3)):
+        terms = data.draw(st.dictionaries(
+            st.tuples(*[letter] * rank), coeff, min_size=1, max_size=3))
+        tensors.append(SuperTensor(dim, rank, terms))
+    slots = data.draw(st.permutations(range(sum(t.rank for t in tensors))))
+    npairs = data.draw(st.integers(0, len(slots) // 2))
+    chords = [(slots[2 * r], slots[2 * r + 1]) for r in range(npairs)]
+    legs = slots[2 * npairs:]
+    pairing = data.draw(st.lists(st.lists(st.integers(-2, 2).map(Fraction),
+                                          min_size=dim.total,
+                                          max_size=dim.total),
+                                 min_size=dim.total, max_size=dim.total))
+    assert contract(tensors, chords, pairing, legs) == \
+        _shuffle_then_pair(tensors, chords, pairing, legs)
+
+
+def test_contract_rejects_uncovered_slots():
+    h = SuperTensor.word(D11, (0, 1, 2))
+    pairing = canonical_form_matrix(D11)
+    with pytest.raises(ValueError):
+        contract([h], [(0, 1)], pairing)
+    with pytest.raises(ValueError):
+        contract([h], [(0, 1), (1, 2)], pairing)
+    with pytest.raises(ValueError):
+        contract([h], [(0, 1)], pairing, legs=(3,))
+    with pytest.raises(ValueError):
+        contract([h, SuperTensor.word(D02, (0,))], [(0, 1), (2, 3)],
+                 pairing)
+    assert contract([h], [(0, 1)], pairing, legs=(2,)) == \
+        SuperTensor.word(D11, (2,))
 
 
 def test_antisymmetrize_kills_repeated_even_blocks():

@@ -11,7 +11,7 @@ from ribbonhom.superspace import koszul_apply
 from ribbonhom.tcft import (EMPTY_LEGGED, MorphismChain, canonicalize_legged,
                             compose, compose_tensors,
                             composition_compatibility, correlation,
-                            enumerate_legged_graphs, glue)
+                            enumerate_legged_graphs, glue, glue_diagram)
 
 A = frobenius_pair()
 
@@ -183,6 +183,35 @@ def test_composition_compatibility_sampled():
                         assert rep.valid, (g1, g2, rep)
                         pairs += 1
     assert pairs
+
+
+def test_composition_compatibility_on_twisted_algebra():
+    # orders 3, 5 and 7 with even letters and the skew dual pairing
+    B = twisted_11()
+    live = 0
+    for (m, n, k), edges in [((1, 2, 0), 2), ((0, 2, 1), 2), ((1, 1, 1), 2),
+                             ((0, 3, 0), 1)]:
+        for e1 in range(edges + 1):
+            for e2 in range(edges + 1 - e1):
+                for g1 in enumerate_legged_graphs(m, n, e1):
+                    for g2 in enumerate_legged_graphs(n, k, e2):
+                        rep = composition_compatibility(B, g1, g2)
+                        assert rep.valid, (g1, g2, rep)
+                        live += bool(correlation(B, glue_diagram(g1, g2)[0]))
+    assert live >= 40
+
+
+def test_composition_compatibility_when_a_valency_has_no_tensor():
+    # gluing keeps the internal valencies, so both sides vanish together
+    rng = random.Random(47)
+    dead = [g for e in range(3) for g in enumerate_legged_graphs(1, 2, e)
+            if not all(bool(A.hamiltonian(v)) for v in g.vtype)]
+    live = enumerate_legged_graphs(2, 1, 1)
+    assert dead and live
+    for _ in range(20):
+        g1, g2 = rng.choice(dead), rng.choice(live)
+        assert composition_compatibility(A, g1, g2).valid, (g1, g2)
+        assert not correlation(A, g1.diagram()).terms
 
 
 def test_enumeration_sanity():

@@ -15,8 +15,14 @@ the vertex-permutation sign times (-1) per reversed edge.  Canonical forms
 take the minimum matching over this group (as partner arrays, compared
 lexicographically); a class is ZERO when some relabeling stabilizes the
 matching with sign -1.  The group action is evaluated for all elements at
-once with numpy on small integer matrices, which keeps whole-window sweeps
-over six-edge graphs cheap.
+once with numpy on small integer matrices.  Each image matching is packed
+into one uint64 key, 4 bits per partner label, so that key order is the
+lexicographic order; this packing caps graphs at 16 half-edges (8 edges).
+
+Enumeration builds, once per size, the table of all (2e-1)!! perfect
+matchings as partner rows in lexicographic order, with their sorted keys.
+Per valency type it scans the first matching not yet covered and marks its
+whole orbit covered by looking the orbit's keys up in the table.
 """
 
 from __future__ import annotations
@@ -79,19 +85,28 @@ def perfect_matchings(points):
 
 # -------------------------------------------------------- canonical scans
 
+# Partner labels are packed 4 bits each into one uint64 key, first label
+# highest, so comparing keys compares partner arrays lexicographically.
+# This is what caps graphs at 8 edges.
+MAX_HALF_EDGES = 16
+
+
+def _check_size(size):
+    if size > MAX_HALF_EDGES:
+        raise NotImplementedError("graphs beyond 8 edges are out of scope")
+
+
 @lru_cache(maxsize=None)
 def _group_arrays(vtype):
     """All relabelings of a type, precomputed for vectorized scans.
 
-    Returns (P, vsign, flat, width): P[g, h] is the new label of half-edge
-    h, vsign[g] the vertex-permutation sign, `flat` the flattened scatter
-    indices g*width + P[g, h] into a zero-padded byte buffer of row length
-    `width` (8 or 16, so rows can be compared as big-endian machine words).
+    Returns (P, vsign, flat): P[g, h] is the new label of half-edge h,
+    vsign[g] the vertex-permutation sign and `flat` the flattened scatter
+    indices g*MAX_HALF_EDGES + P[g, h] into a zero-padded byte buffer.
     """
     m = len(vtype)
     size = sum(vtype)
-    if size > 16:
-        raise NotImplementedError("graphs beyond 8 edges are out of scope")
+    _check_size(size)
     offs = type_offsets(vtype)
     sigmas = [s for s in itertools.permutations(range(m))
               if all(vtype[s[v]] == vtype[v] for v in range(m))]
@@ -111,74 +126,64 @@ def _group_arrays(vtype):
                     P[row, offs[v] + s] = tgt + (s - r) % k
             vsign[row] = sgn
             row += 1
-    width = 8 if size <= 8 else 16
-    flat = (np.arange(count, dtype=np.int64)[:, None] * width + P).ravel()
-    return P.astype(np.int16), vsign.astype(np.int8), flat, width
+    flat = (np.arange(count, dtype=np.int64)[:, None] * MAX_HALF_EDGES
+            + P).ravel()
+    return P.astype(np.int16), vsign.astype(np.int8), flat
 
 
-def _partner_array(size, chords):
-    partner = np.empty(size, dtype=np.int64)
-    for a, b in chords:
-        partner[a] = b
-        partner[b] = a
-    return partner
+def _packed_keys(rows):
+    """Keys of uint8 partner rows zero-padded to MAX_HALF_EDGES columns:
+    adjacent labels share a byte, and the 8 bytes are read big-endian."""
+    nibbles = (rows[..., 0::2] << 4) | rows[..., 1::2]
+    return nibbles.view(">u8")[..., 0].astype(np.uint64)
 
 
-def _chords_of_partner(partner):
-    out = []
-    for a, b in enumerate(partner):
-        if a < b:
-            out.append((a, int(b)))
-    return tuple(out)
+def _chords_of_key(key, size):
+    partner = [(key >> (4 * (MAX_HALF_EDGES - 1 - h))) & 15
+               for h in range(size)]
+    return tuple((a, b) for a, b in enumerate(partner) if a < b)
 
 
-def _pack_single(size, chords):
-    """Orbit-code of one matching, for membership tests against scan codes."""
-    if size > 16:
-        raise NotImplementedError("graphs beyond 8 edges are out of scope")
-    width = 8 if size <= 8 else 16
-    buf = np.zeros(width, dtype=np.uint8)
-    buf[:size] = _partner_array(size, chords)
-    return tuple(buf.view(">u8").tolist())
+def _orbits(vtype, chord_lists):
+    """Images of oriented diagrams under every relabeling of their type.
 
-
-def _scan(vtype, chords):
-    """Full orbit data of an oriented diagram.  The returned `sign`
-    satisfies [input] = sign * [canonical]; `codes` carries one
-    lexicographic key per group element for orbit dedup."""
+    Returns (keys, signs), both (diagrams x relabelings): the packed key of
+    each image matching and the sign of the relabeling on the diagram.
+    """
+    P, vsign, flat = _group_arrays(vtype)
     size = sum(vtype)
-    P, vsign, flat, width = _group_arrays(vtype)
-    count = len(vsign)
-    partner = _partner_array(size, chords)
-    buf = np.zeros((count, width), dtype=np.uint8)
-    buf.ravel()[flat] = P[:, partner].ravel()
-    codes = buf.view(">u8")  # (count, width//8), rows compare lexicographically
-    starts = np.fromiter((a for a, _ in chords), dtype=np.int64, count=len(chords))
-    ends = np.fromiter((b for _, b in chords), dtype=np.int64, count=len(chords))
-    flips = np.bitwise_xor.reduce(P[:, starts] > P[:, ends], axis=1)
-    signs = np.where(flips, -vsign, vsign)
-    eq = codes[:, 0] == codes[:, 0].min()
-    for col in range(1, codes.shape[1]):
-        sub = codes[eq, col]
-        eq &= codes[:, col] == sub.min()
+    nb = len(chord_lists)
+    chords = np.array(chord_lists, dtype=np.int64)  # (nb, edges, 2)
+    starts, ends = chords[..., 0], chords[..., 1]
+    partners = np.empty((nb, size), dtype=np.int64)
+    rows = np.arange(nb)[:, None]
+    partners[rows, starts] = ends
+    partners[rows, ends] = starts
+    # buf[b, g, P[g, h]] = P[g, partners[b, h]]: the image partner rows
+    buf = np.zeros((nb, len(vsign), MAX_HALF_EDGES), dtype=np.uint8)
+    buf.reshape(nb, -1)[:, flat] = \
+        P[:, partners].transpose(1, 0, 2).reshape(nb, -1)
+    flips = np.bitwise_xor.reduce(P[:, starts] > P[:, ends], axis=2)
+    signs = np.where(flips, -vsign[:, None], vsign[:, None]).T
+    return _packed_keys(buf), signs
+
+
+def _class_data(size, keys, signs):
+    """(canonical, sign, aut, zero) of one diagram from its orbit row.
+
+    The canonical form is the minimal image; `sign` satisfies
+    [input] = sign * [canonical], and the class is ZERO when the
+    stabilizer of the canonical form holds both signs.
+    """
+    best = keys.min()
+    eq = keys == best
     eq_signs = signs[eq]
     zero = bool(eq_signs.min() != eq_signs.max())
     stab = int(eq.sum())
-    winner = int(np.argmax(eq))
-    canonical = _chords_of_partner(buf[winner, :size])
-    return {
-        "canonical": canonical,
-        "sign": None if zero else int(eq_signs[0]),
-        "aut": stab // 2 if zero else stab,
-        "zero": zero,
-        "codes": codes,
-    }
-
-
-@lru_cache(maxsize=500_000)
-def _scan_cached(vtype, chords):
-    data = _scan(vtype, chords)
-    return data["canonical"], data["sign"], data["aut"], data["zero"]
+    return (_chords_of_key(int(best), size),
+            None if zero else int(eq_signs[0]),
+            stab // 2 if zero else stab,
+            zero)
 
 
 def _scan_batch(vtype, chord_lists):
@@ -187,42 +192,14 @@ def _scan_batch(vtype, chord_lists):
     Returns one (canonical, sign, aut, zero) tuple per input; used by the
     coboundary, whose expansions of a single graph share few types.
     """
+    keys, signs = _orbits(vtype, chord_lists)
     size = sum(vtype)
-    P, vsign, flat, width = _group_arrays(vtype)
-    count = len(vsign)
-    nb = len(chord_lists)
-    ne = len(chord_lists[0])
-    partners = np.empty((nb, size), dtype=np.int64)
-    starts = np.empty((nb, ne), dtype=np.int64)
-    ends = np.empty((nb, ne), dtype=np.int64)
-    for b, chords in enumerate(chord_lists):
-        for r, (x, y) in enumerate(chords):
-            partners[b, x] = y
-            partners[b, y] = x
-            starts[b, r] = x
-            ends[b, r] = y
-    images = np.moveaxis(P[:, partners], 1, 0)  # (nb, count, size)
-    buf = np.zeros((nb, count, width), dtype=np.uint8)
-    flat_b = (np.arange(nb, dtype=np.int64)[:, None] * (count * width)) + flat
-    buf.ravel()[flat_b.ravel()] = images.ravel()
-    codes = buf.view(">u8")  # (nb, count, width//8)
-    flips = np.bitwise_xor.reduce(P[:, starts] > P[:, ends], axis=2)  # (count, nb)
-    signs = np.where(flips, -vsign[:, None], vsign[:, None])
-    out = []
-    for b in range(nb):
-        cb = codes[b]
-        eq = cb[:, 0] == cb[:, 0].min()
-        for col in range(1, cb.shape[1]):
-            eq &= cb[:, col] == cb[eq, col].min()
-        eq_signs = signs[:, b][eq]
-        zero = bool(eq_signs.min() != eq_signs.max())
-        stab = int(eq.sum())
-        canonical = _chords_of_partner(buf[b, int(np.argmax(eq)), :size])
-        out.append((canonical,
-                    None if zero else int(eq_signs[0]),
-                    stab // 2 if zero else stab,
-                    zero))
-    return out
+    return [_class_data(size, k, s) for k, s in zip(keys, signs)]
+
+
+@lru_cache(maxsize=500_000)
+def _scan_cached(vtype, chords):
+    return _scan_batch(vtype, [chords])[0]
 
 
 # ------------------------------------------------------------ graph class
@@ -525,23 +502,63 @@ def connected_components(g: RibbonGraph):
 
 # ------------------------------------------------------------ enumeration
 
+def _matching_table(size):
+    """All perfect matchings of range(size) as uint8 partner rows, in
+    `perfect_matchings` order, which is lexicographic.  The block of rows
+    with partner[0] = i is the (size - 2) table relabeled onto the other
+    points."""
+    _check_size(size)
+    if size == 0:
+        return np.zeros((1, 0), dtype=np.uint8)
+    sub = _matching_table(size - 2)
+    out = np.empty(((size - 1) * len(sub), size), dtype=np.uint8)
+    for i, block in enumerate(np.split(out, size - 1), start=1):
+        rest = np.array([j for j in range(1, size) if j != i], dtype=np.uint8)
+        block[:, 0] = i
+        block[:, i] = 0
+        block[:, rest] = rest[sub]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _matching_keys(size):
+    """Packed keys of `_matching_table(size)`, strictly increasing.  Only
+    the keys are kept: a row's chords are read back from its key."""
+    table = _matching_table(size)
+    return _packed_keys(np.pad(table, ((0, 0), (0, MAX_HALF_EDGES - size))))
+
+
 @lru_cache(maxsize=None)
 def enumerate_graphs(nvert, nedge, connected=False):
     """All oriented ribbon graph classes with the given counts, sorted;
-    ZERO classes are included and flagged."""
+    ZERO classes are included and flagged.
+
+    Per valency type, the first matching not yet covered is scanned and
+    its whole orbit is marked covered in the matching table."""
     if nvert == 0:
         if nedge == 0 and not connected:
             return (EMPTY_GRAPH,)
         return ()
+    size = 2 * nedge
+    types = list(valency_types(nvert, nedge))
+    if not types:
+        return ()
+    keys = _matching_keys(size)
     out = []
-    for vtype in valency_types(nvert, nedge):
-        seen = set()
-        for mat in perfect_matchings(range(2 * nedge)):
-            if _pack_single(2 * nedge, mat) in seen:
-                continue
-            data = _scan(vtype, mat)
-            seen.update(map(tuple, data["codes"].tolist()))
-            g = _make_graph(vtype, data["canonical"], data["aut"], data["zero"])
+    for vtype in types:
+        visited = np.zeros(len(keys), dtype=bool)
+        row = 0
+        while True:
+            row += int(np.argmin(visited[row:]))
+            if visited[row]:
+                break
+            chords = _chords_of_key(int(keys[row]), size)
+            orbit, signs = _orbits(vtype, [chords])
+            hits = np.searchsorted(keys, orbit[0])
+            assert (keys[hits] == orbit[0]).all()
+            visited[hits] = True
+            canonical, _, aut, zero = _class_data(size, orbit[0], signs[0])
+            g = _make_graph(vtype, canonical, aut, zero)
             if connected and not g.connected:
                 continue
             out.append(g)

@@ -39,6 +39,13 @@ def _expect_object(obj, what):
                          f"not {type(obj).__name__}")
 
 
+def _expect_list(obj, what):
+    if not isinstance(obj, list):
+        raise ValueError(f"{what} must be a JSON list, "
+                         f"not {type(obj).__name__}")
+    return obj
+
+
 def _dim_of(obj) -> SuperDim:
     return SuperDim(int(obj["n"]), int(obj["m"]))
 
@@ -92,23 +99,38 @@ def graph_from_json(obj):
     half-edge ids; they are relabeled in block order.  Every vertex must
     have valency >= 3, and legs and edges must use each half-edge once."""
     _expect_object(obj, "graph")
-    blocks = [list(v) for v in obj["vertices"]]
+    blocks = [_expect_list(v, "a vertex")
+              for v in _expect_list(obj["vertices"], "vertices")]
+
+    def half_edge_id(h):
+        if isinstance(h, bool) or not isinstance(h, (int, float, str)):
+            raise ValueError(f"half-edge id {json.dumps(h)} is not "
+                             f"a number or a string")
+        return h
+
     relabel = {}
     for blk in blocks:
-        for h in blk:
+        for h in map(half_edge_id, blk):
             if h in relabel:
                 raise ValueError(f"duplicate half-edge id {h}")
             relabel[h] = len(relabel)
 
     def slot(h):
-        if h not in relabel:
+        if half_edge_id(h) not in relabel:
             raise ValueError(f"unknown half-edge id {h}")
         return relabel[h]
 
+    def edge(c):
+        if not isinstance(c, list) or len(c) != 2:
+            raise ValueError(f"edge {json.dumps(c)} is not a pair of "
+                             f"half-edge ids")
+        return slot(c[0]), slot(c[1])
+
     vtype = tuple(len(b) for b in blocks)
-    edges = tuple((slot(a), slot(b)) for a, b in obj["edges"])
-    legs_in = tuple(slot(h) for h in obj.get("legs_in", ()))
-    legs_out = tuple(slot(h) for h in obj.get("legs_out", ()))
+    edges = tuple(map(edge, _expect_list(obj["edges"], "edges")))
+    legs_in = tuple(map(slot, _expect_list(obj.get("legs_in", []), "legs_in")))
+    legs_out = tuple(map(slot, _expect_list(obj.get("legs_out", []),
+                                            "legs_out")))
     if "half_edges" in obj and int(obj["half_edges"]) != len(relabel):
         raise ValueError("half_edges count does not match the vertices")
     check_diagram(vtype, legs_in, legs_out, edges)

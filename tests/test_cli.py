@@ -137,6 +137,17 @@ def test_input_errors_exit_2(capsys, tmp_path):
                        "edges": [[0, 1], [2, 3]]}, "partition"),
         "unknown": ({"vertices": [[0, 1, 2], [3, 4, 5]],
                      "edges": [[0, 3], [1, 4], [2, 9]]}, "half-edge id 9"),
+        "edge_not_pair": ({"vertices": [[0, 1, 2], [3, 4, 5]],
+                           "edges": [0, 3]}, "edge 0 is not a pair"),
+        "legs_number": ({"vertices": [[0, 1, 2], [3, 4, 5]],
+                         "edges": [[0, 3], [1, 4], [2, 5]], "legs_in": 3},
+                        "legs_in must be a JSON list"),
+        "unhashable_edge": ({"vertices": [[0, 1, 2], [3, 4, 5]],
+                             "edges": [[[2], 5], [0, 3], [1, 4]]},
+                            "half-edge id [2] is not"),
+        "unhashable_vertex": ({"vertices": [[[2], 1, 0], [3, 4, 5]],
+                               "edges": [[0, 3], [1, 4], [2, 5]]},
+                              "half-edge id [2] is not"),
         "list": ([], "JSON object"),
         "number": (3, "JSON object"),
     }

@@ -2,13 +2,18 @@
 
 import json
 import random
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import oracles as O
 from ribbonhom.graphs import (EMPTY_GRAPH, FullyOrderedGraph, RibbonGraph,
-                              canonicalize, connected_components,
-                              contract_edge, disjoint_union, enumerate_graphs,
+                              _matching_keys, _matching_table, canonicalize,
+                              connected_components, contract_edge,
+                              disjoint_union, enumerate_graphs,
                               expand_ideal_edge, ideal_edges, perfect_matchings,
                               valency_types)
 
@@ -144,3 +149,58 @@ def test_valency_types_and_matchings():
 def test_enumerate_rejects_large_windows():
     with pytest.raises(NotImplementedError):
         enumerate_graphs(6, 9)
+
+
+def test_enumerate_refuses_before_building_a_table():
+    # an 18-half-edge matching table would hold 34,459,425 rows
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotImplementedError):
+            enumerate_graphs(1, 9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_matching_table_is_lexicographic():
+    for size in range(0, 11, 2):
+        table = _matching_table(size)
+        rows = [tuple((a, int(b)) for a, b in enumerate(row) if a < b)
+                for row in table]
+        assert rows == list(perfect_matchings(range(size)))
+    for size in range(2, 17, 2):
+        keys = _matching_keys(size)
+        assert len(keys) == len(_matching_table(size))
+        assert (np.diff(keys) > 0).all()
+
+
+def test_enumeration_matches_oracle():
+    for e in range(1, 7):
+        for v in range(1, 2 * e // 3 + 1):
+            classes = [(d["type"], d["canonical"], d["zero"], d["aut"])
+                       for d in O.enumerate_classes(v, e)]
+            for connected in (False, True):
+                ours = sorted((g.vtype, g.chords, g.zero, g.aut)
+                              for g in enumerate_graphs(v, e, connected))
+                oracle = sorted(c for c in classes
+                                if not connected or O.is_connected(*c[:2]))
+                assert ours == oracle, (v, e, connected)
+
+
+def test_harer_zagier_orbifold_euler_characteristics():
+    # sum over connected classes of genus g with n faces of (-1)^E / |Aut|
+    # is (-1)^n chi(M_{g,n}) / n!  (Harer-Zagier 1986, Penner 1988); these
+    # (g, n) need at most 6 edges
+    expected = {(0, 3): Fraction(-1, 6), (0, 4): Fraction(-1, 24),
+                (1, 1): Fraction(1, 12), (1, 2): Fraction(1, 24)}
+    sums = {}
+    for e in range(1, 7):
+        for v in range(1, 2 * e // 3 + 1):
+            for g in enumerate_graphs(v, e, True):
+                n = O.face_count(g.vtype, g.chords)
+                genus = (2 - v + e - n) // 2
+                aut = 2 * g.aut if g.zero else g.aut
+                key = (genus, n)
+                sums[key] = sums.get(key, 0) + Fraction((-1) ** e, aut)
+    assert {k: sums[k] for k in expected} == expected

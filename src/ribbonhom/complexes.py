@@ -177,6 +177,13 @@ def homology_dims(vrange, erange) -> dict:
     """
     vlo, vhi = vrange
     elo, ehi = erange
+    ranks: dict = {}
+
+    def rank(v, e):
+        if (v, e) not in ranks:
+            ranks[v, e] = _boundary_rank(v, e)
+        return ranks[v, e]
+
     out = {}
     for v in range(vlo, vhi + 1):
         for e in range(elo, ehi + 1):
@@ -184,7 +191,7 @@ def homology_dims(vrange, erange) -> dict:
             if dim == 0:
                 out[(v, e)] = 0
                 continue
-            out[(v, e)] = dim - _boundary_rank(v, e) - _boundary_rank(v + 1, e + 1)
+            out[(v, e)] = dim - rank(v, e) - rank(v + 1, e + 1)
     return out
 
 

@@ -534,11 +534,12 @@ def enumerate_graphs(nvert, nedge, connected=False):
     ZERO classes are included and flagged.
 
     Per valency type, the first matching not yet covered is scanned and
-    its whole orbit is marked covered in the matching table."""
+    its whole orbit is marked covered in the matching table; the connected
+    classes are filtered from the cached full window."""
+    if connected:
+        return tuple(g for g in enumerate_graphs(nvert, nedge) if g.connected)
     if nvert == 0:
-        if nedge == 0 and not connected:
-            return (EMPTY_GRAPH,)
-        return ()
+        return (EMPTY_GRAPH,) if nedge == 0 else ()
     size = 2 * nedge
     types = list(valency_types(nvert, nedge))
     if not types:
@@ -558,8 +559,5 @@ def enumerate_graphs(nvert, nedge, connected=False):
             assert (keys[hits] == orbit[0]).all()
             visited[hits] = True
             canonical, _, aut, zero = _class_data(size, orbit[0], signs[0])
-            g = _make_graph(vtype, canonical, aut, zero)
-            if connected and not g.connected:
-                continue
-            out.append(g)
+            out.append(_make_graph(vtype, canonical, aut, zero))
     return tuple(sorted(out, key=lambda g: g.sort_key))

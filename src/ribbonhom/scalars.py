@@ -9,8 +9,8 @@ part).  Products of square roots of squarefree integers reduce to squarefree
 radicands again, so the representation is closed under arithmetic, and
 inverses exist by multiplying through with Galois conjugates.
 
-A handful of exact dense linear-algebra helpers used across the package
-(inverse, rank, solve) live here as well.
+The exact linear algebra used across the package (inverse, rank, solve)
+lives here as well, all of it on one sparse row echelon routine.
 """
 
 from __future__ import annotations
@@ -292,96 +292,70 @@ def mat_transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
+def _echelon(rows) -> dict:
+    """Sparse row echelon form of dense rows over exact scalars.
+
+    Each row is kept as a {col: value} dict of its nonzeros and reduced
+    against the table {pivot_col: row scaled to 1 at pivot_col, zero left
+    of it}; what is left nonzero enters the table at its leftmost column.
+    Sparsest rows go first, to limit fill-in: the set of pivot columns
+    does not depend on the row order.
+    """
+    table: dict = {}
+    for row in sorted(({c: v for c, v in enumerate(r) if v} for r in rows), key=len):
+        while row:
+            col = min(row)
+            pivot = table.get(col)
+            if pivot is None:
+                inv = Fraction(1) / row[col]
+                table[col] = {c: v * inv for c, v in row.items()}
+                break
+            f = row[col]
+            for c, v in pivot.items():
+                x = row.get(c, 0) - f * v
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+    return table
+
+
+def _solve(a, b):
+    """Rows of one X with A X = B, free variables set to 0, or None when a
+    pivot of the echelon form of [A | B] falls in B."""
+    n = len(a[0]) if a else 0
+    width = len(b[0]) if b else 0
+    table = _echelon([list(ra) + list(rb) for ra, rb in zip(a, b)])
+    x = [[Fraction(0)] * width for _ in range(n)]
+    for col in sorted(table, reverse=True):
+        if col >= n:
+            return None
+        acc = [table[col].get(n + k, Fraction(0)) for k in range(width)]
+        for c, v in table[col].items():
+            if col < c < n:
+                acc = [s - v * t for s, t in zip(acc, x[c])]
+        x[col] = acc
+    return x
+
+
 def mat_inverse(a):
-    """Gauss-Jordan inverse over exact scalars; ValueError if singular."""
-    n = len(a)
-    work = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-            for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col] if not isinstance(work[col][col], Surd) \
-            else work[col][col].inverse()
-        work[col] = [v * inv for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [v - f * w for v, w in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+    """Inverse over exact scalars; ValueError if singular."""
+    x = _solve(a, identity_matrix(len(a)))
+    if x is None:
+        raise ValueError("singular matrix")
+    return x
 
 
 def rank_exact(rows) -> int:
-    """Rank of a matrix of Fractions by fraction-free (Bareiss) elimination."""
-    if not rows or not rows[0]:
-        return 0
-    # clear denominators row by row; scaling rows keeps the rank
-    m = []
-    for row in rows:
-        lcm = 1
-        for v in row:
-            f = Fraction(v)
-            lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-        m.append([int(Fraction(v) * lcm) for v in row])
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        for r in range(row + 1, nrows):
-            for c in range(col + 1, ncols):
-                m[r][c] = (m[row][col] * m[r][c] - m[r][col] * m[row][c]) // prev
-            m[r][col] = 0
-        prev = m[row][col]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
+    """Rank of a matrix of exact scalars."""
+    return len(_echelon(rows))
 
 
 def solve_exact(a, b):
     """One exact solution x of A x = b, or None if inconsistent.
 
-    Plain Gaussian elimination with back-substitution; free variables are
-    set to zero.  `a` is a list of rows, `b` a list of scalars.
+    Free variables are set to zero.  `a` is a list of rows, `b` a list of
+    scalars.
     """
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    work = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if work[r][col]), None)
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        pv = work[row][col]
-        inv = pv.inverse() if isinstance(pv, Surd) else 1 / pv
-        work[row] = [v * inv for v in work[row]]
-        for r in range(nrows):
-            if r != row and work[r][col]:
-                f = work[r][col]
-                work[r] = [v - f * w for v, w in zip(work[r], work[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    for r in range(row, nrows):
-        if work[r][ncols]:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = work[r][ncols]
-    return x
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()
+    x = _solve(a, [[rhs] for rhs in b])
+    return None if x is None else [row[0] for row in x]

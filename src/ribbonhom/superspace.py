@@ -432,9 +432,3 @@ def antisymmetrize(t: SuperTensor, sizes) -> SuperTensor:
         moved = koszul_apply(block_perm_embed(sigma, sizes), t)
         total = total + moved.scale(sgn)
     return total
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -17,6 +17,7 @@ Conventions (shared with the package, 0-based):
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 
 # ------------------------------------------------------------------ basics
@@ -412,3 +413,39 @@ def cyclic_rotation_sign(word, r, parities):
                 sign = -sign
         cur.append(head)
     return sign
+
+
+# -------------------------------------------------------------- exact rank
+
+def rank_bareiss(rows):
+    """Rank of a matrix of rationals by dense fraction-free (Bareiss)
+    elimination over Python ints, every zero touched at every pivot."""
+    if not rows or not rows[0]:
+        return 0
+    # clear denominators row by row; scaling rows keeps the rank
+    m = []
+    for row in rows:
+        lcm = 1
+        for v in row:
+            f = Fraction(v)
+            lcm = lcm * f.denominator // gcd(lcm, f.denominator)
+        m.append([int(Fraction(v) * lcm) for v in row])
+    nrows, ncols = len(m), len(m[0])
+    rank = 0
+    prev = 1
+    row = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(row, nrows) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        for r in range(row + 1, nrows):
+            for c in range(col + 1, ncols):
+                m[r][c] = (m[row][col] * m[r][c] - m[r][col] * m[row][c]) // prev
+            m[r][col] = 0
+        prev = m[row][col]
+        rank += 1
+        row += 1
+        if row == nrows:
+            break
+    return rank

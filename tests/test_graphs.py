@@ -188,6 +188,14 @@ def test_enumeration_matches_oracle():
                 assert ours == oracle, (v, e, connected)
 
 
+def test_connected_window_filters_full_window():
+    for e in range(0, 7):
+        for v in range(0, 2 * e // 3 + 1):
+            full = enumerate_graphs(v, e)
+            assert enumerate_graphs(v, e, True) == \
+                tuple(g for g in full if g.connected), (v, e)
+
+
 def test_harer_zagier_orbifold_euler_characteristics():
     # sum over connected classes of genus g with n faces of (-1)^E / |Aut|
     # is (-1)^n chi(M_{g,n}) / n!  (Harer-Zagier 1986, Penner 1988); these

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles as O
 from ribbonhom.scalars import (Surd, format_scalar, identity_matrix,
                                json_scalar, mat_inverse, mat_mul,
                                parse_scalar, rank_exact, solve_exact)
@@ -98,3 +99,88 @@ def test_linear_algebra_helpers_exact():
 def test_rank_exact_detects_dependence():
     rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     assert rank_exact(rows) == 1
+
+
+ENTRIES = {"int": st.integers(-3, 3),
+           "fraction": st.fractions(-3, 3, max_denominator=4)}
+
+
+@st.composite
+def sparse_matrices(draw, entry, max_cols=7):
+    """Mostly-zero matrices with zero columns, then repeated, combined and
+    zero rows inserted among the drawn ones."""
+    ncols = draw(st.integers(0, max_cols))
+    zero_cols = draw(st.sets(st.integers(0, max_cols)))
+    cell = st.one_of(st.just(0), st.just(0), entry)
+    rows = draw(st.lists(st.lists(cell, min_size=ncols, max_size=ncols),
+                         max_size=6))
+    rows = [[0 if c in zero_cols else v for c, v in enumerate(row)]
+            for row in rows]
+    for kind in draw(st.lists(st.sampled_from(["repeat", "combine", "zero"]),
+                              max_size=3)):
+        new = [0] * ncols
+        if rows and kind == "repeat":
+            new = list(draw(st.sampled_from(rows)))
+        elif rows and kind == "combine":
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(entry), draw(entry)
+            new = [s * x + t * y for x, y in zip(a, b)]
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return rows
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+@given(data=st.data())
+def test_rank_exact_matches_bareiss(entry, data):
+    rows = data.draw(sparse_matrices(ENTRIES[entry]))
+    before = [row[:] for row in rows]
+    assert rank_exact(rows) == O.rank_bareiss(rows)
+    assert rows == before  # the caller may read rows afterwards
+
+
+def test_rank_of_empty_matrices():
+    assert rank_exact([]) == O.rank_bareiss([]) == 0
+    assert rank_exact([[]]) == O.rank_bareiss([[]]) == 0
+
+
+@given(sparse_matrices(ENTRIES["fraction"]), st.data())
+def test_solve_exact_solves_or_reports_inconsistency(a, data):
+    ncols = len(a[0]) if a else 0
+    entry = ENTRIES["fraction"]
+    if data.draw(st.booleans()):  # a consistent right-hand side
+        x0 = data.draw(st.lists(entry, min_size=ncols, max_size=ncols))
+        b = [sum(v * t for v, t in zip(row, x0)) for row in a]
+    else:
+        b = data.draw(st.lists(entry, min_size=len(a), max_size=len(a)))
+    x = solve_exact(a, b)
+    augmented = O.rank_bareiss([row + [rhs] for row, rhs in zip(a, b)])
+    if x is None:
+        assert augmented > O.rank_bareiss(a)
+    else:
+        assert len(x) == ncols
+        assert [sum(v * t for v, t in zip(row, x)) for row in a] == b
+
+
+SURDS = st.builds(lambda p, q, r: p + q * Surd.sqrt(2) + r * Surd.sqrt(3),
+                  st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2))
+
+
+@given(st.integers(1, 3), st.data())
+def test_mat_inverse_on_surd_matrices(n, data):
+    # A = L U with unit lower triangular L and nonzero pivots on U
+    nonzero = SURDS.filter(bool)
+    low = [[Surd(1) if i == j else data.draw(SURDS) if j < i else Surd(0)
+            for j in range(n)] for i in range(n)]
+    up = [[data.draw(nonzero) if i == j else data.draw(SURDS) if j > i
+           else Surd(0) for j in range(n)] for i in range(n)]
+    a = mat_mul(low, up)
+    inv = mat_inverse(a)
+    assert mat_mul(a, inv) == identity_matrix(n)
+    assert mat_mul(inv, a) == identity_matrix(n)
+    # a last row combined from the others makes it singular
+    s, t = data.draw(SURDS), data.draw(SURDS)
+    singular = a + [[s * x + t * y for x, y in zip(a[0], a[-1])]]
+    singular = [row + [data.draw(SURDS)] for row in singular]
+    singular[-1][-1] = s * singular[0][-1] + t * singular[-2][-1]
+    with pytest.raises(ValueError, match="singular"):
+        mat_inverse(singular)

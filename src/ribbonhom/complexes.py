@@ -12,57 +12,30 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .graphs import (RibbonGraph, _make_graph, _scan_batch, contract_edge,
+from .graphs import (RibbonGraph, _make_graph, _scan_batch, contract_edge_raw,
                      enumerate_graphs, expand_ideal_edge_raw, ideal_edges)
-from .scalars import format_scalar, rank_exact, solve_exact
+from .scalars import (LinearCombination, format_scalar, mat_transpose,
+                      rank_exact, solve_exact)
 
 
-class GraphChain:
+class GraphChain(LinearCombination):
     """Finite linear combination of oriented ribbon graph classes.
 
     ZERO classes and zero coefficients are dropped on construction, so the
     zero chain is the one with no terms.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = _SPACE = ()
 
     def __init__(self, terms=None):
-        acc: dict = {}
-        for g, c in (terms or {}).items():
-            if g.zero or not c:
-                continue
-            acc[g] = acc.get(g, 0) + c
-        self.terms = {g: c for g, c in acc.items() if c}
+        self.terms = self._collect(terms)
+
+    def _reduce(self, g):
+        return None if g.zero else (g, 1)
 
     @classmethod
     def of(cls, graph: RibbonGraph, coeff=Fraction(1)) -> "GraphChain":
         return cls({graph: coeff})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, GraphChain) and self.terms == other.terms
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for g, c in other.terms.items():
-            terms[g] = terms.get(g, 0) + c
-        return GraphChain(terms)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, factor) -> "GraphChain":
-        return GraphChain({g: c * factor for g, c in self.terms.items()})
-
-    def __mul__(self, factor):
-        return self.scale(factor)
-
-    __rmul__ = __mul__
-
-    def coefficient(self, graph: RibbonGraph):
-        return self.terms.get(graph, Fraction(0))
 
     def bidegree(self):
         """(vertices, edges) common to all terms; None for the zero chain;
@@ -88,24 +61,12 @@ def _as_chain(x) -> GraphChain:
     return x
 
 
-@lru_cache(maxsize=None)
-def _boundary_graph(g: RibbonGraph):
-    acc: dict = {}
-    for j in range(g.nedges):
-        if g.is_loop(j):
-            continue
-        rg, s = contract_edge(g, j)
-        if rg.zero:
-            continue
-        acc[rg] = acc.get(rg, 0) + s
-    return tuple((rg, c) for rg, c in acc.items() if c)
-
-
-@lru_cache(maxsize=None)
-def _coboundary_graph(g: RibbonGraph):
+def _canonical_sum(diagrams, weight):
+    """Sum of raw (vtype, chords, sign) diagrams as ((RibbonGraph, coeff),
+    ...), each canonical class counted with weight(aut); the diagrams of
+    one valency type are scanned in a single batch."""
     groups: dict = {}
-    for ie in ideal_edges(g):
-        vt, ch, s = expand_ideal_edge_raw(g, ie)
+    for vt, ch, s in diagrams:
         groups.setdefault(vt, []).append((ch, s))
     acc: dict = {}
     for vt, items in groups.items():
@@ -114,8 +75,20 @@ def _coboundary_graph(g: RibbonGraph):
             if zero:
                 continue
             rg = _make_graph(vt, canonical, aut, zero)
-            acc[rg] = acc.get(rg, 0) + s * csign * Fraction(aut, g.aut)
+            acc[rg] = acc.get(rg, 0) + s * csign * weight(aut)
     return tuple((rg, c) for rg, c in acc.items() if c)
+
+
+@lru_cache(maxsize=None)
+def _boundary_graph(g: RibbonGraph):
+    return _canonical_sum((contract_edge_raw(g, j) for j in range(g.nedges)
+                           if not g.is_loop(j)), lambda aut: 1)
+
+
+@lru_cache(maxsize=None)
+def _coboundary_graph(g: RibbonGraph):
+    return _canonical_sum((expand_ideal_edge_raw(g, ie) for ie in ideal_edges(g)),
+                          lambda aut: Fraction(aut, g.aut))
 
 
 def boundary(x) -> GraphChain:
@@ -154,19 +127,26 @@ def basis(nvert, nedge, connected=False):
     return tuple(g for g in enumerate_graphs(nvert, nedge, connected) if not g.zero)
 
 
-def _boundary_rank(nvert, nedge) -> int:
-    """Rank of the boundary map leaving bidegree (nvert, nedge)."""
-    src = basis(nvert, nedge)
+def _boundary_rows(nvert, nedge):
+    """Dense matrix of the boundary from basis(nvert, nedge) to
+    basis(nvert - 1, nedge - 1), one row per source class; no rows when
+    either basis is empty."""
     tgt = {g: i for i, g in enumerate(basis(nvert - 1, nedge - 1))}
-    if not src or not tgt:
-        return 0
+    if not tgt:
+        return []
     rows = []
-    for g in src:
+    for g in basis(nvert, nedge):
         row = [Fraction(0)] * len(tgt)
         for rg, c in _boundary_graph(g):
             row[tgt[rg]] = Fraction(c)
         rows.append(row)
-    return rank_exact(rows)
+    return rows
+
+
+def _boundary_rank(nvert, nedge) -> int:
+    """Rank of the boundary map leaving bidegree (nvert, nedge)."""
+    rows = _boundary_rows(nvert, nedge)
+    return rank_exact(rows) if rows else 0
 
 
 def homology_dims(vrange, erange) -> dict:
@@ -206,21 +186,14 @@ def is_boundary(x: GraphChain):
     if deg is None:
         return GraphChain()
     v, e = deg
-    src = basis(v + 1, e + 1)
-    tgt = {g: i for i, g in enumerate(basis(v, e))}
-    if not src:
+    rows = _boundary_rows(v + 1, e + 1)
+    if not rows:
         return None
-    cols = []
-    for g in src:
-        col = [Fraction(0)] * len(tgt)
-        for rg, c in _boundary_graph(g):
-            col[tgt[rg]] = Fraction(c)
-        cols.append(col)
-    rows = [[cols[j][i] for j in range(len(src))] for i in range(len(tgt))]
+    tgt = {g: i for i, g in enumerate(basis(v, e))}
     rhs = [Fraction(0)] * len(tgt)
     for g, c in x.terms.items():
         rhs[tgt[g]] = Fraction(c)
-    sol = solve_exact(rows, rhs)
+    sol = solve_exact(mat_transpose(rows), rhs)
     if sol is None:
         return None
-    return GraphChain({g: c for g, c in zip(src, sol)})
+    return GraphChain({g: c for g, c in zip(basis(v + 1, e + 1), sol)})

@@ -55,19 +55,20 @@ def vertex_of(vtype, h):
     raise ValueError(f"half-edge {h} outside type {vtype}")
 
 
+def _valency_partitions(total, parts, floor=3):
+    """Ascending tuples of `parts` integers >= floor summing to `total`."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for head in range(floor, total // parts + 1):
+        for tail in _valency_partitions(total - head, parts - 1, head):
+            yield (head,) + tail
+
+
 def valency_types(nvert, nedge):
     """Ascending valency tuples: nvert parts >= 3 summing to 2*nedge."""
-
-    def rec(total, parts, floor):
-        if parts == 0:
-            if total == 0:
-                yield ()
-            return
-        for head in range(floor, total // parts + 1):
-            for tail in rec(total - head, parts - 1, head):
-                yield (head,) + tail
-
-    yield from rec(2 * nedge, nvert, 3)
+    return _valency_partitions(2 * nedge, nvert)
 
 
 def perfect_matchings(points):
@@ -364,14 +365,9 @@ def canonicalize(obj):
     return g, sign * (1 if zero else csign)
 
 
-def contract_edge(g: RibbonGraph, edge_index: int):
-    """Contract one non-loop edge: (RibbonGraph, sign).
-
-    The edge's start vertex moves to the front of the vertex order, its end
-    vertex second (sign of that shuffle); the cyclic orders are rotated so
-    the two half-edges sit last in their blocks, and the merged vertex
-    keeps the remaining half-edges in that order, placed first.
-    """
+def contract_edge_raw(g: RibbonGraph, edge_index: int):
+    """Edge contraction in standard labels, before canonicalization:
+    (vtype, oriented chords, sign)."""
     a, b = g.chords[edge_index]
     va, vb = vertex_of(g.vtype, a), vertex_of(g.vtype, b)
     if va == vb:
@@ -387,7 +383,20 @@ def contract_edge(g: RibbonGraph, edge_index: int):
     merged = to_last(blocks[va], a)[:-1] + to_last(blocks[vb], b)[:-1]
     vertices = [merged] + [blocks[i] for i in rest]
     edges = [c for j, c in enumerate(g.chords) if j != edge_index]
-    rg, s2 = canonicalize(FullyOrderedGraph(vertices, edges))
+    vt, ch, s2 = FullyOrderedGraph(vertices, edges).standardize()
+    return vt, ch, sign * s2
+
+
+def contract_edge(g: RibbonGraph, edge_index: int):
+    """Contract one non-loop edge: (RibbonGraph, sign).
+
+    The edge's start vertex moves to the front of the vertex order, its end
+    vertex second (sign of that shuffle); the cyclic orders are rotated so
+    the two half-edges sit last in their blocks, and the merged vertex
+    keeps the remaining half-edges in that order, placed first.
+    """
+    vt, ch, sign = contract_edge_raw(g, edge_index)
+    rg, s2 = canonicalize((vt, ch))
     return rg, sign * s2
 
 

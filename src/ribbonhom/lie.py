@@ -20,7 +20,8 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import Surd, format_scalar, mat_mul, mat_transpose
+from .scalars import (LinearCombination, Surd, format_scalar, mat_mul,
+                      mat_transpose)
 from .superspace import (SuperDim, SuperTensor, SymplecticForm,
                          canonical_form_matrix, norm)
 
@@ -58,27 +59,21 @@ def cyclic_reduce(word, dim: SuperDim):
     return best, best_signs.pop()
 
 
-class CyclicWord:
+class CyclicWord(LinearCombination):
     """A finite linear combination of cyclic words (mixed lengths allowed).
 
     Terms map canonical word tuples to exact coefficients; construction
     reduces arbitrary representatives and drops self-cancelling ones.
     """
 
-    __slots__ = ("dim", "terms")
+    __slots__ = _SPACE = ("dim",)
 
     def __init__(self, dim: SuperDim, terms=None):
         self.dim = dim
-        acc: dict = {}
-        for word, coeff in (terms or {}).items():
-            if not coeff:
-                continue
-            red = cyclic_reduce(word, dim)
-            if red is None:
-                continue
-            w, s = red
-            acc[w] = acc.get(w, 0) + s * coeff
-        self.terms = {w: c for w, c in acc.items() if c}
+        self.terms = self._collect(terms)
+
+    def _reduce(self, word):
+        return cyclic_reduce(word, self.dim)
 
     @classmethod
     def word(cls, dim: SuperDim, letters, coeff=Fraction(1)) -> "CyclicWord":
@@ -103,42 +98,13 @@ class CyclicWord:
         return sorted({len(w) for w in self.terms})
 
     def rank_part(self, rank: int) -> "CyclicWord":
-        return CyclicWord(self.dim,
-                          {w: c for w, c in self.terms.items() if len(w) == rank})
+        return self._new({w: c for w, c in self.terms.items() if len(w) == rank})
 
     def word_parity(self, word) -> int:
         return sum(self.dim.parities(word)) % 2
 
     def is_parity_homogeneous(self, parity: int) -> bool:
         return all(self.word_parity(w) == parity for w in self.terms)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (isinstance(other, CyclicWord) and self.dim == other.dim
-                and self.terms == other.terms)
-
-    def __add__(self, other):
-        if other == 0:
-            return self
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, 0) + c
-        return CyclicWord(self.dim, terms)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, factor) -> "CyclicWord":
-        return CyclicWord(self.dim, {w: c * factor for w, c in self.terms.items()})
-
-    def __mul__(self, factor):
-        return self.scale(factor)
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         if not self.terms:
@@ -210,7 +176,7 @@ def _word_key(word):
     return (len(word), word)
 
 
-class CEChain:
+class CEChain(LinearCombination):
     """Chains of wedge words of cyclic words.
 
     A term is a tuple of canonical cyclic monomials; factors commute up to
@@ -218,31 +184,26 @@ class CEChain:
     factors are symmetric.  Terms are kept factor-sorted.
     """
 
-    __slots__ = ("dim", "terms")
+    __slots__ = _SPACE = ("dim",)
 
     def __init__(self, dim: SuperDim, terms=None):
         self.dim = dim
-        acc: dict = {}
-        for factors, coeff in (terms or {}).items():
-            if not coeff:
-                continue
-            sign = 1
-            canon = []
-            for w in factors:
-                red = cyclic_reduce(w, dim)
-                if red is None:
-                    canon = None
-                    break
-                canon.append(red[0])
-                sign *= red[1]
-            if canon is None:
-                continue
-            sorted_term = self._sort_factors(tuple(canon))
-            if sorted_term is None:
-                continue
-            fs, s = sorted_term
-            acc[fs] = acc.get(fs, 0) + sign * s * coeff
-        self.terms = {fs: c for fs, c in acc.items() if c}
+        self.terms = self._collect(terms)
+
+    def _reduce(self, factors):
+        sign = 1
+        canon = []
+        for w in factors:
+            red = cyclic_reduce(w, self.dim)
+            if red is None:
+                return None
+            canon.append(red[0])
+            sign *= red[1]
+        sorted_term = self._sort_factors(tuple(canon))
+        if sorted_term is None:
+            return None
+        fs, s = sorted_term
+        return fs, sign * s
 
     def _sort_factors(self, factors):
         pars = [sum(self.dim.parities(w)) % 2 for w in factors]
@@ -288,40 +249,12 @@ class CEChain:
         return sorted({len(fs) for fs in self.terms})
 
     def degree_part(self, degree: int) -> "CEChain":
-        return CEChain(self.dim,
-                       {fs: c for fs, c in self.terms.items() if len(fs) == degree})
+        return self._new({fs: c for fs, c in self.terms.items()
+                          if len(fs) == degree})
 
     def order_part(self, order: int) -> "CEChain":
-        return CEChain(self.dim, {fs: c for fs, c in self.terms.items()
-                                  if sum(len(w) for w in fs) == order})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (isinstance(other, CEChain) and self.dim == other.dim
-                and self.terms == other.terms)
-
-    def __add__(self, other):
-        if other == 0:
-            return self
-        terms = dict(self.terms)
-        for fs, c in other.terms.items():
-            terms[fs] = terms.get(fs, 0) + c
-        return CEChain(self.dim, terms)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, factor) -> "CEChain":
-        return CEChain(self.dim, {fs: c * factor for fs, c in self.terms.items()})
-
-    def __mul__(self, factor):
-        return self.scale(factor)
-
-    __rmul__ = __mul__
+        return self._new({fs: c for fs, c in self.terms.items()
+                          if sum(len(w) for w in fs) == order})
 
     def __repr__(self):
         if not self.terms:

@@ -9,6 +9,11 @@ part).  Products of square roots of squarefree integers reduce to squarefree
 radicands again, so the representation is closed under arithmetic, and
 inverses exist by multiplying through with Galois conjugates.
 
+`LinearCombination` is the one sparse linear-combination type behind graph
+chains, legged-graph morphisms, cyclic words, wedge chains and tensors:
+canonical keys mapped to nonzero exact coefficients, in a space named by a
+few attributes, with the vector-space arithmetic written once.
+
 The exact linear algebra used across the package (inverse, rank, solve)
 lives here as well, all of it on one sparse row echelon routine.
 """
@@ -203,6 +208,82 @@ def _surd_terms(x) -> dict | None:
         q = Fraction(x)
         return {1: q} if q else {}
     return None
+
+
+# ---------------------------------------------------- linear combinations
+
+class LinearCombination:
+    """Finite linear combination of canonical keys with exact coefficients.
+
+    `terms` maps canonical keys to nonzero coefficients.  A subclass names
+    the attributes that fix its space in `_SPACE` (chains over different
+    spaces neither add nor compare equal) and turns a raw key into
+    (canonical key, sign), or None for a key whose class is zero, in
+    `_reduce`.  Constructors reduce raw keys through `_collect`; sums and
+    multiples of canonical terms are canonical already and skip it.
+    """
+
+    __slots__ = ("terms",)
+    _SPACE: tuple = ()
+
+    def _collect(self, terms) -> dict:
+        """Canonical terms of a {raw key: coefficient} dict.  Every key is
+        reduced, even under a zero coefficient, so a malformed one is
+        rejected either way."""
+        acc: dict = {}
+        for key, coeff in (terms or {}).items():
+            red = self._reduce(key)
+            if red is None or not coeff:
+                continue
+            key, sign = red
+            acc[key] = acc.get(key, 0) + sign * coeff
+        return {k: c for k, c in acc.items() if c}
+
+    def _new(self, terms):
+        """Same type and space, from canonical terms; zeros are dropped."""
+        out = object.__new__(type(self))
+        for name in self._SPACE:
+            setattr(out, name, getattr(self, name))
+        out.terms = {k: c for k, c in terms.items() if c}
+        return out
+
+    def _space(self):
+        return tuple(getattr(self, name) for name in self._SPACE)
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and other._space() == self._space()
+                and other.terms == self.terms)
+
+    def __add__(self, other):
+        if isinstance(other, int) and not other:  # the start of sum()
+            return self
+        if type(other) is not type(self):
+            return NotImplemented
+        if other._space() != self._space():
+            raise ValueError(f"cannot add {type(self).__name__}s over "
+                             f"different spaces")
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            terms[k] = terms.get(k, 0) + c
+        return self._new(terms)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + other.scale(-1)
+
+    def scale(self, factor):
+        return self._new({k: c * factor for k, c in self.terms.items()})
+
+    __mul__ = __rmul__ = scale
+
+    def coefficient(self, key):
+        return self.terms.get(key, Fraction(0))
 
 
 # ---------------------------------------------------------------- strings

@@ -20,7 +20,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .scalars import Surd, format_scalar, mat_inverse, mat_transpose
+from .scalars import (LinearCombination, format_scalar, mat_inverse,
+                      mat_transpose)
 
 
 class SuperDim:
@@ -215,23 +216,22 @@ def block_perm_embed(sigma, sizes):
 
 # ---------------------------------------------------------------- tensors
 
-class SuperTensor:
+class SuperTensor(LinearCombination):
     """A finite linear combination of words of fixed length over C^{2n|m}."""
 
-    __slots__ = ("dim", "rank", "terms")
+    __slots__ = _SPACE = ("dim", "rank")
 
     def __init__(self, dim: SuperDim, rank: int, terms=None):
         self.dim = dim
         self.rank = rank
-        self.terms = {}
-        for word, coeff in (terms or {}).items():
-            if len(word) != rank:
-                raise ValueError(f"word {word} has rank != {rank}")
-            for a in word:
-                dim.parity(a)  # bounds check
-            if coeff:
-                self.terms[tuple(word)] = self.terms.get(tuple(word), 0) + coeff
-        self.terms = {w: c for w, c in self.terms.items() if c}
+        self.terms = self._collect(terms)
+
+    def _reduce(self, word):
+        if len(word) != self.rank:
+            raise ValueError(f"word {word} has rank != {self.rank}")
+        for a in word:
+            self.dim.parity(a)  # bounds check
+        return tuple(word), 1
 
     @classmethod
     def word(cls, dim: SuperDim, word, coeff=Fraction(1)) -> "SuperTensor":
@@ -240,47 +240,6 @@ class SuperTensor:
     @classmethod
     def zero(cls, dim: SuperDim, rank: int) -> "SuperTensor":
         return cls(dim, rank, {})
-
-    def _new(self, terms) -> "SuperTensor":
-        t = object.__new__(SuperTensor)
-        t.dim = self.dim
-        t.rank = self.rank
-        t.terms = {w: c for w, c in terms.items() if c}
-        return t
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (isinstance(other, SuperTensor) and self.dim == other.dim
-                and self.rank == other.rank and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.dim, self.rank, tuple(sorted(self.terms.items()))))
-
-    def __add__(self, other):
-        if other == 0:
-            return self
-        if not isinstance(other, SuperTensor) or other.rank != self.rank \
-                or other.dim != self.dim:
-            return NotImplemented
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, 0) + c
-        return self._new(terms)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, factor) -> "SuperTensor":
-        return self._new({w: c * factor for w, c in self.terms.items()})
-
-    def __mul__(self, factor):
-        return self.scale(factor)
-
-    __rmul__ = __mul__
 
     def scalar(self):
         """The coefficient of a rank-0 tensor."""

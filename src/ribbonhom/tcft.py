@@ -33,8 +33,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .ainfinity import AInfinityAlgebra, ValidationReport
-from .graphs import perfect_matchings, type_offsets
-from .scalars import format_scalar
+from .graphs import _valency_partitions, perfect_matchings, type_offsets
+from .scalars import LinearCombination, format_scalar
 from .superspace import SuperTensor, contract, perm_parity
 
 
@@ -265,59 +265,27 @@ def glue(g1, g2):
 
 # ----------------------------------------------------------------- chains
 
-class MorphismChain:
+class MorphismChain(LinearCombination):
     """Finite linear combination of legged graph classes of one arity
     (nin incoming, nout outgoing legs); zero classes and zero
     coefficients are dropped."""
 
-    __slots__ = ("nin", "nout", "terms")
+    __slots__ = _SPACE = ("nin", "nout")
 
     def __init__(self, nin, nout, terms=None):
         self.nin = nin
         self.nout = nout
-        acc: dict = {}
-        for g, c in (terms or {}).items():
-            if g.nin != nin or g.nout != nout:
-                raise ValueError(f"graph of arity ({g.nin},{g.nout}) "
-                                 f"in a ({nin},{nout}) chain")
-            if g.zero or not c:
-                continue
-            acc[g] = acc.get(g, 0) + c
-        self.terms = {g: c for g, c in acc.items() if c}
+        self.terms = self._collect(terms)
+
+    def _reduce(self, g):
+        if g.nin != self.nin or g.nout != self.nout:
+            raise ValueError(f"graph of arity ({g.nin},{g.nout}) "
+                             f"in a ({self.nin},{self.nout}) chain")
+        return None if g.zero else (g, 1)
 
     @classmethod
     def of(cls, graph: LeggedGraph, coeff=Fraction(1)) -> "MorphismChain":
         return cls(graph.nin, graph.nout, {graph: coeff})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (isinstance(other, MorphismChain) and self.nin == other.nin
-                and self.nout == other.nout and self.terms == other.terms)
-
-    def __add__(self, other):
-        if (self.nin, self.nout) != (other.nin, other.nout):
-            raise ValueError("cannot add chains of different arities")
-        terms = dict(self.terms)
-        for g, c in other.terms.items():
-            terms[g] = terms.get(g, 0) + c
-        return MorphismChain(self.nin, self.nout, terms)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, factor) -> "MorphismChain":
-        return MorphismChain(self.nin, self.nout,
-                             {g: c * factor for g, c in self.terms.items()})
-
-    def __mul__(self, factor):
-        return self.scale(factor)
-
-    __rmul__ = __mul__
-
-    def coefficient(self, graph: LeggedGraph):
-        return self.terms.get(graph, Fraction(0))
 
     def bidegrees(self):
         return sorted({(g.nverts, g.nedges) for g in self.terms})
@@ -407,19 +375,6 @@ def composition_compatibility(algebra: AInfinityAlgebra, g1, g2):
 
 # ------------------------------------------------------------ enumeration
 
-def _valency_tuples(total, parts):
-    def rec(tot, parts, floor):
-        if parts == 0:
-            if tot == 0:
-                yield ()
-            return
-        for head in range(floor, tot // parts + 1):
-            for tail in rec(tot - head, parts - 1, head):
-                yield (head,) + tail
-
-    yield from rec(total, parts, 3)
-
-
 @lru_cache(maxsize=None)
 def enumerate_legged_graphs(nin, nout, nedges):
     """All legged graph classes with the exact leg labels and internal
@@ -429,7 +384,7 @@ def enumerate_legged_graphs(nin, nout, nedges):
         return (EMPTY_LEGGED,)
     out = []
     for nverts in range(1, size // 3 + 1):
-        for vtype in _valency_tuples(size, nverts):
+        for vtype in _valency_partitions(size, nverts):
             seen = set()
             slots = range(size)
             for li in itertools.permutations(slots, nin):

@@ -9,6 +9,7 @@ import pytest
 from ribbonhom.complexes import (GraphChain, basis, boundary, coboundary,
                                  homology_dims, is_boundary, pairing)
 from ribbonhom.graphs import canonicalize, enumerate_graphs
+from ribbonhom.tcft import MorphismChain, enumerate_legged_graphs
 
 PINNED = json.loads(
     (Path(__file__).parent / "data" / "pinned.json").read_text())
@@ -69,6 +70,14 @@ def test_chain_arithmetic_drops_zero_classes():
     g = GRAPHS["loop_pair"]
     x = GraphChain.of(g, Fraction(2)) - GraphChain.of(g, Fraction(2))
     assert not x and x.bidegree() is None
+    legged = next(lg for lg in enumerate_legged_graphs(1, 1, 1) if not lg.zero)
+    y = MorphismChain.of(legged, Fraction(3))
+    with pytest.raises(TypeError):
+        GraphChain.of(g) + y
+    with pytest.raises(TypeError):
+        y + GraphChain.of(g)
+    for z in (GraphChain.of(g, Fraction(3)), y):
+        assert sum([z, z]) == z.scale(2)
 
 
 def test_mixed_bidegree_rejected():

@@ -266,3 +266,8 @@ def test_chain_arithmetic_and_errors():
     c = CEChain.wedge([a])
     assert c.scale(0) == CEChain(D10, {})
     assert not CEChain(D10, {})
+    x, y = CyclicWord.word(D10, (0, 1)), CyclicWord.word(D02, (0, 1))
+    with pytest.raises(ValueError):
+        x + y
+    with pytest.raises(ValueError):
+        CEChain.wedge([x]) + CEChain.wedge([y])

@@ -1,4 +1,5 @@
-"""Exact scalar arithmetic: surds, formatting, serialization roundtrips."""
+"""Exact scalar arithmetic: surds, formatting, serialization roundtrips,
+exact linear algebra and the linear-combination base."""
 
 import random
 from fractions import Fraction
@@ -7,9 +8,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles as O
+from ribbonhom.complexes import GraphChain
+from ribbonhom.graphs import enumerate_graphs
+from ribbonhom.lie import CEChain, CyclicWord
 from ribbonhom.scalars import (Surd, format_scalar, identity_matrix,
                                json_scalar, mat_inverse, mat_mul,
                                parse_scalar, rank_exact, solve_exact)
+from ribbonhom.superspace import SuperDim, SuperTensor
+from ribbonhom.tcft import MorphismChain, enumerate_legged_graphs
 
 
 def test_sqrt_reduces_to_squarefree_radicands():
@@ -184,3 +190,36 @@ def test_mat_inverse_on_surd_matrices(n, data):
     singular[-1][-1] = s * singular[0][-1] + t * singular[-2][-1]
     with pytest.raises(ValueError, match="singular"):
         mat_inverse(singular)
+
+
+LETTERS = st.integers(0, 2)  # p1, q1 even and x1 odd in C^(2|1)
+WORDS = st.lists(LETTERS, min_size=1, max_size=3).map(tuple)
+# (type, space, raw keys): zero classes, self-cancelling words and
+# annihilating wedge words all occur among the keys
+CHAIN_TYPES = [
+    (GraphChain, (),
+     st.sampled_from(enumerate_graphs(1, 2) + enumerate_graphs(2, 3))),
+    (MorphismChain, (1, 1), st.sampled_from(
+        enumerate_legged_graphs(1, 1, 1) + enumerate_legged_graphs(1, 1, 2))),
+    (CyclicWord, (SuperDim(1, 1),),
+     st.lists(LETTERS, max_size=4).map(tuple)),
+    (CEChain, (SuperDim(1, 1),), st.lists(WORDS, max_size=3).map(tuple)),
+    (SuperTensor, (SuperDim(1, 1), 2), st.tuples(LETTERS, LETTERS)),
+]
+COEFFS = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@given(st.data())
+def test_chain_sums_and_multiples_need_no_reduction(data):
+    # sums and multiples of canonical terms are built without reducing the
+    # keys again; they must agree with reducing the raw terms they came from
+    for cls, space, keys in CHAIN_TYPES:
+        raw = st.dictionaries(keys, COEFFS, max_size=6)
+        r1, r2, c = data.draw(raw), data.draw(raw), data.draw(COEFFS)
+        x, y = cls(*space, r1), cls(*space, r2)
+        assert cls(*space, x.terms).terms == x.terms
+        merged = dict(r1)
+        for k, v in r2.items():
+            merged[k] = merged.get(k, 0) + v
+        assert x + y == cls(*space, merged)
+        assert x.scale(c) == cls(*space, {k: v * c for k, v in r1.items()})

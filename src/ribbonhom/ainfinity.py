@@ -34,7 +34,7 @@ class AInfinityAlgebra:
     """Minimal cyclic A-infinity structure: inner product plus odd
     invariant tensors h_k for 3 <= k <= truncation."""
 
-    __slots__ = ("dim", "form", "hamiltonians", "truncation")
+    __slots__ = ("dim", "form", "hamiltonians", "truncation", "_dual")
 
     def __init__(self, form: SymplecticForm, hamiltonians, truncation: int):
         self.dim = form.dim
@@ -68,7 +68,13 @@ class AInfinityAlgebra:
         return total
 
     def dual_pairing(self):
-        return self.form.dual_matrix()
+        """The pairing dual to the form, as a tuple of row tuples: the form
+        is inverted on the first call and the result kept."""
+        try:
+            return self._dual
+        except AttributeError:
+            self._dual = tuple(tuple(r) for r in self.form.dual_matrix())
+            return self._dual
 
     def __repr__(self):
         ks = ",".join(str(k) for k in sorted(self.hamiltonians)) or "-"
@@ -208,8 +214,12 @@ def _graph_value(algebra: AInfinityAlgebra, g, pairing):
 
 
 class PartitionFunction:
-    """Graph chain of an algebra over a (vertices, edges) window, with
-    on-demand evaluation outside the window."""
+    """Graph chain of an algebra over a (vertices, edges) window.
+
+    `value` reads a class inside the window from the chain, where a class
+    the chain does not hold reads 0, and runs the state sum only for a
+    class outside the window.
+    """
 
     __slots__ = ("algebra", "window", "chain")
 
@@ -223,6 +233,9 @@ class PartitionFunction:
         g, sign = canonicalize(graph)
         if g.zero:
             return Fraction(0)
+        vmax, emax = self.window
+        if g.nverts <= vmax and g.nedges <= emax:
+            return sign * self.chain.coefficient(g)
         return sign * _graph_value(self.algebra, g, self.algebra.dual_pairing())
 
     def __repr__(self):

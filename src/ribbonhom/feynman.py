@@ -86,7 +86,6 @@ def amplitude(graph, x: CEChain):
     if g.zero or g is EMPTY_GRAPH:
         return Fraction(0)
     dim = x.dim
-    mat = canonical_form_matrix(dim)
     nv = len(g.vtype)
     total = Fraction(0)
     for factors, coeff in x.terms.items():
@@ -106,7 +105,7 @@ def amplitude(graph, x: CEChain):
                 perm[f] = v
             sign = perm_parity(tuple(perm)) * koszul_sign(pars, perm)
             val = contract([blocks[f] for f in assign], g.chords,
-                           mat).scalar()
+                           canonical_form_matrix(dim)).scalar()
             if val:
                 total = total + coeff * val * sign
     return total * gsign
@@ -118,7 +117,9 @@ def pair_chain_graph(x: CEChain, graph):
     if isinstance(graph, GraphChain):
         total = Fraction(0)
         for g, c in graph.terms.items():
-            total = total + c * amplitude(g, x) / g.aut
+            amp = amplitude(g, x)
+            if amp:
+                total = total + c * amp / g.aut
         return total
     g, gsign = canonicalize(graph)
     if g.zero or g is EMPTY_GRAPH:

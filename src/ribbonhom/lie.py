@@ -23,7 +23,7 @@ from functools import lru_cache
 from .scalars import (LinearCombination, Surd, format_scalar, mat_mul,
                       mat_transpose)
 from .superspace import (SuperDim, SuperTensor, SymplecticForm,
-                         canonical_form_matrix, norm)
+                         canonical_form_matrix)
 
 
 # ------------------------------------------------------------ cyclic words
@@ -83,22 +83,6 @@ class CyclicWord(LinearCombination):
     def from_tensor(cls, t: SuperTensor) -> "CyclicWord":
         """Class of a tensor in the rotation quotient."""
         return cls(t.dim, dict(t.terms))
-
-    def to_invariant_tensor(self, rank: int) -> SuperTensor:
-        """The rotation-invariant tensor representing the rank-`rank` part
-        (inverse of `from_tensor` restricted to invariant tensors)."""
-        total = SuperTensor.zero(self.dim, rank)
-        for w, c in self.terms.items():
-            if len(w) == rank:
-                total = total + norm(SuperTensor.word(self.dim, w, c)).scale(
-                    Fraction(1, rank))
-        return total
-
-    def ranks(self):
-        return sorted({len(w) for w in self.terms})
-
-    def rank_part(self, rank: int) -> "CyclicWord":
-        return self._new({w: c for w, c in self.terms.items() if len(w) == rank})
 
     def word_parity(self, word) -> int:
         return sum(self.dim.parities(word)) % 2
@@ -251,10 +235,6 @@ class CEChain(LinearCombination):
     def degree_part(self, degree: int) -> "CEChain":
         return self._new({fs: c for fs, c in self.terms.items()
                           if len(fs) == degree})
-
-    def order_part(self, order: int) -> "CEChain":
-        return self._new({fs: c for fs, c in self.terms.items()
-                          if sum(len(w) for w in fs) == order})
 
     def __repr__(self):
         if not self.terms:
@@ -527,7 +507,7 @@ def darboux_linear(form: SymplecticForm):
         for row in range(m):
             phi[n2 + row][n2 + col] = vec[row]
     check = mat_mul(mat_transpose(phi), mat_mul(omega, phi))
-    if check != canonical_form_matrix(dim):
+    if tuple(tuple(row) for row in check) != canonical_form_matrix(dim):
         raise AssertionError("darboux normalization failed to verify")
     return phi
 

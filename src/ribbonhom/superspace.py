@@ -17,8 +17,10 @@ letter currently in slot i.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from .scalars import (LinearCombination, format_scalar, mat_inverse,
                       mat_transpose)
@@ -71,8 +73,10 @@ class SuperDim:
         return f"SuperDim({self.n}, {self.m})"
 
 
+@functools.lru_cache(maxsize=None)
 def canonical_form_matrix(dim: SuperDim):
-    """Matrix of the standard even inner product on C^{2n|m}."""
+    """Matrix of the standard even inner product on C^{2n|m}, built once
+    per signature and returned as a tuple of row tuples."""
     n, t = dim.n, dim.total
     mat = [[Fraction(0)] * t for _ in range(t)]
     for i in range(n):
@@ -80,7 +84,7 @@ def canonical_form_matrix(dim: SuperDim):
         mat[n + i][i] = Fraction(-1)
     for j in range(2 * n, t):
         mat[j][j] = Fraction(1)
-    return mat
+    return tuple(tuple(row) for row in mat)
 
 
 class SymplecticForm:
@@ -126,7 +130,7 @@ class SymplecticForm:
 
     @property
     def is_canonical(self) -> bool:
-        return self.matrix == tuple(tuple(r) for r in canonical_form_matrix(self.dim))
+        return self.matrix == canonical_form_matrix(self.dim)
 
     def dual_matrix(self):
         """Matrix of the induced pairing on the dual basis: the transpose of
@@ -216,10 +220,23 @@ def block_perm_embed(sigma, sizes):
 
 # ---------------------------------------------------------------- tensors
 
+def _clearing_denominator(values) -> int:
+    """lcm of the denominators of the rational values (a surd counts 1)."""
+    return lcm(*(getattr(x, "denominator", 1) for x in values))
+
+
+def _times(x, d: int):
+    """x * d, where d clears the denominator of a rational x: an int then,
+    and a surd times d otherwise."""
+    y = x * d
+    return y.numerator if isinstance(y, Fraction) else y
+
+
 class SuperTensor(LinearCombination):
     """A finite linear combination of words of fixed length over C^{2n|m}."""
 
-    __slots__ = _SPACE = ("dim", "rank")
+    __slots__ = ("dim", "rank", "_cleared")
+    _SPACE = ("dim", "rank")
 
     def __init__(self, dim: SuperDim, rank: int, terms=None):
         self.dim = dim
@@ -249,6 +266,18 @@ class SuperTensor(LinearCombination):
 
     def word_parity(self, word) -> int:
         return sum(self.dim.parities(word)) % 2
+
+    def _cleared_terms(self):
+        """(d, [(word, d * coefficient), ...]) for d the lcm of the rational
+        denominators, so rational coefficients come out as ints.  Computed
+        on first use and kept: the terms of a tensor never change."""
+        try:
+            return self._cleared
+        except AttributeError:
+            d = _clearing_denominator(self.terms.values())
+            self._cleared = d, [(w, _times(c, d))
+                                for w, c in self.terms.items()]
+            return self._cleared
 
     def __repr__(self):
         if not self.terms:
@@ -282,6 +311,29 @@ def koszul_apply(perm, t: SuperTensor) -> SuperTensor:
     return SuperTensor(t.dim, t.rank, out)
 
 
+# cleared forms of pairings given as tuples of row tuples, which cannot
+# change: id -> (pairing, d, rows); holding the pairing keeps its id unique
+_CLEARED_PAIRINGS: dict = {}
+_CLEARED_PAIRINGS_MAX = 32
+
+
+def _cleared_pairing(pairing):
+    """(d, rows of d * pairing) for d the lcm of the rational denominators
+    of the entries.  Kept for a tuple of row tuples; a pairing given as
+    lists is cleared again on every call."""
+    hit = _CLEARED_PAIRINGS.get(id(pairing))
+    if hit is not None:
+        return hit[1], hit[2]
+    d = _clearing_denominator(x for row in pairing for x in row)
+    rows = [[_times(x, d) for x in row] for row in pairing]
+    if isinstance(pairing, tuple) and all(isinstance(r, tuple)
+                                          for r in pairing):
+        if len(_CLEARED_PAIRINGS) >= _CLEARED_PAIRINGS_MAX:
+            _CLEARED_PAIRINGS.clear()
+        _CLEARED_PAIRINGS[id(pairing)] = pairing, d, rows
+    return d, rows
+
+
 def contract(tensors, chords, pairing, legs=()) -> SuperTensor:
     """State sum of tensors placed side by side and paired along chords.
 
@@ -298,6 +350,14 @@ def contract(tensors, chords, pairing, legs=()) -> SuperTensor:
     time, a chord's pairing entry is multiplied in as soon as both of its
     ends are placed, a branch is dropped when that entry vanishes, and the
     Koszul sign is taken only for words that survive.
+
+    The loop runs over the integers.  Each tensor's coefficients are
+    multiplied by the lcm d_i of their denominators, and the pairing's
+    entries by the lcm d_p of theirs (once per tensor, and once per
+    pairing given as a tuple of row tuples); every output coefficient is
+    then divided once, by the product of the d_i times d_p to the number
+    of chords.  A surd coefficient or entry is scaled the same way and
+    stays a surd.
 
     >>> d = SuperDim(1, 0)
     >>> p, q = SuperTensor.word(d, (0,)), SuperTensor.word(d, (1,))
@@ -325,11 +385,15 @@ def contract(tensors, chords, pairing, legs=()) -> SuperTensor:
         target[s] = i
     if not all(tensors):
         return SuperTensor.zero(dim, len(legs))
-    odd = [dim.parity(x) for x in range(dim.total)]
+    odd = [0] * (2 * dim.n) + [1] * dim.m
+    d_pairing, pairing = _cleared_pairing(pairing)
+    scale = d_pairing ** len(chords)
     layers = []
     offset = 0
     for t, closes in zip(tensors, closing):
-        layers.append((offset, offset + t.rank, list(t.terms.items()), closes))
+        d, terms = t._cleared_terms()
+        scale *= d
+        layers.append((offset, offset + t.rank, terms, closes))
         offset += t.rank
     word = [0] * len(owner)
     out: dict = {}
@@ -352,7 +416,10 @@ def contract(tensors, chords, pairing, legs=()) -> SuperTensor:
                 place(depth + 1, v)
 
     place(0, 1)
-    return SuperTensor(dim, len(legs), out)
+    # the words are canonical already: build the result without reducing
+    unit = Fraction(1, scale)
+    return SuperTensor.zero(dim, len(legs))._new(
+        {k: unit * v for k, v in out.items() if v})
 
 
 def cyclic_shift(t: SuperTensor) -> SuperTensor:

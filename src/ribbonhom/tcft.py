@@ -287,9 +287,6 @@ class MorphismChain(LinearCombination):
     def of(cls, graph: LeggedGraph, coeff=Fraction(1)) -> "MorphismChain":
         return cls(graph.nin, graph.nout, {graph: coeff})
 
-    def bidegrees(self):
-        return sorted({(g.nverts, g.nedges) for g in self.terms})
-
     def __repr__(self):
         return (f"MorphismChain({self.nin},{self.nout}; "
                 f"{len(self.terms)} terms)")

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ribbonhom import ainfinity
 from ribbonhom.ainfinity import (AInfinityAlgebra, characteristic_class,
                                  connected_partition_function, direct_sum,
                                  exp_chain, hamiltonian_from_products,
@@ -101,6 +102,43 @@ def test_partition_function_matches_oracle_on_twisted_11():
                 if want:
                     orders.update(g.vtype)
     assert checked > 1000 and orders == {3, 5, 7}
+
+
+def test_value_reads_the_chain_inside_the_window(monkeypatch):
+    # inside the window `value` reads the chain; it must agree with the
+    # state sum computed on its own, odd vertex counts and a raw diagram
+    # (with its orientation sign) included, and run no state sum
+    state_sum = ainfinity._graph_value
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return state_sum(*args)
+
+    monkeypatch.setattr(ainfinity, "_graph_value", counted)
+    for A, window, beyond in ((frobenius_pair(), (3, 4), (4, 6)),
+                              (twisted_11(), (3, 5), (2, 6))):
+        pf = partition_function(A, window)
+        pairing = A.dual_pairing()
+        classes = [g for v in range(1, window[0] + 1)
+                   for e in range(1, window[1] + 1)
+                   for g in enumerate_graphs(v, e)]
+        raw = ((3, 3), ((0, 1), (2, 4), (3, 5)))   # dumbbell, sign -1
+        calls.clear()
+        got = [pf.value(g) for g in classes + [raw]]
+        assert not calls
+        want = [0 if g.zero else state_sum(A, g, pairing) for g in classes]
+        h, sign = canonicalize(raw)
+        want.append(sign * state_sum(A, h, pairing))
+        assert got == want
+        assert sign == -1 and want[-1]
+        # the chain holds the empty graph and the nonzero classes
+        assert sum(1 for z in want[:-1] if z) == len(pf.chain.terms) - 1
+        # a class beyond the window still takes the state-sum path
+        outside = next(g for g in enumerate_graphs(*beyond)
+                       if not g.zero and state_sum(A, g, pairing))
+        assert pf.value(outside) == state_sum(A, outside, pairing)
+        assert calls == [outside]
 
 
 def test_partition_function_is_a_cycle():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from ribbonhom.scalars import Surd
 from ribbonhom.superspace import (SuperDim, SuperTensor, SymplecticForm,
                                   antisymmetrize, block_perm_embed,
                                   canonical_form_matrix, compose_perms,
@@ -127,7 +128,9 @@ def test_contract_matches_shuffle_then_pair(data):
     dim = data.draw(st.sampled_from([SuperDim(1, 0), D11, D02,
                                      SuperDim(2, 1)]))
     letter = st.integers(0, dim.total - 1)
-    coeff = st.sampled_from([-2, -1, 1, 3]).map(Fraction)
+    # non-integral values make contract clear denominators
+    fractions = st.sampled_from([Fraction(1, 2), Fraction(-2, 3)])
+    coeff = st.sampled_from([-2, -1, 1, 3]).map(Fraction) | fractions
     tensors = []
     for rank in data.draw(st.lists(st.integers(0, 3), min_size=1,
                                    max_size=3)):
@@ -138,12 +141,32 @@ def test_contract_matches_shuffle_then_pair(data):
     npairs = data.draw(st.integers(0, len(slots) // 2))
     chords = [(slots[2 * r], slots[2 * r + 1]) for r in range(npairs)]
     legs = slots[2 * npairs:]
-    pairing = data.draw(st.lists(st.lists(st.integers(-2, 2).map(Fraction),
-                                          min_size=dim.total,
+    entry = st.integers(-2, 2).map(Fraction) | fractions
+    pairing = data.draw(st.lists(st.lists(entry, min_size=dim.total,
                                           max_size=dim.total),
                                  min_size=dim.total, max_size=dim.total))
-    assert contract(tensors, chords, pairing, legs) == \
-        _shuffle_then_pair(tensors, chords, pairing, legs)
+    if data.draw(st.booleans()):
+        # a pairing of row tuples has its cleared form kept between calls
+        pairing = tuple(tuple(row) for row in pairing)
+    want = _shuffle_then_pair(tensors, chords, pairing, legs)
+    assert contract(tensors, chords, pairing, legs) == want
+    assert contract(tensors, chords, pairing, legs) == want
+
+
+def test_contract_with_surd_coefficients_matches_shuffle_then_pair():
+    r2, r3 = Surd.sqrt(2), Surd.sqrt(Fraction(1, 3))
+    h = SuperTensor(D11, 3, {(0, 1, 2): r2, (1, 0, 2): Fraction(1, 2),
+                             (2, 2, 2): r3 + 1})
+    k = SuperTensor(D11, 2, {(1, 0): Fraction(-2, 3), (2, 2): r2})
+    pairing = ((Fraction(0), Fraction(1, 2), Fraction(0)),
+               (Fraction(-1, 2), Fraction(0), Fraction(0)),
+               (Fraction(0), Fraction(0), r3))
+    for chords, legs in ((((0, 3), (2, 4)), (1,)),
+                         (((1, 3),), (4, 2, 0)),
+                         (((0, 4), (2, 3)), (1,))):
+        got = contract([h, k], chords, pairing, legs)
+        assert got == _shuffle_then_pair([h, k], chords, pairing, legs)
+        assert any(not Surd(c).is_rational for c in got.terms.values())
 
 
 def test_contract_rejects_uncovered_slots():

@@ -1,8 +1,8 @@
 """Exact computations in the oriented ribbon graph complex and its pairing
 with symplectic cyclic A-infinity algebras.
 
-Everything is over exact scalars (rationals, optionally extended by real
-square roots); there are no floats anywhere in the computational path.
+Everything is over exact rationals; there are no floats anywhere in the
+computational path.
 """
 
 from .ainfinity import (AInfinityAlgebra, CharacteristicClass,
@@ -17,11 +17,11 @@ from .graphs import (EMPTY_GRAPH, FullyOrderedGraph, RibbonGraph,
                      canonicalize, connected_components, contract_edge,
                      disjoint_union, enumerate_graphs, expand_ideal_edge,
                      ideal_edges)
-from .lie import (CEChain, CoinvariantCoordinates, CyclicWord, DarbouxError,
-                  SymplecticForm, bracket, ce_differential,
-                  coinvariant_reduce, darboux_linear, osp_act, osp_basis)
-from .scalars import Surd, format_scalar, json_scalar, parse_scalar
-from .superspace import SuperDim, SuperTensor, contract, koszul_apply
+from .lie import (CEChain, CoinvariantCoordinates, CyclicWord, bracket,
+                  ce_differential, coinvariant_reduce, osp_act, osp_basis)
+from .scalars import format_scalar, json_scalar, parse_scalar
+from .superspace import (SuperDim, SuperTensor, SymplecticForm, contract,
+                         koszul_apply)
 from .tcft import (EMPTY_LEGGED, LeggedGraph, MorphismChain,
                    canonicalize_legged, compose, compose_tensors,
                    composition_compatibility, correlation,

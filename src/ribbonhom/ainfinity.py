@@ -12,9 +12,10 @@ coefficient at a graph is the state sum `superspace.contract` of one
 h-tensor per vertex along the edges with the dual pairing, divided by the
 automorphism count), its connected part and the exponential identity
 between them, direct sums, twists by even Hamiltonian flows, and the
-characteristic class (the wedge exponential of the Darboux-normalized
-word chain), which pairs against graphs to the same numbers as the
-partition function.
+characteristic class (the wedge exponential of the word chain), which
+pairs against graphs through the same dual pairing to the same numbers as
+the partition function.  Everything is computed in the algebra's own
+coordinates: no basis change normalizes the inner product first.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .complexes import GraphChain
+from .feynman import pair_chain_graph
 from .graphs import EMPTY_GRAPH, disjoint_union, enumerate_graphs
-from .lie import (CEChain, CyclicWord, bracket, darboux_linear,
-                  substitute_letters)
-from .scalars import format_scalar, mat_transpose
+from .lie import CEChain, CyclicWord, bracket
+from .scalars import format_scalar
 from .superspace import (SuperDim, SuperTensor, SymplecticForm, contract,
                          cyclic_shift, norm)
 
@@ -373,36 +374,32 @@ def twist(algebra: AInfinityAlgebra, gamma: CyclicWord,
 # ----------------------------------------------------- characteristic class
 
 class CharacteristicClass:
-    """Wedge exponential of the Darboux-normalized word Hamiltonian,
-    truncated by exterior degree."""
+    """Wedge exponential of an algebra's word Hamiltonian, truncated by
+    exterior degree, with the algebra's dual pairing that it is read
+    through."""
 
-    __slots__ = ("dim", "hamiltonian", "chain", "degree_bound")
+    __slots__ = ("chain", "pairing")
 
-    def __init__(self, hamiltonian: CyclicWord, chain: CEChain,
-                 degree_bound: int):
-        self.dim = chain.dim
-        self.hamiltonian = hamiltonian
+    def __init__(self, chain: CEChain, pairing):
         self.chain = chain
-        self.degree_bound = degree_bound
+        self.pairing = pairing
 
     def pairing_value(self, graph):
-        from .feynman import pair_chain_graph
-        return pair_chain_graph(self.chain, graph)
+        """Pairing of the class with a graph (or graph chain); it equals
+        the partition function's value there."""
+        return pair_chain_graph(self.chain, graph, self.pairing)
 
     def __repr__(self):
-        return (f"CharacteristicClass(degree<={self.degree_bound}, "
-                f"{len(self.chain.terms)} terms)")
+        return f"CharacteristicClass({len(self.chain.terms)} terms)"
 
 
 def characteristic_class(algebra: AInfinityAlgebra,
                          degree_bound: int) -> CharacteristicClass:
-    """exp of the word Hamiltonian in canonical coordinates, up to the
-    given exterior degree.  Raises DarbouxError when the inner product
-    cannot be normalized over real surd scalars."""
-    phi = darboux_linear(algebra.form)
-    h = substitute_letters(algebra.word_hamiltonian(), mat_transpose(phi))
+    """exp of the algebra's word Hamiltonian up to the given exterior
+    degree, in the algebra's own coordinates."""
     dim = algebra.dim
-    factor = CEChain(dim, {(w,): c for w, c in h.terms.items()})
+    factor = CEChain(dim, {(w,): c for w, c
+                           in algebra.word_hamiltonian().terms.items()})
     total = CEChain.one(dim)
     power = total
     for j in range(1, degree_bound + 1):
@@ -410,4 +407,4 @@ def characteristic_class(algebra: AInfinityAlgebra,
         if not power:
             break
         total = total + power
-    return CharacteristicClass(h, total, degree_bound)
+    return CharacteristicClass(total, algebra.dual_pairing())

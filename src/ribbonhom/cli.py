@@ -114,9 +114,17 @@ def render_text(report):
 
 
 def _algebra(args):
-    if getattr(args, "algebra", None):
-        return jsonio.read_algebra(args.algebra)
-    return frobenius_pair()
+    """The algebra file named by --algebra, validated, or the built-in
+    fixture when there is none; ValueError names the first failed check."""
+    path = getattr(args, "algebra", None)
+    if not path:
+        return frobenius_pair()
+    algebra = jsonio.read_algebra(path)
+    rep = validate(algebra)
+    if not rep.valid:
+        check, detail = rep.failures[0]
+        raise ValueError(f"invalid algebra: {check}: {detail}")
+    return algebra
 
 
 def _bound(args, suite, key):
@@ -189,11 +197,7 @@ def cmd_homology(args):
 
 
 def cmd_partition(args):
-    algebra = jsonio.read_algebra(args.algebra)
-    rep = validate(algebra)
-    if not rep.valid:
-        check, detail = rep.failures[0]
-        raise ValueError(f"invalid algebra: {check}: {detail}")
+    algebra = _algebra(args)
     vlo, vhi = args.vertices
     elo, ehi = args.edges
     pf = partition_function(algebra, (vhi, ehi))
@@ -233,8 +237,7 @@ def cmd_partition(args):
 
 
 def cmd_characteristic(args):
-    algebra = jsonio.read_algebra(args.algebra)
-    cc = characteristic_class(algebra, args.order)
+    cc = characteristic_class(_algebra(args), args.order)
     chain = cc.chain
     if args.exterior is not None:
         chain = chain.degree_part(args.exterior)
@@ -255,7 +258,7 @@ def _legless_diagram(g):
 
 
 def cmd_correlate(args):
-    algebra = jsonio.read_algebra(args.algebra)
+    algebra = _algebra(args)
     graph, sign = jsonio.graph_from_json(jsonio.load_json(args.graph))
     if isinstance(graph, LeggedGraph):
         legs_in, legs_out = list(graph.legs_in), list(graph.legs_out)
@@ -510,7 +513,7 @@ def _suite_equivalence(args, rng):
         for e in range(1, emax + 1):
             for g in enumerate_graphs(v, e):
                 checks += 1
-                lhs = pair_chain_graph(cc.chain, g)
+                lhs = cc.pairing_value(g)
                 rhs = pf.value(g)
                 if lhs != rhs:
                     fails.append({"kind": "fail", "suite": "equivalence",
@@ -566,6 +569,7 @@ def _suite_invariance(args, rng):
 def _suite_tcft(args, rng):
     emax = _bound(args, "tcft", "edges")
     path = getattr(args, "algebra", None)
+    algebra = _algebra(args)
     combos = [(m, n, k)
               for m in range(4) for n in range(4) for k in range(4)
               if m + n <= 3 and n + k <= 3]
@@ -575,7 +579,6 @@ def _suite_tcft(args, rng):
     checks = sum(r[0] for r in results)
     fails = _sorted_fails(row for r in results for row in r[2])
     dead_blocks = [b for b, r in zip(blocks, results) if r[1]]
-    algebra = _algebra(args)
     # vertices whose valency carries no Hamiltonian make both sides of the
     # compatibility identity vanish (gluing preserves internal valencies),
     # so those pairs are spot-checked rather than swept.

@@ -4,13 +4,16 @@ The basic amplitude beta of an oriented chord diagram on 2k tensor slots
 pairs the letters at each chord's two ends through the canonical inner
 product, with the Koszul sign of gathering them; it is the state sum
 `superspace.contract`, which every amplitude below calls with the
-per-vertex tensors and the canonical form matrix.  Distributing the wedge
-factors of a chain over the vertices of a graph (all assignments, graded
-signs) turns beta into a pairing between chains and graphs, and summing
+per-vertex tensors and a pairing matrix.  Distributing the wedge factors
+of a chain over the vertices of a graph (all assignments, graded signs)
+turns beta into a pairing between chains and graphs, and summing
 graphs against all chord diagrams turns a chain into a graph chain -- a
 combinatorial shadow of Gaussian integration.  Both directions are exact
 and are checked against each other: the two differentials are adjoint and
 the triangle chain-pairing = graph-pairing after integration commutes.
+The graph pairing (`amplitude`, `pair_chain_graph`) takes any pairing
+matrix, the canonical one by default: an algebra's characteristic class
+is paired through the algebra's own dual pairing.
 """
 
 from __future__ import annotations
@@ -78,10 +81,11 @@ def _norm_blocks(dim: SuperDim, factors, project: bool):
     return out
 
 
-def amplitude(graph, x: CEChain):
+def amplitude(graph, x: CEChain, pairing=None):
     """Amplitude of an oriented ribbon graph on a wedge chain: distribute
     the wedge factors over the vertices in all rank-compatible ways, with
-    the graded sign of each redistribution."""
+    the graded sign of each redistribution, and contract the edges
+    through `pairing` (the canonical form matrix when None)."""
     g, gsign = canonicalize(graph)
     if g.zero or g is EMPTY_GRAPH:
         return Fraction(0)
@@ -94,6 +98,8 @@ def amplitude(graph, x: CEChain):
         ranks = tuple(len(w) for w in factors)
         if sorted(ranks) != list(g.vtype):
             continue
+        if pairing is None:
+            pairing = canonical_form_matrix(dim)
         pars = [sum(dim.parities(w)) % 2 for w in factors]
         blocks = _norm_blocks(dim, factors, project=False)
         for assign in itertools.permutations(range(nv)):
@@ -105,26 +111,27 @@ def amplitude(graph, x: CEChain):
                 perm[f] = v
             sign = perm_parity(tuple(perm)) * koszul_sign(pars, perm)
             val = contract([blocks[f] for f in assign], g.chords,
-                           canonical_form_matrix(dim)).scalar()
+                           pairing).scalar()
             if val:
                 total = total + coeff * val * sign
     return total * gsign
 
 
-def pair_chain_graph(x: CEChain, graph):
+def pair_chain_graph(x: CEChain, graph, pairing=None):
     """Pairing of a wedge chain with a graph (or graph chain): amplitude
-    divided by the automorphism count, extended linearly."""
+    through `pairing` divided by the automorphism count, extended
+    linearly."""
     if isinstance(graph, GraphChain):
         total = Fraction(0)
         for g, c in graph.terms.items():
-            amp = amplitude(g, x)
+            amp = amplitude(g, x, pairing)
             if amp:
                 total = total + c * amp / g.aut
         return total
     g, gsign = canonicalize(graph)
     if g.zero or g is EMPTY_GRAPH:
         return Fraction(0)
-    return gsign * amplitude(g, x) / g.aut
+    return gsign * amplitude(g, x, pairing) / g.aut
 
 
 def integral_I(x: CEChain) -> GraphChain:

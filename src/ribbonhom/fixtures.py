@@ -36,9 +36,10 @@ def sphere_cohomology(truncation: int = 7) -> AInfinityAlgebra:
     generator squaring to zero, with the Poincare pairing.
 
     On the two odd dual letters the pairing is hyperbolic (off-diagonal),
-    which is not normalizable over real surd scalars -- the partition
-    function exists while the characteristic class construction reports
-    the obstruction.  The tensor is built from the product table.
+    so it is indefinite: no rational or real basis change makes it the
+    identity, and the partition function and the characteristic class are
+    both computed with this form as it is.  The tensor is built from the
+    product table.
     """
     dim = SuperDim(0, 2)
     one, u = 0, 1

@@ -334,15 +334,6 @@ class FullyOrderedGraph:
         return f"FullyOrderedGraph({self.vertices}, {self.edges})"
 
 
-def graph_from_chords(vtype, chords) -> FullyOrderedGraph:
-    return FullyOrderedGraph.from_chords(tuple(vtype), tuple(tuple(c) for c in chords))
-
-
-def chords_from_graph(fog: FullyOrderedGraph):
-    """Standard-form (vtype, chords, sign) of a fully ordered graph."""
-    return fog.standardize()
-
-
 # ----------------------------------------------------------------- moves
 
 def canonicalize(obj):

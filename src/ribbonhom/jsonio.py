@@ -1,7 +1,8 @@
 """Structured-text (JSON) forms of the library objects.
 
-Scalars are serialized by `scalars.json_scalar` -- "num/den" strings for
-rationals, explicit sqrt sums otherwise, never floats.  Schemas:
+Scalars are serialized by `scalars.json_scalar` as "num/den" strings,
+never floats, and read by `scalars.parse_scalar`, which accepts only
+integers and exact rational strings.  Schemas:
 
   tensor   {"signature": {"n", "m"}, "rank", "terms": [{"word", "coeff"}]}
   graph    {"half_edges", "vertices": [[slot..]..], "edges": [[a,b]..],

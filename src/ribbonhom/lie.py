@@ -9,9 +9,9 @@ inner product and splices the remainders into one cyclic word.  Wedge
 words of these chains form a complex whose differential replaces a pair of
 factors by their bracket; quadratic cyclic words act on everything by the
 bracket, and dividing by that action is implemented as an explicit exact
-reduction.  The linear Darboux normalization lives here too, since it is
-what moves an arbitrary even inner product to the canonical one before any
-of the above is applied.
+reduction.  The bracket and the differential take the inner product of the
+space as an argument, the canonical one by default, so an algebra's words
+are bracketed in its own coordinates.
 """
 
 from __future__ import annotations
@@ -20,10 +20,8 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import (LinearCombination, Surd, format_scalar, mat_mul,
-                      mat_transpose)
-from .superspace import (SuperDim, SuperTensor, SymplecticForm,
-                         canonical_form_matrix)
+from .scalars import LinearCombination, _echelon, format_scalar
+from .superspace import SuperDim, SuperTensor, canonical_form_matrix
 
 
 # ------------------------------------------------------------ cyclic words
@@ -100,17 +98,10 @@ class CyclicWord(LinearCombination):
         return " + ".join(bits)
 
 
-def _form_matrix(dim: SuperDim, form):
-    if form is None:
-        return canonical_form_matrix(dim)
-    if isinstance(form, SymplecticForm):
-        return [list(r) for r in form.matrix]
-    return form
-
-
 def bracket(a: CyclicWord, b: CyclicWord, form=None) -> CyclicWord:
     """Bracket of cyclic-word chains: contract one letter of each factor
-    through the pairing and splice the rotated remainders.
+    through the pairing and splice the rotated remainders.  `form` is the
+    pairing matrix, the canonical one when None.
 
     With the default canonical pairing, {p1, q1} = 1 and
     {p1.p1, q1.q1} = 4 p1.q1; the bracket is super-skew and satisfies the
@@ -119,7 +110,7 @@ def bracket(a: CyclicWord, b: CyclicWord, form=None) -> CyclicWord:
     if a.dim != b.dim:
         raise ValueError("bracket of words over different spaces")
     dim = a.dim
-    mat = _form_matrix(dim, form)
+    mat = canonical_form_matrix(dim) if form is None else form
     out: dict = {}
     for aw, ac in a.terms.items():
         pa = dim.parities(aw)
@@ -375,8 +366,9 @@ def coinvariant_reduce(x: CEChain) -> CoinvariantCoordinates:
     quadratic-word action, by exact elimination.
 
     The chain must have a single exterior degree and total order.  The
-    complement basis is the set of non-pivot wedge monomials after row
-    reduction of all quadratic-action images.
+    complement basis is the set of non-pivot wedge monomials of the echelon
+    form of all quadratic-action images; both it and the coordinates
+    depend only on the span of those images.
     """
     degrees = x.exterior_degrees()
     orders = sorted({sum(len(w) for w in fs) for fs in x.terms})
@@ -396,147 +388,16 @@ def coinvariant_reduce(x: CEChain) -> CoinvariantCoordinates:
                 for t, c in img.terms.items():
                     row[index[t]] = c
                 rows.append(row)
-    # row-reduce the span and eliminate pivots from x
-    pivots = {}
-    for row in rows:
-        row = list(row)
-        for col, prow in pivots.items():
-            if row[col]:
-                f = row[col]
-                row = [a - f * b for a, b in zip(row, prow)]
-        lead = next((c for c, v in enumerate(row) if v), None)
-        if lead is None:
-            continue
-        inv = 1 / row[lead]
-        pivots[lead] = [v * inv for v in row]
-    vec = [Fraction(0)] * len(basis)
-    for fs, c in x.terms.items():
-        vec[index[fs]] = c
-    for col, prow in pivots.items():
-        if vec[col]:
-            f = vec[col]
-            vec = [a - f * b for a, b in zip(vec, prow)]
+    # a pivot row is zero left of its pivot, so clearing the pivots of x
+    # leftmost first never refills one already cleared
+    pivots = _echelon(rows)
+    vec = {index[fs]: c for fs, c in x.terms.items()}
+    for col in sorted(pivots):
+        f = vec.get(col)
+        if f:
+            for c, v in pivots[col].items():
+                vec[c] = vec.get(c, 0) - f * v
     complement = [fs for i, fs in enumerate(basis) if i not in pivots]
-    coords = tuple(vec[index[fs]] for fs in complement)
+    coords = tuple(vec.get(index[fs], Fraction(0)) for fs in complement)
     residue = CEChain(dim, {fs: c for fs, c in zip(complement, coords) if c})
     return CoinvariantCoordinates(tuple(complement), coords, residue)
-
-
-# ------------------------------------------------------ linear superalgebra
-
-class DarbouxError(ValueError):
-    """The inner product cannot be normalized over real surd scalars."""
-
-
-def darboux_linear(form: SymplecticForm):
-    """A parity-preserving basis change phi with phi^T . omega . phi equal
-    to the canonical form matrix.
-
-    The even block is normalized by symplectic Gram-Schmidt over the
-    rationals; the odd block is diagonalized and scaled by inverse square
-    roots, which succeeds exactly when it is positive definite - otherwise
-    a DarbouxError reports the obstruction.
-    """
-    dim = form.dim
-    n2, m = 2 * dim.n, dim.m
-    omega = [list(r) for r in form.matrix]
-
-    def bil(block_offset, u, v):
-        return sum((u[i] * omega[block_offset + i][block_offset + j] * v[j]
-                    for i in range(len(u)) for j in range(len(v)) if u[i] and v[j]),
-                   Fraction(0))
-
-    # even block: build Darboux pairs
-    basis = [[Fraction(1) if i == j else Fraction(0) for j in range(n2)]
-             for i in range(n2)]
-    ps, qs = [], []
-    remaining = list(basis)
-    while remaining:
-        u = remaining.pop(0)
-        w = next((v for v in remaining if bil(0, u, v)), None)
-        if w is None:
-            raise DarbouxError("even block is degenerate")
-        remaining.remove(w)
-        scale = bil(0, u, w)
-        w = [v / scale for v in w]
-        cleaned = []
-        for v in remaining:
-            cu, cw = bil(0, v, w), bil(0, v, u)
-            v = [a - cu * b + cw * c for a, b, c in zip(v, u, w)]
-            if any(v):
-                cleaned.append(v)
-        remaining = cleaned
-        ps.append(u)
-        qs.append(w)
-    even_cols = ps + qs
-
-    # odd block: diagonalize the symmetric pairing, then scale
-    basis = [[Fraction(1) if i == j else Fraction(0) for j in range(m)]
-             for i in range(m)]
-    odd_cols = []
-    remaining = list(basis)
-    while remaining:
-        u = next((v for v in remaining if bil(n2, v, v)), None)
-        if u is None:
-            pair = next(((a, b) for a in remaining for b in remaining
-                         if a is not b and bil(n2, a, b)), None)
-            if pair is None:
-                raise DarbouxError("odd block is degenerate")
-            u = [a + b for a, b in zip(*pair)]
-        remaining = [v for v in remaining if v is not u]
-        d = bil(n2, u, u)
-        if d < 0:
-            raise DarbouxError(
-                f"odd inner product is not positive definite (diagonal {d})")
-        cleaned = []
-        for v in remaining:
-            f = bil(n2, v, u) / d
-            v = [a - f * b for a, b in zip(v, u)]
-            if any(v):
-                cleaned.append(v)
-        remaining = cleaned
-        root = Surd.sqrt(d)
-        odd_cols.append([a * root.inverse() if a else Fraction(0) for a in u])
-
-    total = dim.total
-    phi = [[Fraction(0)] * total for _ in range(total)]
-    for col, vec in enumerate(even_cols):
-        for row in range(n2):
-            phi[row][col] = vec[row]
-    for col, vec in enumerate(odd_cols):
-        for row in range(m):
-            phi[n2 + row][n2 + col] = vec[row]
-    check = mat_mul(mat_transpose(phi), mat_mul(omega, phi))
-    if tuple(tuple(row) for row in check) != canonical_form_matrix(dim):
-        raise AssertionError("darboux normalization failed to verify")
-    return phi
-
-
-def substitute_letters(obj, matrix):
-    """Rewrite letters through a parity-preserving linear map: letter a is
-    replaced by sum_b matrix[b][a] . b.  Accepts SuperTensor or CyclicWord."""
-    dim = obj.dim
-    cols: dict = {}
-    for a in range(dim.total):
-        support = []
-        for b in range(dim.total):
-            if matrix[b][a]:
-                if dim.parity(a) != dim.parity(b):
-                    raise ValueError("substitution does not preserve parity")
-                support.append((b, matrix[b][a]))
-        cols[a] = support
-    out: dict = {}
-    for word, coeff in obj.terms.items():
-        partial = {(): coeff}
-        for a in word:
-            nxt = {}
-            for prefix, c in partial.items():
-                for b, v in cols[a]:
-                    key = prefix + (b,)
-                    nxt[key] = nxt.get(key, 0) + c * v
-            partial = nxt
-        for w, c in partial.items():
-            out[w] = out.get(w, 0) + c
-    if isinstance(obj, SuperTensor):
-        return SuperTensor(dim, obj.rank, out)
-    return CyclicWord(dim, out)

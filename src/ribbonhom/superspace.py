@@ -221,15 +221,8 @@ def block_perm_embed(sigma, sizes):
 # ---------------------------------------------------------------- tensors
 
 def _clearing_denominator(values) -> int:
-    """lcm of the denominators of the rational values (a surd counts 1)."""
-    return lcm(*(getattr(x, "denominator", 1) for x in values))
-
-
-def _times(x, d: int):
-    """x * d, where d clears the denominator of a rational x: an int then,
-    and a surd times d otherwise."""
-    y = x * d
-    return y.numerator if isinstance(y, Fraction) else y
+    """lcm of the denominators of the rational values."""
+    return lcm(*(x.denominator for x in values))
 
 
 class SuperTensor(LinearCombination):
@@ -268,14 +261,14 @@ class SuperTensor(LinearCombination):
         return sum(self.dim.parities(word)) % 2
 
     def _cleared_terms(self):
-        """(d, [(word, d * coefficient), ...]) for d the lcm of the rational
-        denominators, so rational coefficients come out as ints.  Computed
-        on first use and kept: the terms of a tensor never change."""
+        """(d, [(word, d * coefficient), ...]) for d the lcm of the
+        denominators, so the coefficients come out as ints.  Computed on
+        first use and kept: the terms of a tensor never change."""
         try:
             return self._cleared
         except AttributeError:
             d = _clearing_denominator(self.terms.values())
-            self._cleared = d, [(w, _times(c, d))
+            self._cleared = d, [(w, (c * d).numerator)
                                 for w, c in self.terms.items()]
             return self._cleared
 
@@ -318,14 +311,14 @@ _CLEARED_PAIRINGS_MAX = 32
 
 
 def _cleared_pairing(pairing):
-    """(d, rows of d * pairing) for d the lcm of the rational denominators
-    of the entries.  Kept for a tuple of row tuples; a pairing given as
+    """(d, rows of d * pairing) for d the lcm of the denominators of the
+    entries.  Kept for a tuple of row tuples; a pairing given as
     lists is cleared again on every call."""
     hit = _CLEARED_PAIRINGS.get(id(pairing))
     if hit is not None:
         return hit[1], hit[2]
     d = _clearing_denominator(x for row in pairing for x in row)
-    rows = [[_times(x, d) for x in row] for row in pairing]
+    rows = [[(x * d).numerator for x in row] for row in pairing]
     if isinstance(pairing, tuple) and all(isinstance(r, tuple)
                                           for r in pairing):
         if len(_CLEARED_PAIRINGS) >= _CLEARED_PAIRINGS_MAX:
@@ -356,8 +349,7 @@ def contract(tensors, chords, pairing, legs=()) -> SuperTensor:
     entries by the lcm d_p of theirs (once per tensor, and once per
     pairing given as a tuple of row tuples); every output coefficient is
     then divided once, by the product of the d_i times d_p to the number
-    of chords.  A surd coefficient or entry is scaled the same way and
-    stays a surd.
+    of chords.
 
     >>> d = SuperDim(1, 0)
     >>> p, q = SuperTensor.word(d, (0,)), SuperTensor.word(d, (1,))

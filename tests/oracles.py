@@ -449,3 +449,36 @@ def rank_bareiss(rows):
         if row == nrows:
             break
     return rank
+
+
+def gauss_jordan_reduce(rows, vec):
+    """(pivot columns, vec reduced) by the dense Gauss-Jordan loop that
+    `lie.coinvariant_reduce` used to run: each row is cleared at the
+    pivots found so far, in the order they were found, and enters at its
+    leftmost nonzero, scaled to 1 there; `vec` is then cleared the same
+    way."""
+    pivots = {}
+    for row in rows:
+        row = list(row)
+        for col, prow in pivots.items():
+            if row[col]:
+                f = row[col]
+                row = [a - f * b for a, b in zip(row, prow)]
+        lead = next((c for c, v in enumerate(row) if v), None)
+        if lead is None:
+            continue
+        inv = 1 / row[lead]
+        pivots[lead] = [v * inv for v in row]
+    vec = list(vec)
+    for col, prow in pivots.items():
+        if vec[col]:
+            f = vec[col]
+            vec = [a - f * b for a, b in zip(vec, prow)]
+    return set(pivots), vec
+
+
+def mat_mul(a, b):
+    """Dense product of two matrices given as lists of rows."""
+    n, k, m = len(a), len(b), len(b[0]) if b else 0
+    return [[sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0))
+             for j in range(m)] for i in range(n)]

@@ -11,11 +11,10 @@ from ribbonhom.ainfinity import (AInfinityAlgebra, characteristic_class,
                                  exp_chain, hamiltonian_from_products,
                                  partition_function, twist, validate)
 from ribbonhom.complexes import GraphChain, coboundary, is_boundary
-from ribbonhom.feynman import pair_chain_graph
 from ribbonhom.fixtures import (frobenius_pair, nilpotent_11,
                                 sphere_cohomology, trivial, twisted_11)
 from ribbonhom.graphs import canonicalize, enumerate_graphs
-from ribbonhom.lie import CEChain, CyclicWord, DarbouxError, ce_differential
+from ribbonhom.lie import CEChain, CyclicWord, ce_differential
 from ribbonhom.superspace import SuperDim, SuperTensor, SymplecticForm
 
 from oracles import z_value_oracle
@@ -210,27 +209,34 @@ def test_twist_difference_is_a_boundary():
 def test_characteristic_class_matches_partition_function():
     cc0 = characteristic_class(trivial(0, 1), 3)
     assert cc0.chain == CEChain.one(SuperDim(0, 1))
-    A = frobenius_pair()
-    cc = characteristic_class(A, 4)
-    pf = partition_function(A, (4, 4))
-    for v in range(1, 4):
-        for e in range(1, 4):
-            for g in enumerate_graphs(v, e):
-                assert pair_chain_graph(cc.chain, g) == pf.value(g)
-    assert not ce_differential(cc.chain)
-    with pytest.raises(DarbouxError):
-        characteristic_class(sphere_cohomology(), 2)
+    # sphere_cohomology's odd form is hyperbolic, so indefinite: the class
+    # is built and paired in that form as it is
+    for A in (frobenius_pair(), sphere_cohomology()):
+        cc = characteristic_class(A, 4)
+        assert cc.pairing == A.dual_pairing()
+        pf = partition_function(A, (4, 4))
+        for v in range(1, 4):
+            for e in range(1, 4):
+                for g in enumerate_graphs(v, e):
+                    assert cc.pairing_value(g) == pf.value(g)
+        assert len(cc.chain.exterior_degrees()) == 5
+        assert not ce_differential(cc.chain, A.dual_pairing())
 
 
-def test_scaled_form_class_agrees_through_surd_darboux():
+def test_scaled_form_class_agrees_with_partition_function():
+    # a form of 4 takes no square root, and -3 is not a sum of squares
     dimx = SuperDim(0, 1)
-    Ax = AInfinityAlgebra(SymplecticForm(dimx, [[Fraction(4)]]),
-                          {3: SuperTensor(dimx, 3, {(0, 0, 0): Fraction(1)})},
-                          7)
-    assert validate(Ax).valid
-    pfx = partition_function(Ax, (4, 5))
-    ccx = characteristic_class(Ax, 4)
-    for v in range(1, 4):
-        for e in range(1, 5):
-            for g in enumerate_graphs(v, e):
-                assert pair_chain_graph(ccx.chain, g) == pfx.value(g)
+    for scale in (4, -3):
+        Ax = AInfinityAlgebra(
+            SymplecticForm(dimx, [[Fraction(scale)]]),
+            {3: SuperTensor(dimx, 3, {(0, 0, 0): Fraction(1)})}, 7)
+        assert validate(Ax).valid
+        pfx = partition_function(Ax, (4, 5))
+        ccx = characteristic_class(Ax, 4)
+        nonzero = 0
+        for v in range(1, 4):
+            for e in range(1, 5):
+                for g in enumerate_graphs(v, e):
+                    assert ccx.pairing_value(g) == pfx.value(g)
+                    nonzero += bool(pfx.value(g))
+        assert nonzero

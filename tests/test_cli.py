@@ -77,6 +77,15 @@ def test_characteristic_exterior_filter(capsys):
     assert {t["coeff"] for t in terms} <= {"1/18", "1/9"}
 
 
+def test_characteristic_of_an_indefinite_form(capsys):
+    # the odd form of sphere_hyperbolic is off-diagonal, hence indefinite
+    code, rep, _ = structured(capsys, "characteristic", "--algebra",
+                              os.path.join(DATA, "sphere_hyperbolic.json"),
+                              "--order", "2")
+    assert code == 0
+    assert [t["degree"] for t in rep["rows"]] == [0, 1, 2]
+
+
 def test_correlate_legless_theta(capsys, tmp_path):
     path = tmp_path / "theta.json"
     path.write_text(json.dumps({"vertices": [[0, 1, 2], [3, 4, 5]],
@@ -126,8 +135,31 @@ def test_input_errors_exit_2(capsys, tmp_path):
                       {"word": [0, 1, 0], "coeff": "1"},
                       {"word": [1, 0, 0], "coeff": "1"}]}}],
         "truncation": 5}))
-    code, _, err = run(capsys, "partition", "--algebra", str(bad))
-    assert code == 2 and "invalid algebra" in err
+    # every verb that reads an algebra file validates it
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps({"vertices": [[0, 1, 2], [3, 4, 5]],
+                                 "edges": [[0, 3], [1, 4], [2, 5]]}))
+    for argv in (("partition",), ("characteristic",),
+                 ("correlate", str(theta)), ("verify", "equivalence"),
+                 ("verify", "exp"), ("verify", "invariance"),
+                 ("verify", "tcft")):
+        code, _, err = run(capsys, *argv, "--algebra", str(bad))
+        assert code == 2 and "invalid algebra: structure-equation" in err, \
+            argv
+    # scalars are read exactly or not at all
+    with open(ALGEBRA) as fh:
+        good = json.load(fh)
+    for value in (1.5, None, True, [1], "1/2*sqrt(2)"):
+        for where in ("coeff", "omega"):
+            doc = json.loads(json.dumps(good))
+            if where == "coeff":
+                doc["h"][0]["tensor"]["terms"][0]["coeff"] = value
+            else:
+                doc["omega"][0][0] = value
+            bad.write_text(json.dumps(doc))
+            code, _, err = run(capsys, "partition", "--algebra", str(bad))
+            assert code == 2 and err.startswith("error: scalar ") and \
+                json.dumps(value) in err, (value, where)
     graphs = {
         "bivalent": ({"vertices": [[0, 1]], "edges": [[0, 1]]},
                      "valencies"),

@@ -16,7 +16,6 @@ from ribbonhom.jsonio import (algebra_from_json, algebra_to_json,
                               graph_to_json, read_algebra, tensor_from_json,
                               tensor_to_json)
 from ribbonhom.lie import CEChain
-from ribbonhom.scalars import Surd
 from ribbonhom.superspace import SuperDim, SuperTensor
 from ribbonhom.tcft import canonicalize_legged
 
@@ -25,11 +24,15 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 
 def test_tensor_roundtrip_and_surd_coeff():
     t = SuperTensor(SuperDim(1, 1), 3, {
-        (0, 1, 2): Fraction(-5, 3),
-        (2, 2, 2): Surd.sqrt(2) * Fraction(1, 2)})
+        (0, 1, 2): Fraction(-5, 3), (2, 2, 2): Fraction(1, 2)})
     blob = json.dumps(tensor_to_json(t))
     assert "." not in blob.replace('"."', "")  # no floats anywhere
     assert tensor_from_json(json.loads(blob)) == t
+    # scalars are rational: a square root is malformed input
+    surd = json.loads(blob)
+    surd["terms"][1]["coeff"] = "1/2*sqrt(2)"
+    with pytest.raises(ValueError, match="sqrt"):
+        tensor_from_json(surd)
     empty = SuperTensor(SuperDim(1, 0), 2, {})
     assert tensor_from_json(tensor_to_json(empty)) == empty
     with pytest.raises(ValueError):

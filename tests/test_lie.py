@@ -5,11 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from ribbonhom.lie import (CEChain, CyclicWord, DarbouxError, bracket,
-                           ce_differential, coinvariant_reduce, cyclic_reduce,
-                           darboux_linear, osp_act, osp_basis,
-                           substitute_letters)
-from ribbonhom.scalars import mat_mul, mat_transpose
+from ribbonhom import lie
+from ribbonhom.ainfinity import (AInfinityAlgebra, characteristic_class,
+                                 partition_function, validate)
+from ribbonhom.fixtures import frobenius_pair, twisted_11
+from ribbonhom.graphs import enumerate_graphs
+from ribbonhom.lie import (CEChain, CyclicWord, bracket, ce_differential,
+                           coinvariant_reduce, cyclic_reduce, osp_act,
+                           osp_basis)
+from ribbonhom.scalars import mat_transpose, rank_exact
 from ribbonhom.superspace import (SuperDim, SuperTensor, SymplecticForm,
                                   canonical_form_matrix)
 
@@ -209,54 +213,124 @@ def test_coinvariant_coordinates_recombine():
         coinvariant_reduce(probe + CEChain(D10, {((0, 1),): Fraction(1)}))
 
 
-def rand_even_form(rng, dim):
-    n2, m, t = 2 * dim.n, dim.m, dim.total
-    can = canonical_form_matrix(dim)
+def rand_even_form(rng, form):
+    """A random invertible parity-preserving basis change psi with small
+    integer entries, and the even form s psi^T omega psi for a random
+    scale s = +-1, +-2: it is indefinite on the odd letters exactly when
+    `form` is, and definite of either sign otherwise."""
+    dim = form.dim
+    t, n2 = dim.total, 2 * dim.n
     while True:
-        psi = [[Fraction(rng.randint(-2, 2)) for _ in range(n2)]
-               for _ in range(n2)]
-        ao = [[Fraction(rng.randint(-2, 2)) for _ in range(m)]
-              for _ in range(m)]
-        ee = [[can[i][j] for j in range(n2)] for i in range(n2)]
-        be = mat_mul(mat_transpose(psi), mat_mul(ee, psi)) if n2 else []
-        so = mat_mul(mat_transpose(ao), ao) if m else []
-        full = [[Fraction(0)] * t for _ in range(t)]
-        for i in range(n2):
-            for j in range(n2):
-                full[i][j] = be[i][j]
-        for i in range(m):
-            for j in range(m):
-                full[n2 + i][n2 + j] = so[i][j]
-        try:
-            return SymplecticForm(dim, full)
-        except ValueError:
+        psi = [[Fraction(rng.randint(-2, 2)) if (i < n2) == (j < n2)
+                else Fraction(0) for j in range(t)] for i in range(t)]
+        if rank_exact(psi) == t:
+            break
+    s = rng.choice([-2, -1, 1, 2])
+    moved = oracles.mat_mul(mat_transpose(psi),
+                            oracles.mat_mul(form.matrix, psi))
+    return psi, SymplecticForm(dim, [[s * x for x in row] for row in moved])
+
+
+def transport(algebra, psi, form):
+    """The algebra's tensors pulled back along psi (letter a goes to
+    sum_b psi[b][a] b), over `form`.  With form psi^T omega psi this is an
+    isomorphic algebra; scaling the form by s divides {h, h} by s, so
+    every scale keeps the structure equation."""
+    letters = range(algebra.dim.total)
+    hs = {}
+    for k, t in algebra.hamiltonians.items():
+        out: dict = {}
+        for word, coeff in t.terms.items():
+            images = {(): coeff}
+            for b in word:
+                images = {w + (a,): v * psi[b][a] for w, v in images.items()
+                          for a in letters if psi[b][a]}
+            for w, v in images.items():
+                out[w] = out.get(w, 0) + v
+        hs[k] = SuperTensor(algebra.dim, k, out)
+    return AInfinityAlgebra(form, hs, algebra.truncation)
+
+
+def odd_block_kind(form):
+    """'positive', 'negative' or 'indefinite' for an odd block of size one
+    or two."""
+    n2 = 2 * form.dim.n
+    odd = [row[n2:] for row in form.matrix[n2:]]
+    if len(odd) == 2 and odd[0][0] * odd[1][1] < odd[0][1] * odd[1][0]:
+        return "indefinite"
+    return "positive" if odd[0][0] > 0 else "negative"
+
+
+def test_characteristic_class_in_the_algebras_own_form():
+    # the class is the exponential of the algebra's own word Hamiltonian,
+    # read through its own dual pairing: no normalization of the form, so
+    # odd blocks that are negative definite or indefinite work as well
+    indefinite = AInfinityAlgebra(
+        SymplecticForm(D02, [[Fraction(1), Fraction(0)],
+                             [Fraction(0), Fraction(-1)]]),
+        {3: SuperTensor(D02, 3, {(0, 0, 0): Fraction(1),
+                                 (1, 1, 1): Fraction(2)})}, 7)
+    rng = random.Random(5)
+    kinds = set()
+    for base in (twisted_11(5), frobenius_pair(), indefinite):
+        for _ in range(2):
+            psi, form = rand_even_form(rng, base.form)
+            A = transport(base, psi, form)
+            assert validate(A).valid
+            kinds.add(odd_block_kind(form))
+            cc = characteristic_class(A, 2)
+            pf = partition_function(A, (2, 6))
+            nonzero = 0
+            for v in (1, 2):
+                for e in range(1, 7):
+                    for g in enumerate_graphs(v, e):
+                        assert cc.pairing_value(g) == pf.value(g), (A, g)
+                        nonzero += bool(pf.value(g))
+            assert nonzero, A
+            # d exp(h) = {h, h}/2 ^ exp(h): what survives holds a word of
+            # {h, h} beyond the orders validation checks
+            d = ce_differential(cc.chain, A.dual_pairing())
+            assert all(any(len(w) > A.truncation + 1 for w in fs)
+                       for fs in d.terms)
+    assert kinds == {"positive", "negative", "indefinite"}
+
+
+def test_coinvariant_reduce_matches_gauss_jordan():
+    # one sparse elimination against the dense loop it replaced: the same
+    # complement basis and the same coordinates
+    rng = random.Random(31)
+    probes = [CEChain(D10, {((0, 0, 1), (1, 1, 0)): Fraction(1)}),
+              CEChain(D02, {((0, 0, 1), (1, 1, 0)): Fraction(1)}),
+              CEChain(D10, {((0, 0, 1), (1, 1, 0)): Fraction(2),
+                            ((0, 1, 1), (0, 0, 1)): Fraction(-3)})]
+    for dim, degree, order in ((D10, 2, 6), (D02, 2, 6), (D11, 2, 4),
+                               (D11, 1, 4)):
+        monomials = lie._wedge_monomial_basis(dim, degree, order)
+        for _ in range(3):
+            probes.append(CEChain(dim, {
+                rng.choice(monomials): Fraction(rng.randint(-3, 3),
+                                                rng.randint(1, 3))
+                for _ in range(rng.randint(1, 6))}))
+    for x in probes:
+        if not x:
             continue
-
-
-def test_darboux_transport_intertwines_brackets():
-    rng = random.Random(29)
-    for dim in [D10, D11, SuperDim(1, 2)]:
-        for _ in range(4):
-            form = rand_even_form(rng, dim)
-            phi = darboux_linear(form)
-            sub = mat_transpose(phi)
-            pdual = form.dual_matrix()
-            for _ in range(5):
-                a, b = rand_word(rng, dim), rand_word(rng, dim)
-                if not a or not b:
-                    continue
-                lhs = substitute_letters(bracket(a, b, pdual), sub)
-                rhs = bracket(substitute_letters(a, sub),
-                              substitute_letters(b, sub))
-                assert not lhs - rhs
-
-
-def test_darboux_rejects_non_definite_odd_part():
-    with pytest.raises(DarbouxError):
-        darboux_linear(SymplecticForm(D02, [[Fraction(0), Fraction(1)],
-                                            [Fraction(1), Fraction(0)]]))
-    with pytest.raises(DarbouxError):
-        darboux_linear(SymplecticForm(SuperDim(0, 1), [[Fraction(-1)]]))
+        degree, = x.exterior_degrees()
+        order = sum(len(w) for w in next(iter(x.terms)))
+        basis = lie._wedge_monomial_basis(x.dim, degree, order)
+        index = {fs: i for i, fs in enumerate(basis)}
+        rows = []
+        for xi in osp_basis(x.dim):
+            for fs in basis:
+                row = [Fraction(0)] * len(basis)
+                for t, c in osp_act(xi, CEChain(x.dim, {fs: 1})).terms.items():
+                    row[index[t]] = c
+                rows.append(row)
+        vec = [x.coefficient(fs) for fs in basis]
+        pivots, reduced = oracles.gauss_jordan_reduce(rows, vec)
+        red = coinvariant_reduce(x)
+        assert red.basis == tuple(fs for i, fs in enumerate(basis)
+                                  if i not in pivots)
+        assert red.coords == tuple(reduced[index[fs]] for fs in red.basis)
 
 
 def test_chain_arithmetic_and_errors():

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ribbonhom.scalars import Surd
 from ribbonhom.superspace import (SuperDim, SuperTensor, SymplecticForm,
                                   antisymmetrize, block_perm_embed,
                                   canonical_form_matrix, compose_perms,
@@ -151,22 +150,6 @@ def test_contract_matches_shuffle_then_pair(data):
     want = _shuffle_then_pair(tensors, chords, pairing, legs)
     assert contract(tensors, chords, pairing, legs) == want
     assert contract(tensors, chords, pairing, legs) == want
-
-
-def test_contract_with_surd_coefficients_matches_shuffle_then_pair():
-    r2, r3 = Surd.sqrt(2), Surd.sqrt(Fraction(1, 3))
-    h = SuperTensor(D11, 3, {(0, 1, 2): r2, (1, 0, 2): Fraction(1, 2),
-                             (2, 2, 2): r3 + 1})
-    k = SuperTensor(D11, 2, {(1, 0): Fraction(-2, 3), (2, 2): r2})
-    pairing = ((Fraction(0), Fraction(1, 2), Fraction(0)),
-               (Fraction(-1, 2), Fraction(0), Fraction(0)),
-               (Fraction(0), Fraction(0), r3))
-    for chords, legs in ((((0, 3), (2, 4)), (1,)),
-                         (((1, 3),), (4, 2, 0)),
-                         (((0, 4), (2, 3)), (1,))):
-        got = contract([h, k], chords, pairing, legs)
-        assert got == _shuffle_then_pair([h, k], chords, pairing, legs)
-        assert any(not Surd(c).is_rational for c in got.terms.values())
 
 
 def test_contract_rejects_uncovered_slots():

@@ -17,7 +17,13 @@ lexicographically); a class is ZERO when some relabeling stabilizes the
 matching with sign -1.  The group action is evaluated for all elements at
 once with numpy on small integer matrices.  Each image matching is packed
 into one uint64 key, 4 bits per partner label, so that key order is the
-lexicographic order; this packing caps graphs at 16 half-edges (8 edges).
+lexicographic order; this packing caps graphs at 16 half-edge slots.
+
+The same scan canonicalizes the legged diagrams of `tcft`.  A leg slot is
+a fixed point of the matching (its own partner), and the images of the
+leg slots, incoming then outgoing, are packed into a second key that is
+compared first.  The cap counts the leg slots: a graph without legs has
+at most 8 edges.
 
 Enumeration builds, once per size, the table of all (2e-1)!! perfect
 matchings as partner rows in lexicographic order, with their sorted keys.
@@ -88,13 +94,14 @@ def perfect_matchings(points):
 
 # Partner labels are packed 4 bits each into one uint64 key, first label
 # highest, so comparing keys compares partner arrays lexicographically.
-# This is what caps graphs at 8 edges.
+# This is what caps graphs at 16 half-edge slots, legs included.
 MAX_HALF_EDGES = 16
 
 
 def _check_size(size):
     if size > MAX_HALF_EDGES:
-        raise NotImplementedError("graphs beyond 8 edges are out of scope")
+        raise NotImplementedError(f"graphs beyond {MAX_HALF_EDGES} half-edge "
+                                  f"slots (8 edges) are out of scope")
 
 
 @lru_cache(maxsize=None)
@@ -139,68 +146,116 @@ def _packed_keys(rows):
     return nibbles.view(">u8")[..., 0].astype(np.uint64)
 
 
+def _labels_of_key(key, count):
+    return tuple((key >> (4 * (MAX_HALF_EDGES - 1 - h))) & 15
+                 for h in range(count))
+
+
 def _chords_of_key(key, size):
-    partner = [(key >> (4 * (MAX_HALF_EDGES - 1 - h))) & 15
-               for h in range(size)]
-    return tuple((a, b) for a, b in enumerate(partner) if a < b)
+    return tuple((a, b) for a, b in enumerate(_labels_of_key(key, size))
+                 if a < b)
 
 
-def _orbits(vtype, chord_lists):
+def _partner_rows(size, chord_lists):
+    """(partners, chords) arrays of a batch of diagrams; a slot that no
+    chord covers, such as a leg, is its own partner."""
+    nb = len(chord_lists)
+    chords = np.array(chord_lists, dtype=np.int64).reshape(nb, -1, 2)
+    partners = np.tile(np.arange(size, dtype=np.int64), (nb, 1))
+    rows = np.arange(nb)[:, None]
+    partners[rows, chords[..., 0]] = chords[..., 1]
+    partners[rows, chords[..., 1]] = chords[..., 0]
+    return partners, chords
+
+
+def _pad_keys(rows):
+    buf = np.zeros(rows.shape[:-1] + (MAX_HALF_EDGES,), dtype=np.uint8)
+    buf[..., :rows.shape[-1]] = rows
+    return _packed_keys(buf)
+
+
+def _diagram_keys(size, chord_lists, leg_lists):
+    """(leg key, partner key) of each legged diagram itself: its entry
+    under the identity relabeling in `_orbits`."""
+    partners, _ = _partner_rows(size, chord_lists)
+    legs = np.array(leg_lists, dtype=np.int64).reshape(len(leg_lists), -1)
+    return list(zip(_pad_keys(legs).tolist(), _pad_keys(partners).tolist()))
+
+
+def _orbits(vtype, chord_lists, leg_lists=None):
     """Images of oriented diagrams under every relabeling of their type.
 
-    Returns (keys, signs), both (diagrams x relabelings): the packed key of
-    each image matching and the sign of the relabeling on the diagram.
+    Returns (keys, signs, leg_keys), each (diagrams x relabelings): the
+    packed key of each image partner array, the sign of the relabeling on
+    the diagram and, given the leg slots of each diagram, the packed
+    images of those slots (None without legs).
     """
     P, vsign, flat = _group_arrays(vtype)
-    size = sum(vtype)
+    partners, chords = _partner_rows(sum(vtype), chord_lists)
     nb = len(chord_lists)
-    chords = np.array(chord_lists, dtype=np.int64)  # (nb, edges, 2)
-    starts, ends = chords[..., 0], chords[..., 1]
-    partners = np.empty((nb, size), dtype=np.int64)
-    rows = np.arange(nb)[:, None]
-    partners[rows, starts] = ends
-    partners[rows, ends] = starts
     # buf[b, g, P[g, h]] = P[g, partners[b, h]]: the image partner rows
     buf = np.zeros((nb, len(vsign), MAX_HALF_EDGES), dtype=np.uint8)
     buf.reshape(nb, -1)[:, flat] = \
         P[:, partners].transpose(1, 0, 2).reshape(nb, -1)
-    flips = np.bitwise_xor.reduce(P[:, starts] > P[:, ends], axis=2)
+    flips = np.bitwise_xor.reduce(P[:, chords[..., 0]] > P[:, chords[..., 1]],
+                                  axis=2)
     signs = np.where(flips, -vsign[:, None], vsign[:, None]).T
-    return _packed_keys(buf), signs
+    leg_keys = None
+    if leg_lists is not None:
+        legs = np.array(leg_lists, dtype=np.int64).reshape(nb, -1)
+        leg_keys = _pad_keys(P[:, legs].transpose(1, 0, 2))
+    return _packed_keys(buf), signs, leg_keys
 
 
-def _class_data(size, keys, signs):
+def _class_data(size, keys, signs, leg_keys=None, nlegs=0):
     """(canonical, sign, aut, zero) of one diagram from its orbit row.
 
-    The canonical form is the minimal image; `sign` satisfies
+    The canonical form is the minimal image: the least partner array, or
+    with legs the least leg images and then the least partner array, and
+    then `canonical` is the pair (leg images, chords).  `sign` satisfies
     [input] = sign * [canonical], and the class is ZERO when the
     stabilizer of the canonical form holds both signs.
     """
-    best = keys.min()
-    eq = keys == best
+    if leg_keys is None:
+        best = keys.min()
+        eq = keys == best
+    else:
+        best_legs = leg_keys.min()
+        eq = leg_keys == best_legs
+        best = keys[eq].min()
+        eq &= keys == best
     eq_signs = signs[eq]
     zero = bool(eq_signs.min() != eq_signs.max())
     stab = int(eq.sum())
-    return (_chords_of_key(int(best), size),
+    canonical = _chords_of_key(int(best), size)
+    if leg_keys is not None:
+        canonical = (_labels_of_key(int(best_legs), nlegs), canonical)
+    return (canonical,
             None if zero else int(eq_signs[0]),
             stab // 2 if zero else stab,
             zero)
 
 
-def _scan_batch(vtype, chord_lists):
+def _scan_batch(vtype, chord_lists, leg_lists=None):
     """Scan many oriented diagrams of one type in a single vectorized pass.
 
     Returns one (canonical, sign, aut, zero) tuple per input; used by the
-    coboundary, whose expansions of a single graph share few types.
+    coboundary, whose expansions of a single graph share few types.  With
+    `leg_lists` (the leg slots of each diagram, incoming then outgoing,
+    the same count for all) the leg slots are fixed points of the scan.
     """
-    keys, signs = _orbits(vtype, chord_lists)
+    keys, signs, leg_keys = _orbits(vtype, chord_lists, leg_lists)
     size = sum(vtype)
-    return [_class_data(size, k, s) for k, s in zip(keys, signs)]
+    if leg_keys is None:
+        return [_class_data(size, k, s) for k, s in zip(keys, signs)]
+    nlegs = len(leg_lists[0])
+    return [_class_data(size, k, s, lk, nlegs)
+            for k, s, lk in zip(keys, signs, leg_keys)]
 
 
 @lru_cache(maxsize=500_000)
-def _scan_cached(vtype, chords):
-    return _scan_batch(vtype, [chords])[0]
+def _scan_cached(vtype, chords, legs=None):
+    return _scan_batch(vtype, [chords], None if legs is None else [legs])[0]
 
 
 # ------------------------------------------------------------ graph class
@@ -259,21 +314,7 @@ class RibbonGraph:
 
     @property
     def connected(self):
-        if self.nverts == 0:
-            return False
-        parent = list(range(self.nverts))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in self.chords:
-            ra, rb = find(vertex_of(self.vtype, a)), find(vertex_of(self.vtype, b))
-            if ra != rb:
-                parent[ra] = rb
-        return len({find(v) for v in range(self.nverts)}) == 1
+        return self.nverts > 0 and len(set(_vertex_roots(self))) == 1
 
 
 def _make_graph(vtype, chords, aut, zero) -> RibbonGraph:
@@ -336,6 +377,24 @@ class FullyOrderedGraph:
 
 # ----------------------------------------------------------------- moves
 
+def _standardize_diagram(vtype, legs_in, legs_out, chords):
+    """Stable-sort the vertices by valency and relabel the slots to the
+    consecutive scheme: (diagram, sign) with [input] = sign * [output]."""
+    order = sorted(range(len(vtype)), key=lambda v: vtype[v])
+    offs = type_offsets(vtype)
+    relabel = {}
+    nxt = 0
+    for v in order:
+        for s in range(vtype[v]):
+            relabel[offs[v] + s] = nxt
+            nxt += 1
+    out = (tuple(vtype[v] for v in order),
+           tuple(relabel[s] for s in legs_in),
+           tuple(relabel[s] for s in legs_out),
+           tuple((relabel[a], relabel[b]) for a, b in chords))
+    return out, perm_parity(tuple(order))
+
+
 def canonicalize(obj):
     """Canonical class and sign of a diagram: (RibbonGraph, sign) with
     [input] = sign * [canonical].  For ZERO classes the sign is +1 by
@@ -346,9 +405,7 @@ def canonicalize(obj):
         vtype, chords, sign = obj.standardize()
     else:
         vtype, chords = obj
-        vtype = tuple(vtype)
-        chords = tuple(tuple(c) for c in chords)
-        sign = 1
+        (vtype, _, _, chords), sign = _standardize_diagram(vtype, (), (), chords)
     if not vtype:
         return EMPTY_GRAPH, sign
     canonical, csign, aut, zero = _scan_cached(vtype, chords)
@@ -460,12 +517,8 @@ def disjoint_union(g1: RibbonGraph, g2: RibbonGraph):
     return canonicalize(FullyOrderedGraph(vertices, edges))
 
 
-def connected_components(g: RibbonGraph):
-    """Split into connected components: (components, sign) such that the
-    disjoint union of the components, folded left to right in the returned
-    order, equals sign * g."""
-    if g.nverts == 0:
-        return [], 1
+def _vertex_roots(g: RibbonGraph):
+    """Union-find root of every vertex, vertices joined along the edges."""
     parent = list(range(g.nverts))
 
     def find(x):
@@ -478,17 +531,22 @@ def connected_components(g: RibbonGraph):
         ra, rb = find(vertex_of(g.vtype, a)), find(vertex_of(g.vtype, b))
         if ra != rb:
             parent[ra] = rb
-    roots = []
-    for v in range(g.nverts):
-        r = find(v)
-        if r not in roots:
-            roots.append(r)
+    return [find(v) for v in range(g.nverts)]
+
+
+def connected_components(g: RibbonGraph):
+    """Split into connected components: (components, sign) such that the
+    disjoint union of the components, folded left to right in the returned
+    order, equals sign * g."""
+    if g.nverts == 0:
+        return [], 1
+    roots = _vertex_roots(g)
     blocks = g.vertex_blocks()
     comps = []
     grouping = []
     total_sign = 1
-    for r in roots:
-        verts = [v for v in range(g.nverts) if find(v) == r]
+    for r in dict.fromkeys(roots):
+        verts = [v for v in range(g.nverts) if roots[v] == r]
         grouping.extend(verts)
         half_edges = {h for v in verts for h in blocks[v]}
         edges = [c for c in g.chords if c[0] in half_edges]
@@ -524,8 +582,7 @@ def _matching_table(size):
 def _matching_keys(size):
     """Packed keys of `_matching_table(size)`, strictly increasing.  Only
     the keys are kept: a row's chords are read back from its key."""
-    table = _matching_table(size)
-    return _packed_keys(np.pad(table, ((0, 0), (0, MAX_HALF_EDGES - size))))
+    return _pad_keys(_matching_table(size))
 
 
 @lru_cache(maxsize=None)
@@ -554,7 +611,7 @@ def enumerate_graphs(nvert, nedge, connected=False):
             if visited[row]:
                 break
             chords = _chords_of_key(int(keys[row]), size)
-            orbit, signs = _orbits(vtype, [chords])
+            orbit, signs, _ = _orbits(vtype, [chords])
             hits = np.searchsorted(keys, orbit[0])
             assert (keys[hits] == orbit[0]).all()
             visited[hits] = True

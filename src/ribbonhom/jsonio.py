@@ -47,8 +47,16 @@ def _expect_list(obj, what):
     return obj
 
 
+def _expect_int(obj, what):
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise ValueError(f"{what} {json.dumps(obj)} is not an integer")
+    return obj
+
+
 def _dim_of(obj) -> SuperDim:
-    return SuperDim(int(obj["n"]), int(obj["m"]))
+    _expect_object(obj, "signature")
+    return SuperDim(_expect_int(obj["n"], "signature n"),
+                    _expect_int(obj["m"], "signature m"))
 
 
 # ----------------------------------------------------------------- tensors
@@ -60,15 +68,20 @@ def tensor_to_json(t: SuperTensor) -> dict:
 
 
 def tensor_from_json(obj) -> SuperTensor:
+    _expect_object(obj, "tensor")
     dim = _dim_of(obj["signature"])
-    terms = {tuple(item["word"]): parse_scalar(item["coeff"])
-             for item in obj["terms"]}
+    terms = {}
+    for item in _expect_list(obj["terms"], "terms"):
+        _expect_object(item, "a tensor term")
+        word = tuple(_expect_int(a, "letter")
+                     for a in _expect_list(item["word"], "word"))
+        terms[word] = parse_scalar(item["coeff"])
     rank = obj.get("rank")
     if rank is None:
         if not terms:
             raise ValueError("tensor without terms needs an explicit rank")
         rank = len(next(iter(terms)))
-    return SuperTensor(dim, int(rank), terms)
+    return SuperTensor(dim, _expect_int(rank, "rank"), terms)
 
 
 def matrix_to_json(matrix) -> list:
@@ -76,7 +89,8 @@ def matrix_to_json(matrix) -> list:
 
 
 def matrix_from_json(rows) -> list:
-    return [[parse_scalar(x) for x in row] for row in rows]
+    return [[parse_scalar(x) for x in _expect_list(row, "a matrix row")]
+            for row in _expect_list(rows, "matrix")]
 
 
 # ------------------------------------------------------------------ graphs
@@ -190,15 +204,17 @@ def algebra_from_json(obj) -> AInfinityAlgebra:
     dim = _dim_of(obj["signature"])
     form = SymplecticForm(dim, matrix_from_json(obj["omega"]))
     hams = {}
-    for item in obj["h"]:
+    for item in _expect_list(obj["h"], "h"):
+        _expect_object(item, "an h item")
+        k = _expect_int(item["k"], "k")
         t = tensor_from_json(item["tensor"])
         if t.dim != dim:
             raise ValueError("Hamiltonian signature differs from the algebra")
-        if t.rank != int(item["k"]):
-            raise ValueError(f"tensor of rank {t.rank} filed under "
-                             f"k={item['k']}")
-        hams[int(item["k"])] = t
-    return AInfinityAlgebra(form, hams, int(obj["truncation"]))
+        if t.rank != k:
+            raise ValueError(f"tensor of rank {t.rank} filed under k={k}")
+        hams[k] = t
+    return AInfinityAlgebra(form, hams,
+                            _expect_int(obj["truncation"], "truncation"))
 
 
 # ------------------------------------------------------------------- files
@@ -206,12 +222,6 @@ def algebra_from_json(obj) -> AInfinityAlgebra:
 def load_json(path):
     with open(path) as fh:
         return json.load(fh)
-
-
-def save_json(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def read_algebra(path) -> AInfinityAlgebra:

@@ -125,13 +125,6 @@ class SymplecticForm:
     def canonical(cls, dim: SuperDim) -> "SymplecticForm":
         return cls(dim)
 
-    def value(self, a: int, b: int):
-        return self.matrix[a][b]
-
-    @property
-    def is_canonical(self) -> bool:
-        return self.matrix == canonical_form_matrix(self.dim)
-
     def dual_matrix(self):
         """Matrix of the induced pairing on the dual basis: the transpose of
         the inverse.  For the canonical form this is the canonical matrix

@@ -11,7 +11,10 @@ edge; leg labels are fixed by isomorphisms and carry no orientation data.
 This is the convention the correlator below respects on the nose: the
 vertex tensors are odd (transposing two vertices negates the state sum),
 the edge pairing is super-skew (reversing a direction negates it) and
-parity-even (the list order of the edges is immaterial).
+parity-even (the list order of the edges is immaterial).  Canonical forms
+come from the canonical scan of `graphs`, with the leg slots as fixed
+points whose images are compared first; so a legged diagram, legs
+included, has at most 16 half-edge slots.
 
 Gluing joins outgoing leg j of the first graph to incoming leg j of the
 second by a new internal edge directed first-to-second.  The correlator
@@ -33,71 +36,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .ainfinity import AInfinityAlgebra, ValidationReport
-from .graphs import _valency_partitions, perfect_matchings, type_offsets
+from .graphs import (_class_data, _diagram_keys, _orbits, _scan_cached,
+                     _standardize_diagram, _valency_partitions,
+                     perfect_matchings, type_offsets)
 from .scalars import LinearCombination, format_scalar
-from .superspace import SuperTensor, contract, perm_parity
-
-
-# ---------------------------------------------------------- canonical scan
-
-@lru_cache(maxsize=None)
-def _legged_group(vtype):
-    """Relabelings of a type as (slot map, vertex sign) pairs: valency
-    preserving vertex permutations combined with rotations of every
-    cyclic order."""
-    m = len(vtype)
-    size = sum(vtype)
-    offs = type_offsets(vtype)
-    sigmas = [s for s in itertools.permutations(range(m))
-              if all(vtype[s[v]] == vtype[v] for v in range(m))]
-    out = []
-    for sigma in sigmas:
-        sgn = perm_parity(sigma)
-        for rots in itertools.product(*[range(k) for k in vtype]):
-            p = [0] * size
-            for v in range(m):
-                k = vtype[v]
-                tgt = offs[sigma[v]]
-                r = rots[v]
-                for s in range(k):
-                    p[offs[v] + s] = tgt + (s - r) % k
-            out.append((tuple(p), sgn))
-    return tuple(out)
-
-
-def _image_key(p, vsgn, legs_in, legs_out, chords):
-    sgn = vsgn
-    ch = []
-    for a, b in chords:
-        x, y = p[a], p[b]
-        if x > y:
-            x, y = y, x
-            sgn = -sgn
-        ch.append((x, y))
-    ch.sort()
-    return (tuple(p[s] for s in legs_in), tuple(p[s] for s in legs_out),
-            tuple(ch)), sgn
-
-
-@lru_cache(maxsize=200_000)
-def _legged_scan(vtype, legs_in, legs_out, chords):
-    """Minimum image over the relabeling group: (canonical key, sign, aut,
-    zero), the sign satisfying [input] = sign * [canonical] (None when the
-    class is zero)."""
-    best = None
-    best_sign = 0
-    stab = 0
-    zero = False
-    for p, vsgn in _legged_group(vtype):
-        key, sgn = _image_key(p, vsgn, legs_in, legs_out, chords)
-        if best is None or key < best:
-            best, best_sign, stab, zero = key, sgn, 1, False
-        elif key == best:
-            stab += 1
-            if sgn != best_sign:
-                zero = True
-    aut = stab // 2 if zero else stab
-    return best, (None if zero else best_sign), aut, zero
+from .superspace import SuperTensor, contract
 
 
 # ------------------------------------------------------------- graph class
@@ -185,24 +128,6 @@ def check_diagram(vtype, legs_in, legs_out, chords):
         raise ValueError("legs and edges must partition the half-edge slots")
 
 
-def _standardize_diagram(vtype, legs_in, legs_out, chords):
-    """Stable-sort the vertices by valency and relabel the slots to the
-    consecutive scheme: (diagram, sign) with [input] = sign * [output]."""
-    order = sorted(range(len(vtype)), key=lambda v: vtype[v])
-    offs = type_offsets(vtype)
-    relabel = {}
-    nxt = 0
-    for v in order:
-        for s in range(vtype[v]):
-            relabel[offs[v] + s] = nxt
-            nxt += 1
-    out = (tuple(vtype[v] for v in order),
-           tuple(relabel[s] for s in legs_in),
-           tuple(relabel[s] for s in legs_out),
-           tuple((relabel[a], relabel[b]) for a, b in chords))
-    return out, perm_parity(tuple(order))
-
-
 def canonicalize_legged(diagram):
     """Canonical class and sign of a legged diagram: (LeggedGraph, sign)
     with [input] = sign * [canonical]; +1 on zero classes by the same
@@ -219,9 +144,10 @@ def canonicalize_legged(diagram):
         return EMPTY_LEGGED, 1
     (vtype, legs_in, legs_out, chords), sign = \
         _standardize_diagram(vtype, legs_in, legs_out, chords)
-    key, csign, aut, zero = _legged_scan(vtype, legs_in, legs_out, chords)
-    li, lo, ch = key
-    g = _make_legged(vtype, li, lo, ch, aut, zero)
+    (legs, ch), csign, aut, zero = _scan_cached(vtype, chords,
+                                                legs_in + legs_out)
+    g = _make_legged(vtype, legs[:len(legs_in)], legs[len(legs_in):], ch,
+                     aut, zero)
     return g, sign * (1 if zero else csign)
 
 
@@ -375,31 +301,31 @@ def composition_compatibility(algebra: AInfinityAlgebra, g1, g2):
 @lru_cache(maxsize=None)
 def enumerate_legged_graphs(nin, nout, nedges):
     """All legged graph classes with the exact leg labels and internal
-    edge count, sorted; zero classes are included and flagged."""
+    edge count, sorted; zero classes are included and flagged.
+
+    Every placement of the legs with every matching of the other slots is
+    a candidate; per valency type, the first candidate not yet covered is
+    scanned and the keys of its whole orbit are marked covered."""
     size = 2 * nedges + nin + nout
     if size == 0:
         return (EMPTY_LEGGED,)
+    candidates = [(legs, mat)
+                  for legs in itertools.permutations(range(size), nin + nout)
+                  for mat in perfect_matchings(
+                      [s for s in range(size) if s not in legs])]
+    leg_lists, chord_lists = zip(*candidates)
+    own = _diagram_keys(size, chord_lists, leg_lists)
     out = []
     for nverts in range(1, size // 3 + 1):
         for vtype in _valency_partitions(size, nverts):
             seen = set()
-            slots = range(size)
-            for li in itertools.permutations(slots, nin):
-                rest = [s for s in slots if s not in li]
-                for lo in itertools.permutations(rest, nout):
-                    taken = set(li) | set(lo)
-                    pts = tuple(s for s in slots if s not in taken)
-                    for mat in perfect_matchings(pts):
-                        if (li, lo, mat) in seen:
-                            continue
-                        images = [_image_key(p, v, li, lo, mat)
-                                  for p, v in _legged_group(vtype)]
-                        seen.update(k for k, _ in images)
-                        best = min(k for k, _ in images)
-                        signs = {s for k, s in images if k == best}
-                        stab = sum(1 for k, _ in images if k == best)
-                        zero = len(signs) > 1
-                        g = _make_legged(vtype, *best,
-                                         stab // 2 if zero else stab, zero)
-                        out.append(g)
+            for (legs, mat), key in zip(candidates, own):
+                if key in seen:
+                    continue
+                keys, signs, leg_keys = _orbits(vtype, [mat], [legs])
+                seen.update(zip(leg_keys[0].tolist(), keys[0].tolist()))
+                (images, ch), _, aut, zero = _class_data(
+                    size, keys[0], signs[0], leg_keys[0], nin + nout)
+                out.append(_make_legged(vtype, images[:nin], images[nin:],
+                                        ch, aut, zero))
     return tuple(sorted(out, key=lambda g: g.sort_key))

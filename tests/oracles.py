@@ -138,6 +138,32 @@ def orbit_scan(vtype, chords):
     }
 
 
+def legged_orbit_scan(vtype, legs_in, legs_out, chords):
+    """Exhaustive class data for one oriented legged diagram, whose leg
+    slots every relabeling carries along: the key of an image is (images
+    of legs_in, images of legs_out, matching), and the dict has the same
+    fields as `orbit_scan` with `canonical` such a key."""
+    reach = {}
+    n_elements = 0
+    for relabel, vsign in group_elements(vtype):
+        n_elements += 1
+        mat, fsign = apply_relabel(chords, relabel)
+        key = (tuple(relabel[s] for s in legs_in),
+               tuple(relabel[s] for s in legs_out), mat)
+        reach.setdefault(key, set()).add(vsign * fsign)
+    canonical = min(reach)
+    stab = n_elements // len(reach)
+    zero = len(reach[canonical]) == 2
+    return {
+        "canonical": canonical,
+        "orbit": set(reach),
+        "zero": zero,
+        "aut": stab // 2 if zero else stab,
+        "sign": None if zero else next(iter(reach[canonical])),
+        "stab": stab,
+    }
+
+
 def is_connected(vtype, chords):
     m = len(vtype)
     parent = list(range(m))

@@ -194,6 +194,60 @@ def test_input_errors_exit_2(capsys, tmp_path):
         path.write_text(json.dumps(doc))
         code, _, err = run(capsys, "partition", "--algebra", str(path))
         assert code == 2 and err.startswith("error:") and "JSON object" in err
+    # a legged graph above the 16-slot cap is refused, legs included
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({
+        "vertices": [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11, 12],
+                     [13, 14, 15, 16]],
+        "edges": [[1 + 2 * i, 2 + 2 * i] for i in range(8)],
+        "legs_in": [0]}))
+    code, _, err = run(capsys, "correlate", str(big), "--algebra", ALGEBRA)
+    assert code == 2 and err.startswith("error:") and "16" in err
+    # algebra fields of the wrong JSON type
+
+    def omega_row(doc):
+        doc["omega"][0] = None
+
+    def h_item_list(doc):
+        doc["h"][0] = [3, doc["h"][0]["tensor"]]
+
+    def terms(doc):
+        doc["h"][0]["tensor"]["terms"] = None
+
+    def word(doc):
+        doc["h"][0]["tensor"]["terms"][0]["word"] = None
+
+    def word_strings(doc):
+        doc["h"][0]["tensor"]["terms"][0]["word"] = ["a", "b", "c"]
+
+    def k_float(doc):
+        doc["h"][0]["k"] = 3.5
+
+    edits = {
+        "omega": (lambda doc: doc.update(omega=None), "matrix"),
+        "omega_row": (omega_row, "a matrix row"),
+        "h": (lambda doc: doc.update(h=None), "h must be"),
+        "h_item_list": (h_item_list, "an h item"),
+        "terms": (terms, "terms must be"),
+        "word": (word, "word must be"),
+        "word_strings": (word_strings, "letter \"a\""),
+        "signature": (lambda doc: doc.update(signature=None), "signature"),
+        "truncation": (lambda doc: doc.update(truncation=None),
+                       "truncation null"),
+        "k_float": (k_float, "k 3.5"),
+        "truncation_float": (lambda doc: doc.update(truncation=5.5),
+                             "truncation 5.5"),
+        "truncation_bool": (lambda doc: doc.update(truncation=True),
+                            "truncation true"),
+    }
+    path = tmp_path / "algebra.json"
+    for name, (edit, words) in edits.items():
+        doc = json.loads(json.dumps(good))
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "characteristic", "--algebra", str(path))
+        assert code == 2 and err.startswith("error:") and words in err, \
+            (name, err)
 
 
 def test_usage_errors(capsys):

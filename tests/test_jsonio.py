@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ribbonhom.ainfinity import validate
+from ribbonhom.ainfinity import _graph_value, partition_function, validate
 from ribbonhom.complexes import GraphChain, basis
 from ribbonhom.fixtures import frobenius_pair, twisted_11
 from ribbonhom.graphs import canonicalize
@@ -16,7 +16,7 @@ from ribbonhom.jsonio import (algebra_from_json, algebra_to_json,
                               graph_to_json, read_algebra, tensor_from_json,
                               tensor_to_json)
 from ribbonhom.lie import CEChain
-from ribbonhom.superspace import SuperDim, SuperTensor
+from ribbonhom.superspace import SuperDim, SuperTensor, contract
 from ribbonhom.tcft import canonicalize_legged
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -52,6 +52,25 @@ def test_graph_roundtrip_with_arbitrary_ids():
     with pytest.raises(ValueError):
         graph_from_json({"half_edges": 5, "vertices": [[0, 1, 2, 3]],
                          "edges": [[0, 1], [2, 3]]})
+
+
+def test_vertices_out_of_valency_order():
+    edges = [[3, 6], [1, 5], [7, 0], [4, 2]]
+    reordered = {"vertices": [[0, 1, 2, 3, 4], [5, 6, 7]], "edges": edges}
+    ordered = {"vertices": [[5, 6, 7], [0, 1, 2, 3, 4]], "edges": edges}
+    g, sign = graph_from_json(reordered)
+    g2, sign2 = graph_from_json(ordered)
+    # swapping the two blocks is one transposition of the vertex order
+    assert g is g2 and g.vtype == (3, 5) and sign == -sign2
+    assert chain_from_json([{"graph": reordered, "coeff": "1"}]) == \
+        GraphChain({g: Fraction(sign)})
+    A = twisted_11()
+    pairing = A.dual_pairing()
+    value = partition_function(A, (2, 4)).value(g)
+    assert value == _graph_value(A, g, pairing) == -2
+    raw = contract([A.hamiltonian(5), A.hamiltonian(3)],
+                   [tuple(c) for c in edges], pairing).scalar()
+    assert raw / g.aut == sign * value
 
 
 def test_legged_graph_roundtrip():

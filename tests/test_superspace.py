@@ -179,12 +179,12 @@ def test_antisymmetrize_kills_repeated_even_blocks():
 
 def test_symplectic_form_canonical_and_checks():
     form = SymplecticForm.canonical(D11)
-    assert form.is_canonical
     mat = canonical_form_matrix(D11)
-    assert form.value(0, 1) == mat[0][1] == Fraction(1)
+    assert form.matrix == mat
+    assert form.matrix[0][1] == Fraction(1)
     dual = form.dual_matrix()
     n = D11.total
-    prod = [[sum(form.value(i, k) * dual[k][j] for k in range(n))
+    prod = [[sum(form.matrix[i][k] * dual[k][j] for k in range(n))
              for j in range(n)] for i in range(n)]
     # frozen convention: omega . dual = -1 on even letters, +1 on odd ones
     for i in range(n):

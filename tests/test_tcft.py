@@ -1,10 +1,12 @@
 """Legged graphs, gluing, correlation tensors, and composition."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+import oracles as O
 from ribbonhom.ainfinity import partition_function
 from ribbonhom.fixtures import frobenius_pair, twisted_11
 from ribbonhom.superspace import koszul_apply
@@ -36,6 +38,69 @@ def random_diagram(rng, nin, nout, nedges):
     rest = slots[nin + nout:]
     ch = tuple((rest[2 * i], rest[2 * i + 1]) for i in range(len(rest) // 2))
     return (vtype, li, lo, ch)
+
+
+def _oracle_class(d):
+    """((vtype, legs_in, legs_out, chords, aut, zero), sign, orbit) of a
+    diagram with ascending valencies, by the brute-force legged scan."""
+    scan = O.legged_orbit_scan(*d)
+    li, lo, mat = scan["canonical"]
+    return ((d[0], li, lo, mat, scan["aut"], scan["zero"]),
+            1 if scan["zero"] else scan["sign"], scan["orbit"])
+
+
+def _class_of(g):
+    return (g.vtype, g.legs_in, g.legs_out, g.chords, g.aut, g.zero)
+
+
+def test_legged_scan_matches_oracle():
+    # every diagram of every window with at most 3 legs and 2 edges
+    for nlegs in range(4):
+        for nin in range(nlegs + 1):
+            nout = nlegs - nin
+            for e in range(3):
+                size = 2 * e + nlegs
+                classes = set()
+                for nverts in range(1, size // 3 + 1):
+                    for vtype in O.partitions_min3(size, nverts):
+                        known = {}
+                        for legs in itertools.permutations(range(size),
+                                                           nlegs):
+                            rest = [s for s in range(size) if s not in legs]
+                            for mat in O.perfect_matchings(rest):
+                                d = (vtype, legs[:nin], legs[nin:], mat)
+                                g, s = canonicalize_legged(d)
+                                if d[1:] in known:
+                                    assert _class_of(g) == known[d[1:]], d
+                                    continue
+                                cls, sign, orbit = _oracle_class(d)
+                                assert (_class_of(g), s) == (cls, sign), d
+                                known.update(dict.fromkeys(orbit, cls))
+                                classes.add(cls)
+                got = [_class_of(g)
+                       for g in enumerate_legged_graphs(nin, nout, e)
+                       if g is not EMPTY_LEGGED]
+                assert len(got) == len(set(got)) == len(classes)
+                assert set(got) == classes, (nin, nout, e)
+    # random raw diagrams up to the 16-slot cap, legs included
+    rng = random.Random(53)
+    for _ in range(12):
+        nlegs = rng.randrange(5)
+        nin = rng.randrange(nlegs + 1)
+        e = rng.randrange(max(0, (9 - nlegs) // 2), (16 - nlegs) // 2 + 1)
+        d = random_diagram(rng, nin, nlegs - nin, e)
+        g, s = canonicalize_legged(d)
+        assert (_class_of(g), s) == _oracle_class(d)[:2], d
+
+
+def test_legged_diagrams_capped_at_16_slots():
+    vtype = (3, 3, 3, 4, 4)
+    chords = tuple((1 + 2 * i, 2 + 2 * i) for i in range(8))
+    with pytest.raises(NotImplementedError):
+        canonicalize_legged((vtype, (0,), (), chords))
+    chords = tuple((2 * i, 2 * i + 1) for i in range(8))
+    g, _ = canonicalize_legged(((3, 3, 3, 3, 4), (), (), chords))
+    assert g.nedges == 8
 
 
 def test_canonical_forms_rotation_and_flip():

@@ -343,10 +343,11 @@ def _tcft_block(block):
     live2 = [g for g in side2 if _live(algebra, g)]
     checks = 0
     fails = []
+    correlators = {}
     for g1 in live1:
         for g2 in live2:
             checks += 1
-            rep = composition_compatibility(algebra, g1, g2)
+            rep = composition_compatibility(algebra, g1, g2, correlators)
             if not rep.valid:
                 fails.append(_tcft_failure(g1, g2, rep))
     had_dead = bool(side1 and side2 and (len(live1) < len(side1)

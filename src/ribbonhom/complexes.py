@@ -5,6 +5,11 @@ the classes form an orthonormal basis for the pairing.  The boundary sums
 signed one-edge contractions (bidegree (-1,-1)); the coboundary sums ideal
 edge expansions weighted by automorphism-count ratios (bidegree (+1,+1)),
 making it the exact adjoint of the boundary for this pairing.
+
+The moves of one graph come from the cached move templates of `graphs`,
+grouped by result type, and each group is canonicalized in one batched
+scan.  The coboundary of g sums s * aut(h) over the expansions landing in
+each class h as integers and divides by aut(g) once.
 """
 
 from __future__ import annotations
@@ -12,8 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .graphs import (RibbonGraph, _make_graph, _scan_batch, contract_edge_raw,
-                     enumerate_graphs, expand_ideal_edge_raw, ideal_edges)
+from .graphs import (RibbonGraph, _contractions, _expansions, _make_graph,
+                     _scan_batch, enumerate_graphs)
 from .scalars import (LinearCombination, format_scalar, mat_transpose,
                       rank_exact, solve_exact)
 
@@ -61,34 +66,31 @@ def _as_chain(x) -> GraphChain:
     return x
 
 
-def _canonical_sum(diagrams, weight):
-    """Sum of raw (vtype, chords, sign) diagrams as ((RibbonGraph, coeff),
-    ...), each canonical class counted with weight(aut); the diagrams of
-    one valency type are scanned in a single batch."""
-    groups: dict = {}
-    for vt, ch, s in diagrams:
-        groups.setdefault(vt, []).append((ch, s))
+def _canonical_sum(groups, weight):
+    """Sum of raw moves given per result type, {vtype: (chords, signs)},
+    as {RibbonGraph: coeff}, each canonical class counted with the integer
+    weight(aut); the moves of one type are scanned in a single batch."""
     acc: dict = {}
-    for vt, items in groups.items():
-        scans = _scan_batch(vt, [ch for ch, _ in items])
-        for (ch, s), (canonical, csign, aut, zero) in zip(items, scans):
-            if zero:
-                continue
-            rg = _make_graph(vt, canonical, aut, zero)
-            acc[rg] = acc.get(rg, 0) + s * csign * weight(aut)
-    return tuple((rg, c) for rg, c in acc.items() if c)
+    for vt, (chords, signs) in groups.items():
+        for s, (canonical, csign, aut, zero) in zip(signs,
+                                                    _scan_batch(vt, chords)):
+            if not zero:
+                rg = _make_graph(vt, canonical, aut, zero)
+                acc[rg] = acc.get(rg, 0) + s * csign * weight(aut)
+    return acc
 
 
 @lru_cache(maxsize=None)
 def _boundary_graph(g: RibbonGraph):
-    return _canonical_sum((contract_edge_raw(g, j) for j in range(g.nedges)
-                           if not g.is_loop(j)), lambda aut: 1)
+    acc = _canonical_sum(_contractions(g), lambda aut: 1)
+    return tuple((rg, c) for rg, c in acc.items() if c)
 
 
 @lru_cache(maxsize=None)
 def _coboundary_graph(g: RibbonGraph):
-    return _canonical_sum((expand_ideal_edge_raw(g, ie) for ie in ideal_edges(g)),
-                          lambda aut: Fraction(aut, g.aut))
+    # sum s * aut(h) over the expansions landing in h, then divide once
+    acc = _canonical_sum(_expansions(g), lambda aut: aut)
+    return tuple((rg, Fraction(c, g.aut)) for rg, c in acc.items() if c)
 
 
 def boundary(x) -> GraphChain:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 from .complexes import GraphChain
 from .graphs import (EMPTY_GRAPH, FullyOrderedGraph, RibbonGraph,
@@ -63,22 +64,23 @@ def amplitude_ordered(graph: FullyOrderedGraph, blocks):
                     canonical_form_matrix(blocks[0].dim)).scalar()
 
 
+@lru_cache(maxsize=None)
+def _norm_block(dim: SuperDim, word, project: bool):
+    t = norm(SuperTensor.word(dim, word))
+    return t.scale(Fraction(1, len(word))) if project else t
+
+
 def _norm_blocks(dim: SuperDim, factors, project: bool):
     """Per-factor rotation sums N(w), optionally divided by the word
-    length (the projector onto invariants).
+    length (the projector onto invariants); each word's block is built
+    once and shared, as tensors are never changed in place.
 
     The amplitude of a graph uses the plain norm; the integration map uses
     the projector, because its sum over chord diagrams already runs over
     every rotation of every vertex.  With this split the pairing
     factorizes exactly through integration.
     """
-    out = []
-    for w in factors:
-        t = norm(SuperTensor.word(dim, w))
-        if project:
-            t = t.scale(Fraction(1, len(w)))
-        out.append(t)
-    return out
+    return [_norm_block(dim, w, project) for w in factors]
 
 
 def amplitude(graph, x: CEChain, pairing=None):
@@ -154,12 +156,11 @@ def integral_I(x: CEChain) -> GraphChain:
             val = contract(blocks, matching, mat).scalar()
             if not val:
                 continue
-            fog = FullyOrderedGraph.from_chords(ranks, matching)
-            vtype, chords, fsign = fog.standardize()
-            g, csign = canonicalize((vtype, chords))
+            g, sign = canonicalize(
+                FullyOrderedGraph.from_chords(ranks, matching))
             if g.zero:
                 continue
-            acc[g] = acc.get(g, 0) + coeff * val * fsign * csign
+            acc[g] = acc.get(g, 0) + coeff * val * sign
     return GraphChain(acc)
 
 

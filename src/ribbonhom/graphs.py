@@ -25,6 +25,19 @@ leg slots, incoming then outgoing, are packed into a second key that is
 compared first.  The cap counts the leg slots: a graph without legs has
 at most 8 edges.
 
+A batch of diagrams of one type is scanned in one pass: the orbit keys
+form a (diagrams x relabelings) array, and the minimum of each row, the
+stabilizer mask, its size and its signs are reductions along the rows.
+Each distinct canonical key is decoded to chords once.
+
+The moves of the complex, contracting an edge and expanding an ideal
+edge, relabel half-edges in a way that depends only on the valency type
+and the half-edges involved, not on the other chords.  Each such
+relabeling, composed with the standardization and its sign, is built once
+and cached as an integer array (a move template).  All the contractions or
+all the expansions of one graph are then a single numpy gather per result
+type, which feeds the batched scan directly.
+
 Enumeration builds, once per size, the table of all (2e-1)!! perfect
 matchings as partner rows in lexicographic order, with their sorted keys.
 Per valency type it scans the first matching not yet covered and marks its
@@ -146,21 +159,27 @@ def _packed_keys(rows):
     return nibbles.view(">u8")[..., 0].astype(np.uint64)
 
 
-def _labels_of_key(key, count):
-    return tuple((key >> (4 * (MAX_HALF_EDGES - 1 - h))) & 15
-                 for h in range(count))
+_SHIFTS = 4 * (MAX_HALF_EDGES - 1 - np.arange(MAX_HALF_EDGES, dtype=np.uint64))
 
 
-def _chords_of_key(key, size):
-    return tuple((a, b) for a, b in enumerate(_labels_of_key(key, size))
-                 if a < b)
+def _labels_of_keys(keys, count):
+    """The first `count` labels packed in each of an array of keys, as
+    lists."""
+    return ((keys[:, None] >> _SHIFTS[:count]) & np.uint64(15)).tolist()
 
 
-def _partner_rows(size, chord_lists):
+def _chords_of_keys(keys, size):
+    """Chords (a, b), a < b, of the partner arrays packed in an array of
+    keys; fixed points such as legs are skipped."""
+    return [tuple((a, b) for a, b in enumerate(row) if a < b)
+            for row in _labels_of_keys(keys, size)]
+
+
+def _partner_rows(size, chords):
     """(partners, chords) arrays of a batch of diagrams; a slot that no
     chord covers, such as a leg, is its own partner."""
-    nb = len(chord_lists)
-    chords = np.array(chord_lists, dtype=np.int64).reshape(nb, -1, 2)
+    nb = len(chords)
+    chords = np.asarray(chords, dtype=np.int64).reshape(nb, -1, 2)
     partners = np.tile(np.arange(size, dtype=np.int64), (nb, 1))
     rows = np.arange(nb)[:, None]
     partners[rows, chords[..., 0]] = chords[..., 1]
@@ -182,7 +201,7 @@ def _diagram_keys(size, chord_lists, leg_lists):
     return list(zip(_pad_keys(legs).tolist(), _pad_keys(partners).tolist()))
 
 
-def _orbits(vtype, chord_lists, leg_lists=None):
+def _orbits(vtype, chords, legs=None):
     """Images of oriented diagrams under every relabeling of their type.
 
     Returns (keys, signs, leg_keys), each (diagrams x relabelings): the
@@ -191,8 +210,8 @@ def _orbits(vtype, chord_lists, leg_lists=None):
     images of those slots (None without legs).
     """
     P, vsign, flat = _group_arrays(vtype)
-    partners, chords = _partner_rows(sum(vtype), chord_lists)
-    nb = len(chord_lists)
+    nb = len(chords)
+    partners, chords = _partner_rows(sum(vtype), chords)
     # buf[b, g, P[g, h]] = P[g, partners[b, h]]: the image partner rows
     buf = np.zeros((nb, len(vsign), MAX_HALF_EDGES), dtype=np.uint8)
     buf.reshape(nb, -1)[:, flat] = \
@@ -201,56 +220,60 @@ def _orbits(vtype, chord_lists, leg_lists=None):
                                   axis=2)
     signs = np.where(flips, -vsign[:, None], vsign[:, None]).T
     leg_keys = None
-    if leg_lists is not None:
-        legs = np.array(leg_lists, dtype=np.int64).reshape(nb, -1)
+    if legs is not None:
+        legs = np.asarray(legs, dtype=np.int64).reshape(nb, -1)
         leg_keys = _pad_keys(P[:, legs].transpose(1, 0, 2))
     return _packed_keys(buf), signs, leg_keys
 
 
-def _class_data(size, keys, signs, leg_keys=None, nlegs=0):
-    """(canonical, sign, aut, zero) of one diagram from its orbit row.
+def _class_rows(size, keys, signs, leg_keys=None, nlegs=0):
+    """(canonical, sign, aut, zero) of each diagram from its orbit row.
 
     The canonical form is the minimal image: the least partner array, or
     with legs the least leg images and then the least partner array, and
     then `canonical` is the pair (leg images, chords).  `sign` satisfies
     [input] = sign * [canonical], and the class is ZERO when the
-    stabilizer of the canonical form holds both signs.
+    stabilizer of the canonical form holds both signs.  The whole batch
+    is reduced at once; each distinct canonical key is decoded once.
     """
     if leg_keys is None:
-        best = keys.min()
-        eq = keys == best
+        best = keys.min(axis=1)
+        eq = keys == best[:, None]
+        found = best.tolist()
+        distinct = list(dict.fromkeys(found))
+        forms = _chords_of_keys(np.array(distinct, dtype=np.uint64), size)
     else:
-        best_legs = leg_keys.min()
-        eq = leg_keys == best_legs
-        best = keys[eq].min()
-        eq &= keys == best
-    eq_signs = signs[eq]
-    zero = bool(eq_signs.min() != eq_signs.max())
-    stab = int(eq.sum())
-    canonical = _chords_of_key(int(best), size)
-    if leg_keys is not None:
-        canonical = (_labels_of_key(int(best_legs), nlegs), canonical)
-    return (canonical,
-            None if zero else int(eq_signs[0]),
-            stab // 2 if zero else stab,
-            zero)
+        best_legs = leg_keys.min(axis=1)
+        eq = leg_keys == best_legs[:, None]
+        best = np.where(eq, keys, np.iinfo(np.uint64).max).min(axis=1)
+        eq &= keys == best[:, None]
+        found = list(zip(best_legs.tolist(), best.tolist()))
+        distinct = list(dict.fromkeys(found))
+        legs, chords = np.array(distinct, dtype=np.uint64).T
+        forms = list(zip(map(tuple, _labels_of_keys(legs, nlegs)),
+                         _chords_of_keys(chords, size)))
+    forms = dict(zip(distinct, forms))
+    # the relabelings onto the canonical form are one coset of the
+    # stabilizer, on which the sign is a character: their signs are all
+    # equal, or split evenly and sum to zero exactly for ZERO classes
+    net = (signs * eq).sum(axis=1).tolist()
+    return [(forms[key], None if not n else 1 if n > 0 else -1,
+             count if n else count // 2, not n)
+            for key, n, count in zip(found, net, eq.sum(axis=1).tolist())]
 
 
-def _scan_batch(vtype, chord_lists, leg_lists=None):
+def _scan_batch(vtype, chords, legs=None):
     """Scan many oriented diagrams of one type in a single vectorized pass.
 
-    Returns one (canonical, sign, aut, zero) tuple per input; used by the
-    coboundary, whose expansions of a single graph share few types.  With
-    `leg_lists` (the leg slots of each diagram, incoming then outgoing,
-    the same count for all) the leg slots are fixed points of the scan.
+    `chords` holds the oriented chords of each diagram, as a sequence of
+    chord tuples or an int array (diagrams x edges x 2).  Returns one
+    (canonical, sign, aut, zero) tuple per diagram.  With `legs` (the leg
+    slots of each diagram, incoming then outgoing, the same count for
+    all) the leg slots are fixed points of the scan.
     """
-    keys, signs, leg_keys = _orbits(vtype, chord_lists, leg_lists)
-    size = sum(vtype)
-    if leg_keys is None:
-        return [_class_data(size, k, s) for k, s in zip(keys, signs)]
-    nlegs = len(leg_lists[0])
-    return [_class_data(size, k, s, lk, nlegs)
-            for k, s, lk in zip(keys, signs, leg_keys)]
+    keys, signs, leg_keys = _orbits(vtype, chords, legs)
+    return _class_rows(sum(vtype), keys, signs, leg_keys,
+                       0 if legs is None else len(legs[0]))
 
 
 @lru_cache(maxsize=500_000)
@@ -360,16 +383,12 @@ class FullyOrderedGraph:
     def standardize(self):
         """Stable-sort vertices by valency and relabel half-edges to the
         standard consecutive scheme; returns (vtype, chords, sign)."""
-        order = sorted(range(len(self.vertices)), key=lambda i: len(self.vertices[i]))
-        relabel = {}
-        nxt = 0
-        for i in order:
-            for h in self.vertices[i]:
-                relabel[h] = nxt
-                nxt += 1
-        vtype = tuple(len(self.vertices[i]) for i in order)
-        chords = tuple((relabel[a], relabel[b]) for a, b in self.edges)
-        return vtype, chords, perm_parity(tuple(order))
+        labels = (h for v in self.vertices for h in v)
+        slot = {h: s for s, h in enumerate(labels)}
+        (vtype, _, _, chords), sign = _standardize_diagram(
+            tuple(len(v) for v in self.vertices), (), (),
+            tuple((slot[a], slot[b]) for a, b in self.edges))
+        return vtype, chords, sign
 
     def __repr__(self):
         return f"FullyOrderedGraph({self.vertices}, {self.edges})"
@@ -377,34 +396,49 @@ class FullyOrderedGraph:
 
 # ----------------------------------------------------------------- moves
 
+@lru_cache(maxsize=None)
+def _sorting_relabeling(vtype):
+    """Stable sort of the vertices by valency: (sorted type, new slot of
+    each slot, sign of the vertex permutation)."""
+    order = sorted(range(len(vtype)), key=lambda v: vtype[v])
+    offs = type_offsets(vtype)
+    new = [0] * sum(vtype)
+    for n, s in enumerate(offs[v] + s for v in order for s in range(vtype[v])):
+        new[s] = n
+    return (tuple(vtype[v] for v in order), tuple(new),
+            perm_parity(tuple(order)))
+
+
 def _standardize_diagram(vtype, legs_in, legs_out, chords):
     """Stable-sort the vertices by valency and relabel the slots to the
     consecutive scheme: (diagram, sign) with [input] = sign * [output]."""
-    order = sorted(range(len(vtype)), key=lambda v: vtype[v])
-    offs = type_offsets(vtype)
-    relabel = {}
-    nxt = 0
-    for v in order:
-        for s in range(vtype[v]):
-            relabel[offs[v] + s] = nxt
-            nxt += 1
-    out = (tuple(vtype[v] for v in order),
-           tuple(relabel[s] for s in legs_in),
-           tuple(relabel[s] for s in legs_out),
-           tuple((relabel[a], relabel[b]) for a, b in chords))
-    return out, perm_parity(tuple(order))
+    vtype, new, sign = _sorting_relabeling(tuple(vtype))
+    return (vtype, tuple(new[s] for s in legs_in),
+            tuple(new[s] for s in legs_out),
+            tuple((new[a], new[b]) for a, b in chords)), sign
+
+
+def check_diagram(vtype, legs_in, legs_out, chords):
+    if any(k < 3 for k in vtype):
+        raise ValueError("internal valencies must be >= 3")
+    ends = list(legs_in) + list(legs_out) + [h for c in chords for h in c]
+    if sorted(ends) != list(range(sum(vtype))):
+        raise ValueError("legs and edges must partition the half-edge slots")
 
 
 def canonicalize(obj):
     """Canonical class and sign of a diagram: (RibbonGraph, sign) with
     [input] = sign * [canonical].  For ZERO classes the sign is +1 by
-    convention and the class must be discarded by chain arithmetic."""
+    convention and the class must be discarded by chain arithmetic.  A
+    (vtype, chords) pair with a valency below 3, or whose chords do not
+    cover every half-edge exactly once, is rejected with ValueError."""
     if isinstance(obj, RibbonGraph):
         return obj, 1
     if isinstance(obj, FullyOrderedGraph):
         vtype, chords, sign = obj.standardize()
     else:
         vtype, chords = obj
+        check_diagram(vtype, (), (), chords)
         (vtype, _, _, chords), sign = _standardize_diagram(vtype, (), (), chords)
     if not vtype:
         return EMPTY_GRAPH, sign
@@ -413,36 +447,74 @@ def canonicalize(obj):
     return g, sign * (1 if zero else csign)
 
 
-def contract_edge_raw(g: RibbonGraph, edge_index: int):
-    """Edge contraction in standard labels, before canonicalization:
-    (vtype, oriented chords, sign)."""
-    a, b = g.chords[edge_index]
-    va, vb = vertex_of(g.vtype, a), vertex_of(g.vtype, b)
-    if va == vb:
-        raise ValueError("cannot contract a loop")
-    blocks = [list(v) for v in g.vertex_blocks()]
-    rest = [i for i in range(g.nverts) if i not in (va, vb)]
-    sign = perm_parity(tuple([va, vb] + rest))
-
-    def to_last(block, h):
-        i = block.index(h)
-        return block[i + 1:] + block[:i + 1]
-
-    merged = to_last(blocks[va], a)[:-1] + to_last(blocks[vb], b)[:-1]
-    vertices = [merged] + [blocks[i] for i in rest]
-    edges = [c for j, c in enumerate(g.chords) if j != edge_index]
-    vt, ch, s2 = FullyOrderedGraph(vertices, edges).standardize()
-    return vt, ch, sign * s2
+def _move_relabeling(vertices, size, shuffle):
+    """Template of a move that lists `vertices` (tuples of labels below
+    `size`) in this order after the vertex shuffle `shuffle`: (vtype, R,
+    sign), R[h] the standard label of h (0 for a label no vertex lists)."""
+    vtype, new, sign = _sorting_relabeling(tuple(len(v) for v in vertices))
+    R = np.zeros(size, dtype=np.int64)
+    R[[h for v in vertices for h in v]] = new
+    return vtype, R, sign * perm_parity(tuple(shuffle))
 
 
-def contract_edge(g: RibbonGraph, edge_index: int):
-    """Contract one non-loop edge: (RibbonGraph, sign).
+@lru_cache(maxsize=None)
+def _contraction_template(vtype, a, b):
+    """Template of contracting the edge (a, b) of any graph of type
+    `vtype`, None for a loop: (vtype', R, sign).
 
     The edge's start vertex moves to the front of the vertex order, its end
     vertex second (sign of that shuffle); the cyclic orders are rotated so
     the two half-edges sit last in their blocks, and the merged vertex
     keeps the remaining half-edges in that order, placed first.
     """
+    va, vb = vertex_of(vtype, a), vertex_of(vtype, b)
+    if va == vb:
+        return None
+    offs = type_offsets(vtype)
+    blocks = [list(range(o, o + k)) for o, k in zip(offs, vtype)]
+    rest = [i for i in range(len(vtype)) if i not in (va, vb)]
+
+    def to_last(block, h):
+        i = block.index(h)
+        return block[i + 1:] + block[:i + 1]
+
+    merged = to_last(blocks[va], a)[:-1] + to_last(blocks[vb], b)[:-1]
+    return _move_relabeling([merged] + [blocks[i] for i in rest], sum(vtype),
+                            [va, vb] + rest)
+
+
+def _contractions(g: RibbonGraph):
+    """All non-loop contractions of g, before canonicalization, grouped by
+    result type: {vtype: (chords, signs)}, `chords` an int array (moves x
+    edges x 2), in edge order within each type."""
+    groups: dict = {}
+    for j, (a, b) in enumerate(g.chords):
+        t = _contraction_template(g.vtype, a, b)
+        if t is not None:
+            groups.setdefault(t[0], []).append((j, t[1], t[2]))
+    chords = np.array(g.chords, dtype=np.int64)
+    out = {}
+    for vtype, moves in groups.items():
+        js, Rs, signs = zip(*moves)
+        moved = np.stack(Rs)[np.arange(len(js))[:, None, None], chords]
+        others = ~np.eye(g.nedges, dtype=bool)[list(js)]
+        out[vtype] = (moved[others].reshape(len(js), -1, 2), signs)
+    return out
+
+
+def contract_edge_raw(g: RibbonGraph, edge_index: int):
+    """Edge contraction in standard labels, before canonicalization:
+    (vtype, oriented chords, sign); see `_contraction_template`."""
+    t = _contraction_template(g.vtype, *g.chords[edge_index])
+    if t is None:
+        raise ValueError("cannot contract a loop")
+    vtype, R, sign = t
+    rest = np.delete(np.array(g.chords, dtype=np.int64), edge_index, axis=0)
+    return vtype, tuple(map(tuple, R[rest].tolist())), sign
+
+
+def contract_edge(g: RibbonGraph, edge_index: int):
+    """Contract one non-loop edge: (RibbonGraph, sign)."""
     vt, ch, sign = contract_edge_raw(g, edge_index)
     rg, s2 = canonicalize((vt, ch))
     return rg, sign * s2
@@ -451,53 +523,80 @@ def contract_edge(g: RibbonGraph, edge_index: int):
 IdealEdge = namedtuple("IdealEdge", ["vertex", "arc_a", "arc_b"])
 
 
-def ideal_edges(g: RibbonGraph):
-    """Unordered splittings of one vertex's cyclic order into two arcs of
-    length >= 2; a vertex of valency k contributes k(k-3)/2 of them."""
-    out = []
-    for v, block in enumerate(g.vertex_blocks()):
+@lru_cache(maxsize=None)
+def _expansion_moves(vtype):
+    """{IdealEdge: (vtype', R, sign)} for every ideal edge of the type,
+    sorted; R maps the labels 0 .. 2e+1 to standard labels, the new edge
+    being (2e, 2e+1).
+
+    The split vertex moves to the front of the vertex order (sign); the two
+    new vertices (arc_a + 2e) and (arc_b + 2e+1) take its place in
+    positions one and two.
+    """
+    size = sum(vtype)
+    offs = type_offsets(vtype)
+    blocks = [tuple(range(o, o + k)) for o, k in zip(offs, vtype)]
+    edges = set()
+    for v, block in enumerate(blocks):
         k = len(block)
-        if k < 4:
-            continue
-        seen = set()
         for start in range(k):
             rot = block[start:] + block[:start]
             for cut in range(2, k - 1):
-                pair = frozenset((tuple(rot[:cut]), tuple(rot[cut:])))
-                if pair in seen:
-                    continue
-                seen.add(pair)
-                arc_a, arc_b = sorted(pair)
-                out.append(IdealEdge(v, arc_a, arc_b))
-    out.sort()
+                arc_a, arc_b = sorted((rot[:cut], rot[cut:]))
+                edges.add(IdealEdge(v, arc_a, arc_b))
+    out = {}
+    for ie in sorted(edges):
+        rest = [i for i in range(len(vtype)) if i != ie.vertex]
+        vertices = [ie.arc_a + (size,), ie.arc_b + (size + 1,)]
+        out[ie] = _move_relabeling(vertices + [blocks[i] for i in rest],
+                                   size + 2, [ie.vertex] + rest)
     return out
+
+
+@lru_cache(maxsize=None)
+def _expansion_templates(vtype):
+    """The expansion templates grouped by result type: {vtype': (R,
+    signs)}, one row of R per ideal edge, in `ideal_edges` order."""
+    groups: dict = {}
+    for vt, R, sign in _expansion_moves(vtype).values():
+        groups.setdefault(vt, []).append((R, sign))
+    return {vt: (np.stack([R for R, _ in rows]), tuple(s for _, s in rows))
+            for vt, rows in groups.items()}
+
+
+def _expansions(g: RibbonGraph):
+    """All ideal-edge expansions of g, before canonicalization, grouped by
+    result type: {vtype: (chords, signs)} as for `_contractions`."""
+    size = 2 * g.nedges
+    chords = np.array(g.chords + ((size, size + 1),), dtype=np.int64)
+    return {vt: (R[:, chords], signs)
+            for vt, (R, signs) in _expansion_templates(g.vtype).items()}
+
+
+def ideal_edges(g: RibbonGraph):
+    """Unordered splittings of one vertex's cyclic order into two arcs of
+    length >= 2; a vertex of valency k contributes k(k-3)/2 of them."""
+    return list(_expansion_moves(g.vtype))
 
 
 def expand_ideal_edge_raw(g: RibbonGraph, ie: IdealEdge):
     """Ideal-edge expansion in standard labels, before canonicalization:
-    (vtype, oriented chords, sign)."""
-    v = ie.vertex
-    blocks = g.vertex_blocks()
-    if v >= len(blocks) or len(ie.arc_a) < 2 or len(ie.arc_b) < 2 \
-            or sorted(ie.arc_a + ie.arc_b) != sorted(blocks[v]):
+    (vtype, oriented chords, sign); see `_expansion_moves`."""
+    move = _expansion_moves(g.vtype).get(ie)
+    if move is None:
         raise ValueError("malformed ideal edge")
-    sign = perm_parity(tuple([v] + [i for i in range(g.nverts) if i != v]))
+    vtype, R, sign = move
     size = 2 * g.nedges
-    na, nb = size, size + 1
-    vertices = [tuple(ie.arc_a) + (na,), tuple(ie.arc_b) + (nb,)]
-    vertices += [blocks[i] for i in range(g.nverts) if i != v]
-    edges = list(g.chords) + [(na, nb)]
-    vt, ch, s2 = FullyOrderedGraph(vertices, edges).standardize()
-    return vt, ch, sign * s2
+    chords = R[np.array(g.chords + ((size, size + 1),), dtype=np.int64)]
+    return vtype, tuple(map(tuple, chords.tolist())), sign
 
 
 def expand_ideal_edge(g: RibbonGraph, ie: IdealEdge):
     """Blow one vertex up into two joined by a new edge: (RibbonGraph, sign).
 
-    The split vertex moves to the front of the vertex order (sign); the two
-    new vertices (arc_a + a) and (arc_b + b) take its place in positions
-    one and two, and the new edge is directed (a, b).  Contracting the new
-    edge of the result returns the original graph.
+    The new edge is directed (a, b) from the vertex of arc_a to that of
+    arc_b.  Contracting the new edge of the result returns the original
+    graph.
     """
     vt, ch, sign = expand_ideal_edge_raw(g, ie)
     rg, s2 = canonicalize((vt, ch))
@@ -610,11 +709,11 @@ def enumerate_graphs(nvert, nedge, connected=False):
             row += int(np.argmin(visited[row:]))
             if visited[row]:
                 break
-            chords = _chords_of_key(int(keys[row]), size)
-            orbit, signs, _ = _orbits(vtype, [chords])
+            orbit, signs, _ = _orbits(vtype,
+                                      _chords_of_keys(keys[row:row + 1], size))
             hits = np.searchsorted(keys, orbit[0])
             assert (keys[hits] == orbit[0]).all()
             visited[hits] = True
-            canonical, _, aut, zero = _class_data(size, orbit[0], signs[0])
+            [(canonical, _, aut, zero)] = _class_rows(size, orbit, signs)
             out.append(_make_graph(vtype, canonical, aut, zero))
     return tuple(sorted(out, key=lambda g: g.sort_key))

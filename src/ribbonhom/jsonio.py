@@ -23,11 +23,11 @@ import json
 
 from .ainfinity import AInfinityAlgebra
 from .complexes import GraphChain
-from .graphs import RibbonGraph, canonicalize
+from .graphs import RibbonGraph, canonicalize, check_diagram
 from .lie import CEChain
 from .scalars import json_scalar, parse_scalar
 from .superspace import SuperDim, SuperTensor, SymplecticForm
-from .tcft import LeggedGraph, canonicalize_legged, check_diagram
+from .tcft import LeggedGraph, canonicalize_legged
 
 
 def _signature(dim: SuperDim) -> dict:

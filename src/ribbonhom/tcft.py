@@ -36,8 +36,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .ainfinity import AInfinityAlgebra, ValidationReport
-from .graphs import (_class_data, _diagram_keys, _orbits, _scan_cached,
-                     _standardize_diagram, _valency_partitions,
+from .graphs import (_class_rows, _diagram_keys, _orbits, _scan_cached,
+                     _standardize_diagram, _valency_partitions, check_diagram,
                      perfect_matchings, type_offsets)
 from .scalars import LinearCombination, format_scalar
 from .superspace import SuperTensor, contract
@@ -118,14 +118,6 @@ def _make_legged(vtype, legs_in, legs_out, chords, aut, zero) -> LeggedGraph:
 
 
 EMPTY_LEGGED = _make_legged((), (), (), (), 1, False)
-
-
-def check_diagram(vtype, legs_in, legs_out, chords):
-    if any(k < 3 for k in vtype):
-        raise ValueError("internal valencies must be >= 3")
-    ends = list(legs_in) + list(legs_out) + [h for c in chords for h in c]
-    if sorted(ends) != list(range(sum(vtype))):
-        raise ValueError("legs and edges must partition the half-edge slots")
 
 
 def canonicalize_legged(diagram):
@@ -269,9 +261,12 @@ def compose_tensors(t1: SuperTensor, t2: SuperTensor, n, pairing):
     return contract([t1, t2], chords, pairing, legs)
 
 
-def composition_compatibility(algebra: AInfinityAlgebra, g1, g2):
+def composition_compatibility(algebra: AInfinityAlgebra, g1, g2,
+                              correlators=None):
     """Report whether the correlator of the glued graph equals the
-    composition of the two correlators, exactly."""
+    composition of the two correlators, exactly.  `correlators`, a dict
+    kept across calls on the same algebra, memoizes the correlator of
+    each canonical graph."""
     report = ValidationReport()
     g1, s1 = canonicalize_legged(g1)
     g2, s2 = canonicalize_legged(g2)
@@ -279,10 +274,15 @@ def composition_compatibility(algebra: AInfinityAlgebra, g1, g2):
         report.fail("arity", f"{g1.nout} outgoing legs against "
                              f"{g2.nin} incoming")
         return report
+    if correlators is None:
+        correlators = {}
+    for g in (g1, g2):
+        if g not in correlators:
+            correlators[g] = correlation(algebra, g)
     diagram, s = glue_diagram(g1, g2)
     glued = correlation(algebra, diagram).scale(s * s1 * s2)
-    composed = compose_tensors(correlation(algebra, g1).scale(s1),
-                               correlation(algebra, g2).scale(s2),
+    composed = compose_tensors(correlators[g1].scale(s1),
+                               correlators[g2].scale(s2),
                                g1.nout, algebra.dual_pairing())
     if glued != composed:
         diff = glued - composed
@@ -324,8 +324,8 @@ def enumerate_legged_graphs(nin, nout, nedges):
                     continue
                 keys, signs, leg_keys = _orbits(vtype, [mat], [legs])
                 seen.update(zip(leg_keys[0].tolist(), keys[0].tolist()))
-                (images, ch), _, aut, zero = _class_data(
-                    size, keys[0], signs[0], leg_keys[0], nin + nout)
+                [((images, ch), _, aut, zero)] = _class_rows(
+                    size, keys, signs, leg_keys, nin + nout)
                 out.append(_make_legged(vtype, images[:nin], images[nin:],
                                         ch, aut, zero))
     return tuple(sorted(out, key=lambda g: g.sort_key))

@@ -366,6 +366,38 @@ def ideal_edge_count_oracle(valency):
     return len(found)
 
 
+def ideal_expansions_oracle(vtype, chords):
+    """Every ideal-edge expansion of a standard graph, one vertex split at
+    a time, as [((vertex, arc_a, arc_b), (vtype', chords', sign))] sorted
+    by ideal edge; arc_a < arc_b are the two arcs of length >= 2.
+
+    The split vertex is moved to the front of the vertex order (sign of
+    that rearrangement); it is replaced by the vertices arc_a + (n,) and
+    arc_b + (n + 1,), n = 2e, joined by the new edge (n, n + 1).  The
+    result is standardized but not canonicalized.
+    """
+    offs = type_offsets(vtype)
+    m = len(vtype)
+    blocks = [tuple(range(offs[v], offs[v] + vtype[v])) for v in range(m)]
+    n = 2 * len(chords)
+    out = []
+    for v, block in enumerate(blocks):
+        k = len(block)
+        splits = set()
+        for start in range(k):
+            rot = block[start:] + block[:start]
+            for cut in range(2, k - 1):
+                splits.add(tuple(sorted((rot[:cut], rot[cut:]))))
+        rest = [i for i in range(m) if i != v]
+        shuffle = perm_sign([v] + rest)
+        for arc_a, arc_b in sorted(splits):
+            new_vertices = [arc_a + (n,), arc_b + (n + 1,)]
+            new_vertices += [blocks[i] for i in rest]
+            vt, ch, s2 = standardize(new_vertices, list(chords) + [(n, n + 1)])
+            out.append(((v, arc_a, arc_b), (vt, ch, shuffle * s2)))
+    return out
+
+
 # ------------------------------------------------------------ cyclic words
 
 def cyclic_reduce_oracle(word, parities):

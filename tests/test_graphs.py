@@ -8,14 +8,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles as O
 from ribbonhom.graphs import (EMPTY_GRAPH, FullyOrderedGraph, RibbonGraph,
-                              _matching_keys, _matching_table, canonicalize,
-                              connected_components, contract_edge,
+                              _contractions, _expansions, _matching_keys,
+                              _matching_table,
+                              _orbits, _scan_batch, _valency_partitions,
+                              canonicalize, connected_components,
+                              contract_edge, contract_edge_raw,
                               disjoint_union, enumerate_graphs,
-                              expand_ideal_edge, ideal_edges, perfect_matchings,
-                              valency_types)
+                              expand_ideal_edge, expand_ideal_edge_raw,
+                              ideal_edges, perfect_matchings, valency_types)
 
 PINNED = json.loads(
     (Path(__file__).parent / "data" / "pinned.json").read_text())
@@ -109,11 +113,22 @@ def test_contract_loop_rejected():
 
 
 def test_ideal_edge_counts_match_pins():
+    # an odd valency k needs a trivalent partner vertex, type (3, k); a
+    # trivalent vertex has no ideal edges
     for valency, count in PINNED["ideal_edge_count"].items():
-        g, _ = canonicalize(((int(valency),),
-                             tuple((2 * i, 2 * i + 1)
-                                   for i in range(int(valency) // 2))))
+        k = int(valency)
+        vtype = (3,) * (k % 2) + (k,)
+        size = sum(vtype)
+        g, _ = canonicalize((vtype, tuple((2 * i, 2 * i + 1)
+                                          for i in range(size // 2))))
         assert len(ideal_edges(g)) == count
+
+
+def test_uncovered_half_edge_rejected():
+    with pytest.raises(ValueError):
+        canonicalize(((5,), ((0, 1), (2, 3))))
+    with pytest.raises(ValueError):
+        canonicalize(((4,), ((0, 1), (1, 2))))
 
 
 def test_contract_opposite_order_gives_opposite_orientation():
@@ -212,3 +227,116 @@ def test_harer_zagier_orbifold_euler_characteristics():
                 key = (genus, n)
                 sums[key] = sums.get(key, 0) + Fraction((-1) ** e, aut)
     assert {k: sums[k] for k in expected} == expected
+
+
+def _grouped(moves):
+    """Per-move (vtype, chords, sign) triples grouped by vtype, in order."""
+    groups = {}
+    for vt, ch, s in moves:
+        groups.setdefault(vt, []).append((ch, s))
+    return groups
+
+
+def _as_lists(batched):
+    """Batched moves {vtype: (chords array, signs)} in the form of
+    `_grouped`."""
+    return {vt: [(tuple(map(tuple, c)), s)
+                 for c, s in zip(chords.tolist(), signs)]
+            for vt, (chords, signs) in batched.items()}
+
+
+def _classes_to_e6():
+    return [g for e in range(1, 7) for v in range(1, 2 * e // 3 + 1)
+            for g in enumerate_graphs(v, e)]
+
+
+def test_contraction_templates_match_oracle():
+    # every contraction of every class with e <= 6, one move at a time
+    # against the oracle and batched against the single moves
+    for g in _classes_to_e6():
+        edges = [j for j in range(g.nedges) if not g.is_loop(j)]
+        contracted = [contract_edge_raw(g, j) for j in edges]
+        assert contracted == [O.contract_edge_oracle(g.vtype, g.chords, j)
+                              for j in edges], g
+        assert _as_lists(_contractions(g)) == _grouped(contracted), g
+
+
+def test_expansion_templates_match_oracle():
+    # the ideal edges of every class with e <= 6, in order, and every
+    # expansion, batched by result type, move by move against the oracle
+    for g in _classes_to_e6():
+        expected = O.ideal_expansions_oracle(g.vtype, g.chords)
+        assert ideal_edges(g) == [ie for ie, _ in expected], g
+        assert _as_lists(_expansions(g)) == _grouped(
+            move for _, move in expected), g
+
+
+def test_single_expansion_matches_batch():
+    for g in _classes_to_e6():
+        assert _as_lists(_expansions(g)) == _grouped(
+            expand_ideal_edge_raw(g, ie) for ie in ideal_edges(g)), g
+
+
+def test_expansion_rejects_a_split_that_is_no_ideal_edge():
+    g, _ = canonicalize(LOOP_PAIR)
+    with pytest.raises(ValueError):
+        expand_ideal_edge_raw(g, (0, (0, 2), (1, 3)))
+    with pytest.raises(ValueError):
+        expand_ideal_edge_raw(g, (1, (0, 1), (2, 3)))
+
+
+def _labels(key, count):
+    return tuple((key >> (4 * (15 - h))) & 15 for h in range(count))
+
+
+def _class_data_reference(size, keys, signs, leg_keys=None, nlegs=0):
+    """(canonical, sign, aut, zero) of one diagram from its orbit row of
+    packed keys (4 bits per label, first label highest)."""
+    if leg_keys is None:
+        best = keys.min()
+        eq = keys == best
+    else:
+        best_legs = leg_keys.min()
+        eq = leg_keys == best_legs
+        best = keys[eq].min()
+        eq &= keys == best
+    eq_signs = signs[eq]
+    zero = bool(eq_signs.min() != eq_signs.max())
+    stab = int(eq.sum())
+    canonical = tuple((a, b) for a, b in enumerate(_labels(int(best), size))
+                      if a < b)
+    if leg_keys is not None:
+        canonical = (_labels(int(best_legs), nlegs), canonical)
+    return (canonical, None if zero else int(eq_signs[0]),
+            stab // 2 if zero else stab, zero)
+
+
+@st.composite
+def raw_diagrams(draw):
+    """A batch of random oriented diagrams of one valency type with at most
+    16 slots, legged (with the same leg count) or plain."""
+    nlegs = draw(st.sampled_from([0, 0, 1, 2, 3]))
+    nedges = draw(st.integers(1 if nlegs else 2, (16 - nlegs) // 2))
+    size = 2 * nedges + nlegs
+    vtype = draw(st.sampled_from([t for m in range(1, size // 3 + 1)
+                                  for t in _valency_partitions(size, m)]))
+    chord_lists, leg_lists = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        slots = draw(st.permutations(range(size)))
+        legs, rest = slots[:nlegs], slots[nlegs:]
+        chord_lists.append(tuple(zip(rest[0::2], rest[1::2])))
+        leg_lists.append(tuple(legs))
+    return vtype, chord_lists, (leg_lists if nlegs else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_diagrams())
+def test_scan_batch_matches_row_reference(diagram):
+    vtype, chord_lists, leg_lists = diagram
+    keys, signs, leg_keys = _orbits(vtype, chord_lists, leg_lists)
+    nlegs = len(leg_lists[0]) if leg_lists else 0
+    expected = [_class_data_reference(sum(vtype), keys[i], signs[i],
+                                      None if leg_lists is None
+                                      else leg_keys[i], nlegs)
+                for i in range(len(chord_lists))]
+    assert _scan_batch(vtype, chord_lists, leg_lists) == expected

@@ -29,7 +29,7 @@ from .complexes import (GraphChain, basis, boundary, coboundary,
                         homology_dims, is_boundary, pairing)
 from .feynman import integral_I, integral_I_inverse, pair_chain_graph
 from .fixtures import frobenius_pair
-from .graphs import enumerate_graphs
+from .graphs import MAX_HALF_EDGES, enumerate_graphs
 from .lie import CEChain, CyclicWord, ce_differential
 from .scalars import json_scalar
 from .superspace import SuperDim
@@ -55,6 +55,11 @@ SUITE_BOUNDS = {
     "invariance": {"edges": 4},
     "tcft": {"edges": 2},
 }
+
+# edges past --edges that a suite's diagrams reach: the coboundary of the
+# top bidegree (kontsevich), the coboundary twice (delta2) and the
+# boundary witness one bidegree up (invariance)
+EXTRA_EDGES = {"delta2": 2, "kontsevich": 1, "invariance": 1}
 
 CHAINS_PER_SIGNATURE = 200
 TWIST_COUNT = 10
@@ -132,6 +137,26 @@ def _bound(args, suite, key):
     if span is None:
         return SUITE_BOUNDS[suite][key]
     return span if isinstance(span, int) else span[1]
+
+
+def _check_window(args, suite):
+    """Refuse a suite's window before any work: an --order too small for
+    a cyclic word, or diagrams beyond the half-edge cap."""
+    emax = _bound(args, suite, "edges")
+    slots = 2 * (emax + EXTRA_EDGES.get(suite, 0))
+    if suite in ("kontsevich", "triangle"):
+        order = _bound(args, suite, "order")
+        if order < 3:
+            raise ValueError(f"--order {order} is below 3: cyclic words "
+                             f"need at least 3 letters")
+        if suite == "triangle":
+            # integrating words of `order` letters gives order // 2 edges
+            slots = max(slots, 2 * (order // 2))
+    if slots > MAX_HALF_EDGES:
+        raise NotImplementedError(
+            f"verify {suite} --edges {emax} reaches diagrams of {slots} "
+            f"half-edge slots; graphs beyond {MAX_HALF_EDGES} half-edge "
+            f"slots (8 edges) are out of scope")
 
 
 def _grid(emax):
@@ -615,6 +640,8 @@ _SUITE_FNS = {
 
 def cmd_verify(args):
     names = SUITES if args.suite == "all" else (args.suite,)
+    for name in names:
+        _check_window(args, name)
     rows = []
     checks = 0
     failures = 0

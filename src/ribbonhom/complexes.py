@@ -7,13 +7,16 @@ edge expansions weighted by automorphism-count ratios (bidegree (+1,+1)),
 making it the exact adjoint of the boundary for this pairing.
 
 The moves of one graph come from the cached move templates of `graphs`,
-grouped by result type, and each group is canonicalized in one batched
-scan.  The coboundary of g sums s * aut(h) over the expansions landing in
-each class h as integers and divides by aut(g) once.
+grouped by result type, and each group goes to `_scan_batch`, which
+canonicalizes every move by the canonical search.  The coboundary of g
+sums s * aut(h) over the expansions landing in each class h as integers,
+over the denominator aut(g); the coboundary of a chain puts its
+coefficients over one common denominator and also sums integers.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -69,7 +72,7 @@ def _as_chain(x) -> GraphChain:
 def _canonical_sum(groups, weight):
     """Sum of raw moves given per result type, {vtype: (chords, signs)},
     as {RibbonGraph: coeff}, each canonical class counted with the integer
-    weight(aut); the moves of one type are scanned in a single batch."""
+    weight(aut); the moves of one type go to `_scan_batch` together."""
     acc: dict = {}
     for vt, (chords, signs) in groups.items():
         for s, (canonical, csign, aut, zero) in zip(signs,
@@ -88,9 +91,10 @@ def _boundary_graph(g: RibbonGraph):
 
 @lru_cache(maxsize=None)
 def _coboundary_graph(g: RibbonGraph):
-    # sum s * aut(h) over the expansions landing in h, then divide once
+    """The coboundary of g as integer numerators over g.aut: s * aut(h)
+    summed over the expansions landing in each class h."""
     acc = _canonical_sum(_expansions(g), lambda aut: aut)
-    return tuple((rg, Fraction(c, g.aut)) for rg, c in acc.items() if c)
+    return tuple((rg, c) for rg, c in acc.items() if c)
 
 
 def boundary(x) -> GraphChain:
@@ -104,12 +108,17 @@ def boundary(x) -> GraphChain:
 
 def coboundary(x) -> GraphChain:
     """Sum of ideal-edge expansions weighted by automorphism ratios,
-    extended linearly; the adjoint of `boundary`."""
+    extended linearly; the adjoint of `boundary`.  The coefficients of x
+    over the automorphism counts are put over one denominator, the sum
+    runs over the integers, and each output class is divided once."""
+    terms = _as_chain(x).terms
+    den = math.lcm(*(c.denominator * g.aut for g, c in terms.items()))
     out: dict = {}
-    for g, c in _as_chain(x).terms.items():
-        for rg, s in _coboundary_graph(g):
-            out[rg] = out.get(rg, 0) + c * s
-    return GraphChain(out)
+    for g, c in terms.items():
+        weight = c.numerator * (den // (c.denominator * g.aut))
+        for rg, n in _coboundary_graph(g):
+            out[rg] = out.get(rg, 0) + weight * n
+    return GraphChain()._new({rg: Fraction(n, den) for rg, n in out.items()})
 
 
 def pairing(x, y):

@@ -11,24 +11,27 @@ negates the graph.
 Two diagrams give the same oriented graph exactly when a relabeling built
 from a valency-preserving vertex permutation and rotations of the cyclic
 orders carries one matching to the other; the sign of the relabeling is
-the vertex-permutation sign times (-1) per reversed edge.  Canonical forms
-take the minimum matching over this group (as partner arrays, compared
-lexicographically); a class is ZERO when some relabeling stabilizes the
-matching with sign -1.  The group action is evaluated for all elements at
-once with numpy on small integer matrices.  Each image matching is packed
-into one uint64 key, 4 bits per partner label, so that key order is the
-lexicographic order; this packing caps graphs at 16 half-edge slots.
+the vertex-permutation sign times (-1) per reversed edge.  The canonical
+form is the least image matching over this group (as partner arrays,
+compared lexicographically); a class is ZERO when some relabeling
+stabilizes the matching with sign -1.
 
-The same scan canonicalizes the legged diagrams of `tcft`.  A leg slot is
-a fixed point of the matching (its own partner), and the images of the
-leg slots, incoming then outgoing, are packed into a second key that is
-compared first.  The cap counts the leg slots: a graph without legs has
-at most 8 edges.
+Canonical forms come from one pruned search (`_canonical_search`), the
+individualization of nauty (McKay & Piperno 2014) and the rooted code of
+plantri (Brinkmann & McKay 2007) applied to the least partner array.  It
+fills the image labels in order: it branches only where a label's block
+holds no vertex yet, over the unplaced vertices of that valency and their
+rotations; everywhere else the least entry forces the placement.  Depth
+first, with the least image so far as the incumbent, it drops a branch at
+its first larger entry; the relabelings that survive are the coset onto
+the canonical form, so they give the sign, |Aut| and the ZERO flag.
 
-A batch of diagrams of one type is scanned in one pass: the orbit keys
-form a (diagrams x relabelings) array, and the minimum of each row, the
-stabilizer mask, its size and its signs are reductions along the rows.
-Each distinct canonical key is decoded to chords once.
+The same search canonicalizes the legged diagrams of `tcft`.  A leg slot
+is a fixed point of the matching (its own partner), and the images of the
+leg slots, incoming then outgoing, are compared first: each leg's vertex
+is placed, in order, before the legless search runs.  Graphs are capped
+at 16 half-edge slots, legs included, so a graph without legs has at most
+8 edges.
 
 The moves of the complex, contracting an edge and expanding an ideal
 edge, relabel half-edges in a way that depends only on the valency type
@@ -36,12 +39,16 @@ and the half-edges involved, not on the other chords.  Each such
 relabeling, composed with the standardization and its sign, is built once
 and cached as an integer array (a move template).  All the contractions or
 all the expansions of one graph are then a single numpy gather per result
-type, which feeds the batched scan directly.
+type, which goes to `_scan_batch` as an array.
 
-Enumeration builds, once per size, the table of all (2e-1)!! perfect
-matchings as partner rows in lexicographic order, with their sorted keys.
-Per valency type it scans the first matching not yet covered and marks its
-whole orbit covered by looking the orbit's keys up in the table.
+Enumeration with two or more vertices generates the connected classes by
+ideal-edge expansion of the connected classes one vertex down
+(`_connected_classes`), and the disconnected ones as disjoint unions of
+connected classes.  One-vertex classes, and the legged classes of `tcft`,
+still come from a sweep: the table of all (2e-1)!! perfect matchings as
+packed partner keys in lexicographic order, where the first matching not
+yet covered is canonicalized and its whole orbit under the relabeling
+group (`_orbits`, 4 bits per label in one uint64 key) is marked covered.
 """
 
 from __future__ import annotations
@@ -105,9 +112,10 @@ def perfect_matchings(points):
 
 # -------------------------------------------------------- canonical scans
 
-# Partner labels are packed 4 bits each into one uint64 key, first label
-# highest, so comparing keys compares partner arrays lexicographically.
-# This is what caps graphs at 16 half-edge slots, legs included.
+# The sweeps pack partner labels 4 bits each into one uint64 key, first
+# label highest, so comparing keys compares partner arrays
+# lexicographically.  That caps them at 16 half-edge slots, legs included,
+# and the same cap holds for every graph.
 MAX_HALF_EDGES = 16
 
 
@@ -226,54 +234,180 @@ def _orbits(vtype, chords, legs=None):
     return _packed_keys(buf), signs, leg_keys
 
 
-def _class_rows(size, keys, signs, leg_keys=None, nlegs=0):
-    """(canonical, sign, aut, zero) of each diagram from its orbit row.
+@lru_cache(maxsize=None)
+def _search_frame(vtype):
+    """Tables of the canonical search for one type.
 
-    The canonical form is the minimal image: the least partner array, or
-    with legs the least leg images and then the least partner array, and
-    then `canonical` is the pair (leg images, chords).  `sign` satisfies
-    [input] = sign * [canonical], and the class is ZERO when the
-    stabilizer of the canonical form holds both signs.  The whole batch
-    is reduced at once; each distinct canonical key is decoded once.
+    `offs[v]` is the block offset of vertex v and `vert[h]` the vertex of
+    slot h.  Placing the vertex of h in the block at offset b with h first
+    writes `cyc[h]` (its slots in cyclic order from h) to the labels from
+    b on, and `spot[h][b]` (the labels of its slots, in slot order) to its
+    slots.  `blocks[k]` and `members[k]` list the block offsets and the
+    vertices of valency k in order, and `starts[t]` is the valency of the
+    block starting at label t (0 inside a block).
     """
-    if leg_keys is None:
-        best = keys.min(axis=1)
-        eq = keys == best[:, None]
-        found = best.tolist()
-        distinct = list(dict.fromkeys(found))
-        forms = _chords_of_keys(np.array(distinct, dtype=np.uint64), size)
-    else:
-        best_legs = leg_keys.min(axis=1)
-        eq = leg_keys == best_legs[:, None]
-        best = np.where(eq, keys, np.iinfo(np.uint64).max).min(axis=1)
-        eq &= keys == best[:, None]
-        found = list(zip(best_legs.tolist(), best.tolist()))
-        distinct = list(dict.fromkeys(found))
-        legs, chords = np.array(distinct, dtype=np.uint64).T
-        forms = list(zip(map(tuple, _labels_of_keys(legs, nlegs)),
-                         _chords_of_keys(chords, size)))
-    forms = dict(zip(distinct, forms))
-    # the relabelings onto the canonical form are one coset of the
-    # stabilizer, on which the sign is a character: their signs are all
-    # equal, or split evenly and sum to zero exactly for ZERO classes
-    net = (signs * eq).sum(axis=1).tolist()
-    return [(forms[key], None if not n else 1 if n > 0 else -1,
-             count if n else count // 2, not n)
-            for key, n, count in zip(found, net, eq.sum(axis=1).tolist())]
+    offs = type_offsets(vtype)
+    vert = [v for v, k in enumerate(vtype) for _ in range(k)]
+    blocks = [[] for _ in range(max(vtype) + 1)]
+    members = [[] for _ in blocks]
+    starts = [0] * sum(vtype)
+    for v, (o, k) in enumerate(zip(offs, vtype)):
+        blocks[k].append(o)
+        members[k].append(v)
+        starts[o] = k
+    cyc = [tuple(o + (s + r) % k for s in range(k))
+           for o, k in zip(offs, vtype) for r in range(k)]
+    spot = [{b: tuple(b + (s - r) % k for s in range(k)) for b in blocks[k]}
+            for k in vtype for r in range(k)]
+    return offs, vert, cyc, spot, blocks, members, starts
+
+
+def _canonical_search(vtype, chords, legs=()):
+    """Least image of one oriented diagram: (image partner array, leg
+    images, net sign, count) over the relabelings that reach it.
+
+    Labels are filled in order.  At a label whose block holds no vertex
+    yet, the search branches over the unplaced vertices of its valency and
+    their rotations; otherwise the entry is the image of the partner of
+    the half-edge there, and an unplaced partner vertex goes to the next
+    free block of its valency, rotated so that the partner comes first,
+    which is the only least choice.  Blocks of one valency are therefore
+    taken in order.  The search runs depth first with the least image so
+    far as the incumbent and drops a branch at its first larger entry;
+    the leaves left are exactly the relabelings onto the least image.
+    Each leg is placed the same way first, in order, and is then a fixed
+    point of the matching.
+    """
+    offs, vert, cyc, spot, blocks, members, starts = _search_frame(vtype)
+    size = len(vert)
+    partner = list(range(size))
+    for a, b in chords:
+        partner[a] = b
+        partner[b] = a
+    img = [-1] * size
+    inv = [-1] * size
+    taken = [0] * len(blocks)
+    for h in legs:
+        if img[h] < 0:
+            v = vert[h]
+            k = vtype[v]
+            b = blocks[k][taken[k]]
+            taken[k] += 1
+            inv[b:b + k] = cyc[h]
+            img[offs[v]:offs[v] + k] = spot[h][b]
+    leg_images = tuple(img[h] for h in legs)
+    best = None
+    leaves = []
+    # pending branches: (label, img, inv, taken, choice at the label,
+    # whether the entries so far were below the incumbent, incumbent)
+    stack = [(0, img, inv, taken, -1, True, None)]
+    while stack:
+        t, img, inv, taken, h, less, mark = stack.pop()
+        less = less and best is mark
+        if h >= 0:
+            k = starts[t]
+            inv[t:t + k] = cyc[h]
+            img[offs[vert[h]]:offs[vert[h]] + k] = spot[h][t]
+        while t < size:
+            if -1 not in inv:
+                # every vertex placed: the other entries in one pass
+                if not less:
+                    rest = [img[partner[x]] for x in inv[t:]]
+                    if rest > best[t:]:
+                        break
+                    less = rest < best[t:]
+                t = size
+                continue
+            src = inv[t]
+            if src < 0:
+                # branch: the choices whose entry at t is least
+                k = starts[t]
+                taken[k] += 1
+                options = []
+                for v in members[k]:
+                    o = offs[v]
+                    if img[o] >= 0:
+                        continue
+                    for h in range(o, o + k):
+                        p = partner[h]
+                        if vert[p] == v:
+                            q = t + (p - h) % k
+                        else:
+                            q = img[p]
+                            if q < 0:
+                                kp = vtype[vert[p]]
+                                q = blocks[kp][taken[kp]]
+                        options.append((q, h))
+                least = min(options)[0]
+                if not less and least > best[t]:
+                    break
+                picks = [h for q, h in options if q == least]
+                for h in reversed(picks[1:]):
+                    stack.append((t, img[:], inv[:], taken[:], h, less, best))
+                src = picks[0]
+                o = offs[vert[src]]
+                inv[t:t + k] = cyc[src]
+                img[o:o + k] = spot[src][t]
+            p = partner[src]
+            q = img[p]
+            if q < 0:
+                v = vert[p]
+                k = vtype[v]
+                q = blocks[k][taken[k]]
+                taken[k] += 1
+                inv[q:q + k] = cyc[p]
+                img[offs[v]:offs[v] + k] = spot[p][q]
+            if not less:
+                if q > best[t]:
+                    break
+                less = q < best[t]
+            t += 1
+        else:
+            # a leaf, at or below the incumbent
+            if less:
+                best = [img[partner[x]] for x in inv]
+                leaves = []
+            leaves.append(img)
+    # the sign of a relabeling is the vertex-permutation parity times one
+    # factor -1 per reversed edge
+    net = 0
+    for img in leaves:
+        heads = [img[o] for o in offs]
+        flips = sum([img[a] > img[b] for a, b in chords])
+        for i, x in enumerate(heads):
+            for y in heads[i + 1:]:
+                flips += x > y
+        net += -1 if flips & 1 else 1
+    return best, leg_images, net, len(leaves)
 
 
 def _scan_batch(vtype, chords, legs=None):
-    """Scan many oriented diagrams of one type in a single vectorized pass.
+    """(canonical, sign, aut, zero) of each of many oriented diagrams of
+    one type, from `_canonical_search`.
 
     `chords` holds the oriented chords of each diagram, as a sequence of
-    chord tuples or an int array (diagrams x edges x 2).  Returns one
-    (canonical, sign, aut, zero) tuple per diagram.  With `legs` (the leg
-    slots of each diagram, incoming then outgoing, the same count for
-    all) the leg slots are fixed points of the scan.
+    chord tuples or an int array (diagrams x edges x 2).  The canonical
+    form is the least image partner array, as chords; with `legs` (the
+    leg slots of each diagram, incoming then outgoing) it is the least
+    leg images and then the least partner array, and `canonical` is the
+    pair (leg images, chords).  `sign` satisfies [input] = sign *
+    [canonical].  The relabelings onto the canonical form are one coset
+    of its stabilizer, on which the sign is a character: their signs are
+    all equal, or split evenly and sum to zero exactly for ZERO classes.
     """
-    keys, signs, leg_keys = _orbits(vtype, chords, legs)
-    return _class_rows(sum(vtype), keys, signs, leg_keys,
-                       0 if legs is None else len(legs[0]))
+    _check_size(sum(vtype))
+    if isinstance(chords, np.ndarray):
+        chords = chords.tolist()
+    out = []
+    for i, ch in enumerate(chords):
+        best, leg_images, net, count = _canonical_search(
+            vtype, ch, () if legs is None else legs[i])
+        canonical = tuple([(a, b) for a, b in enumerate(best) if a < b])
+        if legs is not None:
+            canonical = (leg_images, canonical)
+        out.append((canonical, None if not net else 1 if net > 0 else -1,
+                    count if net else count // 2, not net))
+    return out
 
 
 @lru_cache(maxsize=500_000)
@@ -603,16 +737,18 @@ def expand_ideal_edge(g: RibbonGraph, ie: IdealEdge):
     return rg, sign * s2
 
 
-def disjoint_union(g1: RibbonGraph, g2: RibbonGraph):
-    """Disjoint union, g1's vertices listed first: (RibbonGraph, sign)."""
-    if g1.nverts == 0:
-        return g2, 1
-    if g2.nverts == 0:
-        return g1, 1
-    shift = 2 * g1.nedges
-    vertices = list(g1.vertex_blocks())
-    vertices += [tuple(h + shift for h in blk) for blk in g2.vertex_blocks()]
-    edges = list(g1.chords) + [(a + shift, b + shift) for a, b in g2.chords]
+def disjoint_union(*graphs: RibbonGraph):
+    """Disjoint union, the vertices listed graph by graph: (RibbonGraph,
+    sign)."""
+    graphs = [g for g in graphs if g.nverts]
+    if len(graphs) < 2:
+        return (graphs[0] if graphs else EMPTY_GRAPH), 1
+    vertices, edges, shift = [], [], 0
+    for g in graphs:
+        vertices += [tuple(h + shift for h in block)
+                     for block in g.vertex_blocks()]
+        edges += [(a + shift, b + shift) for a, b in g.chords]
+        shift += 2 * g.nedges
     return canonicalize(FullyOrderedGraph(vertices, edges))
 
 
@@ -684,36 +820,118 @@ def _matching_keys(size):
     return _pad_keys(_matching_table(size))
 
 
+def _sweep_one_vertex(nedge):
+    """All classes with one vertex of valency 2 * nedge.  The first
+    matching of the table not yet covered is canonicalized by the search,
+    and its rotation orbit is marked covered."""
+    size = 2 * nedge
+    vtype = (size,)
+    keys = _matching_keys(size)
+    visited = np.zeros(len(keys), dtype=bool)
+    out = []
+    row = 0
+    while True:
+        row += int(np.argmin(visited[row:]))
+        if visited[row]:
+            return out
+        chords = _chords_of_keys(keys[row:row + 1], size)
+        orbit, _, _ = _orbits(vtype, chords)
+        hits = np.searchsorted(keys, orbit[0])
+        assert (keys[hits] == orbit[0]).all()
+        visited[hits] = True
+        [(canonical, _, aut, zero)] = _scan_batch(vtype, chords)
+        out.append(_make_graph(vtype, canonical, aut, zero))
+
+
+def _connected_classes(nvert, nedge):
+    """The connected classes with nvert >= 2 vertices: the distinct
+    classes of the ideal-edge expansions of the connected classes one
+    vertex and one edge down, restricted to expansions that split the
+    parent's unique vertex of largest valency into two vertices, one of
+    which has a valency at least every other vertex's.
+
+    Every connected class C arises so.  Let w be a vertex of C of largest
+    valency K.  C is connected with at least two vertices, so w has an
+    edge to another vertex u; contracting it gives a connected parent P
+    whose merged vertex has valency K + k_u - 2 > K, more than any other
+    vertex of P.  Splitting that vertex of P along the ideal edge that
+    separates the half-edges of w from those of u gives back C, with w
+    of valency K at least every other vertex's.  Classes are unchanged
+    by relabeling, so P may be taken canonical.
+    """
+    found = {}
+    for parent in enumerate_graphs(nvert - 1, nedge - 1, True):
+        vt = parent.vtype
+        top = len(vt) - 1   # the last vertex has the largest valency
+        others = vt[-2] if top else 0
+        if others == vt[-1]:
+            continue
+        groups: dict = {}
+        for ie, (child, R, _) in _expansion_moves(vt).items():
+            # the new vertices have valencies len(arc) + 1
+            if ie.vertex == top and \
+                    max(len(ie.arc_a), len(ie.arc_b)) + 1 >= others:
+                groups.setdefault(child, []).append(R)
+        size = 2 * parent.nedges
+        chords = np.array(parent.chords + ((size, size + 1),), dtype=np.int64)
+        for child, Rs in groups.items():
+            for form, _, aut, zero in _scan_batch(child,
+                                                  np.stack(Rs)[:, chords]):
+                found[child, form] = (aut, zero)
+    return [_make_graph(vt, form, aut, zero)
+            for (vt, form), (aut, zero) in found.items()]
+
+
+def _splits(nvert, nedge, most=None):
+    """Non-increasing sequences of at least one part (v, e), v >= 1 and
+    3v <= 2e, summing to (nvert, nedge), each part at most `most`."""
+    if nvert == 0:
+        if nedge == 0:
+            yield ()
+        return
+    for v in range(1, nvert + 1):
+        for e in range((3 * v + 1) // 2, nedge + 1):
+            if most is None or (v, e) <= most:
+                for tail in _splits(nvert - v, nedge - e, (v, e)):
+                    yield ((v, e),) + tail
+
+
+def _disconnected_classes(nvert, nedge):
+    """The disconnected classes: one disjoint union of connected classes
+    per multiset of components over the splits of (nvert, nedge)."""
+    out = []
+    for split in _splits(nvert, nedge):
+        if len(split) < 2:
+            continue
+        choices = [itertools.combinations_with_replacement(
+                       enumerate_graphs(v, e, True), split.count((v, e)))
+                   for v, e in dict.fromkeys(split)]
+        for parts in itertools.product(*choices):
+            out.append(disjoint_union(*itertools.chain(*parts))[0])
+    return out
+
+
 @lru_cache(maxsize=None)
 def enumerate_graphs(nvert, nedge, connected=False):
     """All oriented ribbon graph classes with the given counts, sorted;
     ZERO classes are included and flagged.
 
-    Per valency type, the first matching not yet covered is scanned and
-    its whole orbit is marked covered in the matching table; the connected
-    classes are filtered from the cached full window."""
-    if connected:
-        return tuple(g for g in enumerate_graphs(nvert, nedge) if g.connected)
+    One-vertex classes come from a sweep of the matching table.  With
+    two or more vertices the connected classes are generated from those
+    one vertex down (`_connected_classes`), and the others are disjoint
+    unions of connected classes."""
+    _check_size(2 * nedge)
     if nvert == 0:
-        return (EMPTY_GRAPH,) if nedge == 0 else ()
-    size = 2 * nedge
-    types = list(valency_types(nvert, nedge))
-    if not types:
+        return (EMPTY_GRAPH,) if nedge == 0 and not connected else ()
+    if not any(valency_types(nvert, nedge)):
         return ()
-    keys = _matching_keys(size)
-    out = []
-    for vtype in types:
-        visited = np.zeros(len(keys), dtype=bool)
-        row = 0
-        while True:
-            row += int(np.argmin(visited[row:]))
-            if visited[row]:
-                break
-            orbit, signs, _ = _orbits(vtype,
-                                      _chords_of_keys(keys[row:row + 1], size))
-            hits = np.searchsorted(keys, orbit[0])
-            assert (keys[hits] == orbit[0]).all()
-            visited[hits] = True
-            [(canonical, _, aut, zero)] = _class_rows(size, orbit, signs)
-            out.append(_make_graph(vtype, canonical, aut, zero))
+    if nvert == 1:
+        if connected:
+            return enumerate_graphs(1, nedge)
+        out = _sweep_one_vertex(nedge)
+    elif connected:
+        out = _connected_classes(nvert, nedge)
+    else:
+        out = [*enumerate_graphs(nvert, nedge, True),
+               *_disconnected_classes(nvert, nedge)]
     return tuple(sorted(out, key=lambda g: g.sort_key))

@@ -335,7 +335,8 @@ def contract(tensors, chords, pairing, legs=()) -> SuperTensor:
     The product itself is never formed.  Words are placed one tensor at a
     time, a chord's pairing entry is multiplied in as soon as both of its
     ends are placed, a branch is dropped when that entry vanishes, and the
-    Koszul sign is taken only for words that survive.
+    Koszul sign is taken only for words that survive, from the inverted
+    slot pairs of the shuffle listed once per call.
 
     The loop runs over the integers.  Each tensor's coefficients are
     multiplied by the lcm d_i of their denominators, and the pairing's
@@ -371,6 +372,11 @@ def contract(tensors, chords, pairing, legs=()) -> SuperTensor:
     if not all(tensors):
         return SuperTensor.zero(dim, len(legs))
     odd = [0] * (2 * dim.n) + [1] * dim.m
+    # the inverted slot pairs of the shuffle, listed once; a word's Koszul
+    # sign is the parity of the odd-odd pairs among them
+    inversions = [(a, b) for a in range(len(target))
+                  for b in range(a + 1, len(target))
+                  if target[a] > target[b]] if dim.m else []
     d_pairing, pairing = _cleared_pairing(pairing)
     scale = d_pairing ** len(chords)
     layers = []
@@ -385,7 +391,8 @@ def contract(tensors, chords, pairing, legs=()) -> SuperTensor:
 
     def place(depth, val):
         if depth == len(layers):
-            sign = koszul_sign([odd[x] for x in word], target)
+            flips = sum([odd[word[a]] & odd[word[b]] for a, b in inversions])
+            sign = -1 if flips & 1 else 1
             key = tuple(word[s] for s in legs)
             out[key] = out.get(key, 0) + sign * val
             return

@@ -12,9 +12,10 @@ This is the convention the correlator below respects on the nose: the
 vertex tensors are odd (transposing two vertices negates the state sum),
 the edge pairing is super-skew (reversing a direction negates it) and
 parity-even (the list order of the edges is immaterial).  Canonical forms
-come from the canonical scan of `graphs`, with the leg slots as fixed
-points whose images are compared first; so a legged diagram, legs
-included, has at most 16 half-edge slots.
+come from the canonical search of `graphs`, with the leg slots as fixed
+points whose images are compared first; a legged diagram, legs included,
+has at most 16 half-edge slots.  Legged classes are enumerated by a sweep
+over leg placements and matchings that marks each class's orbit covered.
 
 Gluing joins outgoing leg j of the first graph to incoming leg j of the
 second by a new internal edge directed first-to-second.  The correlator
@@ -36,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .ainfinity import AInfinityAlgebra, ValidationReport
-from .graphs import (_class_rows, _diagram_keys, _orbits, _scan_cached,
+from .graphs import (_diagram_keys, _orbits, _scan_batch, _scan_cached,
                      _standardize_diagram, _valency_partitions, check_diagram,
                      perfect_matchings, type_offsets)
 from .scalars import LinearCombination, format_scalar
@@ -305,7 +306,8 @@ def enumerate_legged_graphs(nin, nout, nedges):
 
     Every placement of the legs with every matching of the other slots is
     a candidate; per valency type, the first candidate not yet covered is
-    scanned and the keys of its whole orbit are marked covered."""
+    canonicalized by the search and the keys of its whole orbit under the
+    relabeling group are marked covered."""
     size = 2 * nedges + nin + nout
     if size == 0:
         return (EMPTY_LEGGED,)
@@ -322,10 +324,10 @@ def enumerate_legged_graphs(nin, nout, nedges):
             for (legs, mat), key in zip(candidates, own):
                 if key in seen:
                     continue
-                keys, signs, leg_keys = _orbits(vtype, [mat], [legs])
+                keys, _, leg_keys = _orbits(vtype, [mat], [legs])
                 seen.update(zip(leg_keys[0].tolist(), keys[0].tolist()))
-                [((images, ch), _, aut, zero)] = _class_rows(
-                    size, keys, signs, leg_keys, nin + nout)
+                [((images, ch), _, aut, zero)] = _scan_batch(vtype, [mat],
+                                                             [legs])
                 out.append(_make_legged(vtype, images[:nin], images[nin:],
                                         ch, aut, zero))
     return tuple(sorted(out, key=lambda g: g.sort_key))

@@ -15,6 +15,7 @@ Conventions (shared with the package, 0-based):
     edge; swapping two vertices or flipping one edge negates a graph.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 from math import gcd
@@ -95,6 +96,13 @@ def group_elements(vtype):
             yield relabel, vsign
 
 
+@functools.lru_cache(maxsize=None)
+def group_list(vtype):
+    """The elements of `group_elements`, kept per type."""
+    return tuple((tuple(relabel), vsign)
+                 for relabel, vsign in group_elements(vtype))
+
+
 def apply_relabel(chords, relabel):
     """Push oriented chords through a relabeling; returns the resulting
     matching (sorted increasing pairs) and the edge-flip sign."""
@@ -121,7 +129,7 @@ def orbit_scan(vtype, chords):
     """
     reach = {}
     n_elements = 0
-    for relabel, vsign in group_elements(vtype):
+    for relabel, vsign in group_list(vtype):
         n_elements += 1
         mat, fsign = apply_relabel(chords, relabel)
         reach.setdefault(mat, set()).add(vsign * fsign)
@@ -145,7 +153,7 @@ def legged_orbit_scan(vtype, legs_in, legs_out, chords):
     fields as `orbit_scan` with `canonical` such a key."""
     reach = {}
     n_elements = 0
-    for relabel, vsign in group_elements(vtype):
+    for relabel, vsign in group_list(vtype):
         n_elements += 1
         mat, fsign = apply_relabel(chords, relabel)
         key = (tuple(relabel[s] for s in legs_in),

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -248,6 +249,21 @@ def test_input_errors_exit_2(capsys, tmp_path):
         code, _, err = run(capsys, "characteristic", "--algebra", str(path))
         assert code == 2 and err.startswith("error:") and words in err, \
             (name, err)
+    # verify windows past the 16-slot cap, counting the edges the suite's
+    # moves add, and cyclic words shorter than three letters, are refused
+    # before any work (the cap cases ran 50 s to over 300 s before)
+    for argv, words in ((("delta2", "--edges", "7"), "18 half-edge slots"),
+                        (("d2", "--edges", "9"), "18 half-edge slots"),
+                        (("kontsevich", "--edges", "9"), "20 half-edge slots"),
+                        (("adjointness", "--edges", "9"),
+                         "18 half-edge slots"),
+                        (("kontsevich", "--order", "2"), "3 letters"),
+                        (("triangle", "--order", "2"), "3 letters")):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "verify", *argv)
+        assert time.perf_counter() - start < 5, argv
+        assert code == 2 and err.startswith("error:") and words in err, \
+            (argv, err)
 
 
 def test_usage_errors(capsys):

@@ -229,6 +229,39 @@ def test_harer_zagier_orbifold_euler_characteristics():
     assert {k: sums[k] for k in expected} == expected
 
 
+def test_search_matches_orbit_oracle():
+    # every class with e <= 5 in a random orientation, with all of its
+    # contractions and ideal-edge expansions, against the exhaustive scan
+    rng = random.Random(5)
+    cases = []
+    for e in range(1, 6):
+        for v in range(1, 2 * e // 3 + 1):
+            for g in enumerate_graphs(v, e):
+                cases.append((g.vtype, tuple(c if rng.random() < 0.5
+                                             else c[::-1] for c in g.chords)))
+                moves = [*_contractions(g).items(), *_expansions(g).items()]
+                for vt, (chords, _) in moves:
+                    cases += [(vt, tuple(map(tuple, row)))
+                              for row in chords.tolist()]
+    for vtype, chords in cases:
+        d = O.orbit_scan(vtype, chords)
+        assert _scan_batch(vtype, [chords]) == \
+            [(d["canonical"], d["sign"], d["aut"], d["zero"])], (vtype, chords)
+
+
+def test_generated_windows_match_the_sweep_counts():
+    # classes, ZERO classes, connected classes and the sum of 1/aut over
+    # nonzero classes, as the matching-table sweep gave them
+    pins = {(4, 7): (492, 89, 411, Fraction(4475, 12)),
+            (5, 8): (342, 22, 263, Fraction(37165, 144))}
+    for (v, e), pin in pins.items():
+        classes = enumerate_graphs(v, e)
+        assert (len(classes), sum(g.zero for g in classes),
+                len(enumerate_graphs(v, e, True)),
+                sum(Fraction(1, g.aut) for g in classes if not g.zero)) \
+            == pin, (v, e)
+
+
 def _grouped(moves):
     """Per-move (vtype, chords, sign) triples grouped by vtype, in order."""
     groups = {}

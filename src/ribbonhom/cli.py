@@ -61,6 +61,9 @@ SUITE_BOUNDS = {
 # boundary witness one bidegree up (invariance)
 EXTRA_EDGES = {"delta2": 2, "kontsevich": 1, "invariance": 1}
 
+# legs per side of the tcft pairs: m + n and n + k at most this
+TCFT_LEGS = 3
+
 CHAINS_PER_SIGNATURE = 200
 TWIST_COUNT = 10
 DEAD_PAIR_SAMPLES = 300
@@ -144,6 +147,8 @@ def _check_window(args, suite):
     a cyclic word, or diagrams beyond the half-edge cap."""
     emax = _bound(args, suite, "edges")
     slots = 2 * (emax + EXTRA_EDGES.get(suite, 0))
+    if suite == "tcft":
+        slots += TCFT_LEGS
     if suite in ("kontsevich", "triangle"):
         order = _bound(args, suite, "order")
         if order < 3:
@@ -596,9 +601,9 @@ def _suite_tcft(args, rng):
     emax = _bound(args, "tcft", "edges")
     path = getattr(args, "algebra", None)
     algebra = _algebra(args)
-    combos = [(m, n, k)
-              for m in range(4) for n in range(4) for k in range(4)
-              if m + n <= 3 and n + k <= 3]
+    legs = range(TCFT_LEGS + 1)
+    combos = [(m, n, k) for m in legs for n in legs for k in legs
+              if m + n <= TCFT_LEGS and n + k <= TCFT_LEGS]
     blocks = [(path, m, n, k, e1, e2) for (m, n, k) in combos
               for e1 in range(emax + 1) for e2 in range(emax + 1)]
     results = _run_cells(_tcft_block, blocks, args.workers)
@@ -620,7 +625,7 @@ def _suite_tcft(args, rng):
             rep = composition_compatibility(algebra, g1, g2)
             if not rep.valid:
                 fails.append(_tcft_failure(g1, g2, rep))
-    return {"edges": emax, "legs": 3, "sampled": sampled}, \
+    return {"edges": emax, "legs": TCFT_LEGS, "sampled": sampled}, \
         checks + sampled, fails
 
 

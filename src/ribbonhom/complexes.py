@@ -135,7 +135,9 @@ def pairing(x, y):
 
 def basis(nvert, nedge, connected=False):
     """Nonzero classes at one bidegree, in canonical order."""
-    return tuple(g for g in enumerate_graphs(nvert, nedge, connected) if not g.zero)
+    classes = (enumerate_graphs(nvert, nedge, True) if connected
+               else enumerate_graphs(nvert, nedge))
+    return tuple(g for g in classes if not g.zero)
 
 
 def _boundary_rows(nvert, nedge):

@@ -29,9 +29,7 @@ the canonical form, so they give the sign, |Aut| and the ZERO flag.
 The same search canonicalizes the legged diagrams of `tcft`.  A leg slot
 is a fixed point of the matching (its own partner), and the images of the
 leg slots, incoming then outgoing, are compared first: each leg's vertex
-is placed, in order, before the legless search runs.  Graphs are capped
-at 16 half-edge slots, legs included, so a graph without legs has at most
-8 edges.
+is placed, in order, before the legless search runs.
 
 The moves of the complex, contracting an edge and expanding an ideal
 edge, relabel half-edges in a way that depends only on the valency type
@@ -41,14 +39,12 @@ and cached as an integer array (a move template).  All the contractions or
 all the expansions of one graph are then a single numpy gather per result
 type, which goes to `_scan_batch` as an array.
 
-Enumeration with two or more vertices generates the connected classes by
-ideal-edge expansion of the connected classes one vertex down
-(`_connected_classes`), and the disconnected ones as disjoint unions of
-connected classes.  One-vertex classes, and the legged classes of `tcft`,
-still come from a sweep: the table of all (2e-1)!! perfect matchings as
-packed partner keys in lexicographic order, where the first matching not
-yet covered is canonicalized and its whole orbit under the relabeling
-group (`_orbits`, 4 bits per label in one uint64 key) is marked covered.
+Enumeration generates classes from smaller ones and keeps one of each
+through the search.  One-vertex classes add a shortest chord to the
+one-vertex classes one edge down (`_one_vertex_classes`).  With two or
+more vertices the connected classes are ideal-edge expansions of the
+connected classes one vertex down (`_connected_classes`), and the
+disconnected ones are disjoint unions of connected classes.
 """
 
 from __future__ import annotations
@@ -112,10 +108,8 @@ def perfect_matchings(points):
 
 # -------------------------------------------------------- canonical scans
 
-# The sweeps pack partner labels 4 bits each into one uint64 key, first
-# label highest, so comparing keys compares partner arrays
-# lexicographically.  That caps them at 16 half-edge slots, legs included,
-# and the same cap holds for every graph.
+# A scope limit: at most 16 half-edge slots, legs included, so at most 8
+# edges without legs.  Canonical forms and enumeration refuse larger graphs.
 MAX_HALF_EDGES = 16
 
 
@@ -123,115 +117,6 @@ def _check_size(size):
     if size > MAX_HALF_EDGES:
         raise NotImplementedError(f"graphs beyond {MAX_HALF_EDGES} half-edge "
                                   f"slots (8 edges) are out of scope")
-
-
-@lru_cache(maxsize=None)
-def _group_arrays(vtype):
-    """All relabelings of a type, precomputed for vectorized scans.
-
-    Returns (P, vsign, flat): P[g, h] is the new label of half-edge h,
-    vsign[g] the vertex-permutation sign and `flat` the flattened scatter
-    indices g*MAX_HALF_EDGES + P[g, h] into a zero-padded byte buffer.
-    """
-    m = len(vtype)
-    size = sum(vtype)
-    _check_size(size)
-    offs = type_offsets(vtype)
-    sigmas = [s for s in itertools.permutations(range(m))
-              if all(vtype[s[v]] == vtype[v] for v in range(m))]
-    rot_space = list(itertools.product(*[range(k) for k in vtype]))
-    count = len(sigmas) * len(rot_space)
-    P = np.empty((count, size), dtype=np.int64)
-    vsign = np.empty(count, dtype=np.int64)
-    row = 0
-    for sigma in sigmas:
-        sgn = perm_parity(sigma)
-        for rots in rot_space:
-            for v in range(m):
-                k = vtype[v]
-                tgt = offs[sigma[v]]
-                r = rots[v]
-                for s in range(k):
-                    P[row, offs[v] + s] = tgt + (s - r) % k
-            vsign[row] = sgn
-            row += 1
-    flat = (np.arange(count, dtype=np.int64)[:, None] * MAX_HALF_EDGES
-            + P).ravel()
-    return P.astype(np.int16), vsign.astype(np.int8), flat
-
-
-def _packed_keys(rows):
-    """Keys of uint8 partner rows zero-padded to MAX_HALF_EDGES columns:
-    adjacent labels share a byte, and the 8 bytes are read big-endian."""
-    nibbles = (rows[..., 0::2] << 4) | rows[..., 1::2]
-    return nibbles.view(">u8")[..., 0].astype(np.uint64)
-
-
-_SHIFTS = 4 * (MAX_HALF_EDGES - 1 - np.arange(MAX_HALF_EDGES, dtype=np.uint64))
-
-
-def _labels_of_keys(keys, count):
-    """The first `count` labels packed in each of an array of keys, as
-    lists."""
-    return ((keys[:, None] >> _SHIFTS[:count]) & np.uint64(15)).tolist()
-
-
-def _chords_of_keys(keys, size):
-    """Chords (a, b), a < b, of the partner arrays packed in an array of
-    keys; fixed points such as legs are skipped."""
-    return [tuple((a, b) for a, b in enumerate(row) if a < b)
-            for row in _labels_of_keys(keys, size)]
-
-
-def _partner_rows(size, chords):
-    """(partners, chords) arrays of a batch of diagrams; a slot that no
-    chord covers, such as a leg, is its own partner."""
-    nb = len(chords)
-    chords = np.asarray(chords, dtype=np.int64).reshape(nb, -1, 2)
-    partners = np.tile(np.arange(size, dtype=np.int64), (nb, 1))
-    rows = np.arange(nb)[:, None]
-    partners[rows, chords[..., 0]] = chords[..., 1]
-    partners[rows, chords[..., 1]] = chords[..., 0]
-    return partners, chords
-
-
-def _pad_keys(rows):
-    buf = np.zeros(rows.shape[:-1] + (MAX_HALF_EDGES,), dtype=np.uint8)
-    buf[..., :rows.shape[-1]] = rows
-    return _packed_keys(buf)
-
-
-def _diagram_keys(size, chord_lists, leg_lists):
-    """(leg key, partner key) of each legged diagram itself: its entry
-    under the identity relabeling in `_orbits`."""
-    partners, _ = _partner_rows(size, chord_lists)
-    legs = np.array(leg_lists, dtype=np.int64).reshape(len(leg_lists), -1)
-    return list(zip(_pad_keys(legs).tolist(), _pad_keys(partners).tolist()))
-
-
-def _orbits(vtype, chords, legs=None):
-    """Images of oriented diagrams under every relabeling of their type.
-
-    Returns (keys, signs, leg_keys), each (diagrams x relabelings): the
-    packed key of each image partner array, the sign of the relabeling on
-    the diagram and, given the leg slots of each diagram, the packed
-    images of those slots (None without legs).
-    """
-    P, vsign, flat = _group_arrays(vtype)
-    nb = len(chords)
-    partners, chords = _partner_rows(sum(vtype), chords)
-    # buf[b, g, P[g, h]] = P[g, partners[b, h]]: the image partner rows
-    buf = np.zeros((nb, len(vsign), MAX_HALF_EDGES), dtype=np.uint8)
-    buf.reshape(nb, -1)[:, flat] = \
-        P[:, partners].transpose(1, 0, 2).reshape(nb, -1)
-    flips = np.bitwise_xor.reduce(P[:, chords[..., 0]] > P[:, chords[..., 1]],
-                                  axis=2)
-    signs = np.where(flips, -vsign[:, None], vsign[:, None]).T
-    leg_keys = None
-    if legs is not None:
-        legs = np.asarray(legs, dtype=np.int64).reshape(nb, -1)
-        leg_keys = _pad_keys(P[:, legs].transpose(1, 0, 2))
-    return _packed_keys(buf), signs, leg_keys
 
 
 @lru_cache(maxsize=None)
@@ -262,6 +147,27 @@ def _search_frame(vtype):
     return offs, vert, cyc, spot, blocks, members, starts
 
 
+def _place_legs(vtype, legs):
+    """The leg rule of the search: each leg's vertex, in order, goes to
+    the next free block of its valency, rotated so that the leg comes
+    first; a leg on a vertex already placed moves with it.  Returns (img,
+    inv, taken): the label of each slot, the slot at each label (-1 where
+    nothing is placed yet) and the count of blocks taken per valency."""
+    offs, vert, cyc, spot, blocks, _, _ = _search_frame(vtype)
+    img = [-1] * len(vert)
+    inv = [-1] * len(vert)
+    taken = [0] * len(blocks)
+    for h in legs:
+        if img[h] < 0:
+            v = vert[h]
+            k = vtype[v]
+            b = blocks[k][taken[k]]
+            taken[k] += 1
+            inv[b:b + k] = cyc[h]
+            img[offs[v]:offs[v] + k] = spot[h][b]
+    return img, inv, taken
+
+
 def _canonical_search(vtype, chords, legs=()):
     """Least image of one oriented diagram: (image partner array, leg
     images, net sign, count) over the relabelings that reach it.
@@ -275,8 +181,8 @@ def _canonical_search(vtype, chords, legs=()):
     taken in order.  The search runs depth first with the least image so
     far as the incumbent and drops a branch at its first larger entry;
     the leaves left are exactly the relabelings onto the least image.
-    Each leg is placed the same way first, in order, and is then a fixed
-    point of the matching.
+    Each leg is placed the same way first, in order (`_place_legs`), and
+    is then a fixed point of the matching.
     """
     offs, vert, cyc, spot, blocks, members, starts = _search_frame(vtype)
     size = len(vert)
@@ -284,17 +190,7 @@ def _canonical_search(vtype, chords, legs=()):
     for a, b in chords:
         partner[a] = b
         partner[b] = a
-    img = [-1] * size
-    inv = [-1] * size
-    taken = [0] * len(blocks)
-    for h in legs:
-        if img[h] < 0:
-            v = vert[h]
-            k = vtype[v]
-            b = blocks[k][taken[k]]
-            taken[k] += 1
-            inv[b:b + k] = cyc[h]
-            img[offs[v]:offs[v] + k] = spot[h][b]
+    img, inv, taken = _place_legs(vtype, legs)
     leg_images = tuple(img[h] for h in legs)
     best = None
     leaves = []
@@ -795,52 +691,45 @@ def connected_components(g: RibbonGraph):
 
 # ------------------------------------------------------------ enumeration
 
-def _matching_table(size):
-    """All perfect matchings of range(size) as uint8 partner rows, in
-    `perfect_matchings` order, which is lexicographic.  The block of rows
-    with partner[0] = i is the (size - 2) table relabeled onto the other
-    points."""
-    _check_size(size)
-    if size == 0:
-        return np.zeros((1, 0), dtype=np.uint8)
-    sub = _matching_table(size - 2)
-    out = np.empty(((size - 1) * len(sub), size), dtype=np.uint8)
-    for i, block in enumerate(np.split(out, size - 1), start=1):
-        rest = np.array([j for j in range(1, size) if j != i], dtype=np.uint8)
-        block[:, 0] = i
-        block[:, i] = 0
-        block[:, rest] = rest[sub]
-    return out
-
-
 @lru_cache(maxsize=None)
-def _matching_keys(size):
-    """Packed keys of `_matching_table(size)`, strictly increasing.  Only
-    the keys are kept: a row's chords are read back from its key."""
-    return _pad_keys(_matching_table(size))
+def _chord_insertions(size):
+    """Every way to add one chord to a one-vertex diagram on size - 2
+    labels: (M, new), M[i, x] the label of old label x when the new chord
+    is new[i]."""
+    new = list(itertools.combinations(range(size), 2))
+    M = [[x for x in range(size) if x not in pair] for pair in new]
+    return np.array(M, dtype=np.int64), np.array(new, dtype=np.int64)
 
 
-def _sweep_one_vertex(nedge):
-    """All classes with one vertex of valency 2 * nedge.  The first
-    matching of the table not yet covered is canonicalized by the search,
-    and its rotation orbit is marked covered."""
+def _one_vertex_classes(nedge):
+    """The classes with one vertex of valency n = 2 * nedge: the distinct
+    classes made by adding a chord, at any pair of positions, to the
+    classes one edge down (to the chord ((0, 1),) at two edges), where the
+    new chord is a shortest one; (a, b) has cyclic length min(d, n - d),
+    d = b - a.
+
+    Every class C arises so (canonical augmentation, McKay 1998).  The
+    relabelings of one vertex are its rotations, so the canonical form of
+    C matches label 0 to the least (partner(h) - h) mod n over all h: its
+    chord at label 0 is a shortest chord.  Deleting it leaves a class one
+    edge down, and adding it back to that class's canonical form at the
+    same positions gives a rotation of C.
+    """
     size = 2 * nedge
-    vtype = (size,)
-    keys = _matching_keys(size)
-    visited = np.zeros(len(keys), dtype=bool)
-    out = []
-    row = 0
-    while True:
-        row += int(np.argmin(visited[row:]))
-        if visited[row]:
-            return out
-        chords = _chords_of_keys(keys[row:row + 1], size)
-        orbit, _, _ = _orbits(vtype, chords)
-        hits = np.searchsorted(keys, orbit[0])
-        assert (keys[hits] == orbit[0]).all()
-        visited[hits] = True
-        [(canonical, _, aut, zero)] = _scan_batch(vtype, chords)
-        out.append(_make_graph(vtype, canonical, aut, zero))
+    parents = ([g.chords for g in enumerate_graphs(1, nedge - 1)]
+               if nedge > 2 else [((0, 1),)])
+    M, new = _chord_insertions(size)
+    found = {}
+    for chords in parents:
+        # the children, the new chord last, and the cyclic chord lengths
+        children = np.concatenate([M[:, np.array(chords)], new[:, None]], 1)
+        d = children[..., 1] - children[..., 0]
+        length = np.minimum(d, size - d)
+        keep = length[:, -1] == length.min(axis=1)
+        for form, _, aut, zero in _scan_batch((size,), children[keep]):
+            found[form] = (aut, zero)
+    return [_make_graph((size,), form, aut, zero)
+            for form, (aut, zero) in found.items()]
 
 
 def _connected_classes(nvert, nedge):
@@ -914,12 +803,9 @@ def _disconnected_classes(nvert, nedge):
 @lru_cache(maxsize=None)
 def enumerate_graphs(nvert, nedge, connected=False):
     """All oriented ribbon graph classes with the given counts, sorted;
-    ZERO classes are included and flagged.
-
-    One-vertex classes come from a sweep of the matching table.  With
-    two or more vertices the connected classes are generated from those
-    one vertex down (`_connected_classes`), and the others are disjoint
-    unions of connected classes."""
+    ZERO classes are included and flagged.  The package asks for a window
+    as enumerate_graphs(v, e) or enumerate_graphs(v, e, True) only, so
+    that each window is one cache entry."""
     _check_size(2 * nedge)
     if nvert == 0:
         return (EMPTY_GRAPH,) if nedge == 0 and not connected else ()
@@ -928,7 +814,7 @@ def enumerate_graphs(nvert, nedge, connected=False):
     if nvert == 1:
         if connected:
             return enumerate_graphs(1, nedge)
-        out = _sweep_one_vertex(nedge)
+        out = _one_vertex_classes(nedge)
     elif connected:
         out = _connected_classes(nvert, nedge)
     else:

@@ -14,8 +14,9 @@ the edge pairing is super-skew (reversing a direction negates it) and
 parity-even (the list order of the edges is immaterial).  Canonical forms
 come from the canonical search of `graphs`, with the leg slots as fixed
 points whose images are compared first; a legged diagram, legs included,
-has at most 16 half-edge slots.  Legged classes are enumerated by a sweep
-over leg placements and matchings that marks each class's orbit covered.
+has at most 16 half-edge slots.  Legged classes are enumerated from the
+leg placements that the search's leg rule leaves in place, each with every
+matching of the other slots.
 
 Gluing joins outgoing leg j of the first graph to incoming leg j of the
 second by a new internal edge directed first-to-second.  The correlator
@@ -32,14 +33,13 @@ with the same dual pairing.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 
 from .ainfinity import AInfinityAlgebra, ValidationReport
-from .graphs import (_diagram_keys, _orbits, _scan_batch, _scan_cached,
-                     _standardize_diagram, _valency_partitions, check_diagram,
-                     perfect_matchings, type_offsets)
+from .graphs import (RibbonGraph, _check_size, _place_legs, _scan_batch,
+                     _scan_cached, _standardize_diagram, _valency_partitions,
+                     check_diagram, perfect_matchings)
 from .scalars import LinearCombination, format_scalar
 from .superspace import SuperTensor, contract
 
@@ -100,10 +100,7 @@ class LeggedGraph:
         return (f"LeggedGraph({self.vtype}, in{self.legs_in}, "
                 f"out{self.legs_out}, {self.chords}{flag})")
 
-    def vertex_blocks(self):
-        offs = type_offsets(self.vtype)
-        return [tuple(range(offs[v], offs[v] + self.vtype[v]))
-                for v in range(self.nverts)]
+    vertex_blocks = RibbonGraph.vertex_blocks   # the same slot layout
 
     def diagram(self):
         return (self.vtype, self.legs_in, self.legs_out, self.chords)
@@ -299,35 +296,42 @@ def composition_compatibility(algebra: AInfinityAlgebra, g1, g2,
 
 # ------------------------------------------------------------ enumeration
 
+def _fixed_leg_placements(vtype, nlegs):
+    """The sequences of nlegs leg slots that the leg rule of the search
+    (`_place_legs`) maps to themselves.  The rule places the legs in
+    order, so a sequence is fixed when each prefix's last leg is."""
+    placements = [()]
+    for _ in range(nlegs):
+        placements = [legs + (h,) for legs in placements
+                      for h in range(sum(vtype)) if h not in legs
+                      and _place_legs(vtype, legs + (h,))[0][h] == h]
+    return placements
+
+
 @lru_cache(maxsize=None)
 def enumerate_legged_graphs(nin, nout, nedges):
     """All legged graph classes with the exact leg labels and internal
     edge count, sorted; zero classes are included and flagged.
 
-    Every placement of the legs with every matching of the other slots is
-    a candidate; per valency type, the first candidate not yet covered is
-    canonicalized by the search and the keys of its whole orbit under the
-    relabeling group are marked covered."""
+    The leg images of a canonical form are a placement that the leg rule
+    of the search maps to itself, so per valency type only those are
+    tried, each with every matching of the other slots; the search keeps
+    one diagram of each class."""
     size = 2 * nedges + nin + nout
+    _check_size(size)
     if size == 0:
         return (EMPTY_LEGGED,)
-    candidates = [(legs, mat)
-                  for legs in itertools.permutations(range(size), nin + nout)
-                  for mat in perfect_matchings(
-                      [s for s in range(size) if s not in legs])]
-    leg_lists, chord_lists = zip(*candidates)
-    own = _diagram_keys(size, chord_lists, leg_lists)
-    out = []
+    found = {}
     for nverts in range(1, size // 3 + 1):
         for vtype in _valency_partitions(size, nverts):
-            seen = set()
-            for (legs, mat), key in zip(candidates, own):
-                if key in seen:
-                    continue
-                keys, _, leg_keys = _orbits(vtype, [mat], [legs])
-                seen.update(zip(leg_keys[0].tolist(), keys[0].tolist()))
-                [((images, ch), _, aut, zero)] = _scan_batch(vtype, [mat],
-                                                             [legs])
-                out.append(_make_legged(vtype, images[:nin], images[nin:],
-                                        ch, aut, zero))
+            candidates = [(legs, mat)
+                          for legs in _fixed_leg_placements(vtype, nin + nout)
+                          for mat in perfect_matchings(
+                              [s for s in range(size) if s not in legs])]
+            scans = _scan_batch(vtype, [mat for _, mat in candidates],
+                                [legs for legs, _ in candidates])
+            for (images, ch), _, aut, zero in scans:
+                found[vtype, images, ch] = (aut, zero)
+    out = [_make_legged(vt, images[:nin], images[nin:], ch, aut, zero)
+           for (vt, images, ch), (aut, zero) in found.items()]
     return tuple(sorted(out, key=lambda g: g.sort_key))

@@ -250,10 +250,12 @@ def test_input_errors_exit_2(capsys, tmp_path):
         assert code == 2 and err.startswith("error:") and words in err, \
             (name, err)
     # verify windows past the 16-slot cap, counting the edges the suite's
-    # moves add, and cyclic words shorter than three letters, are refused
-    # before any work (the cap cases ran 50 s to over 300 s before)
+    # moves add and tcft's three legs, and cyclic words shorter than three
+    # letters, are refused before any work (the cap cases ran 50 s to over
+    # 300 s before)
     for argv, words in ((("delta2", "--edges", "7"), "18 half-edge slots"),
                         (("d2", "--edges", "9"), "18 half-edge slots"),
+                        (("tcft", "--edges", "7"), "17 half-edge slots"),
                         (("kontsevich", "--edges", "9"), "20 half-edge slots"),
                         (("adjointness", "--edges", "9"),
                          "18 half-edge slots"),

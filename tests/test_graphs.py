@@ -1,20 +1,20 @@
 """Canonical forms, signs and enumeration of oriented ribbon graphs."""
 
 import json
+import math
 import random
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles as O
+from ribbonhom import complexes, graphs
 from ribbonhom.graphs import (EMPTY_GRAPH, FullyOrderedGraph, RibbonGraph,
-                              _contractions, _expansions, _matching_keys,
-                              _matching_table,
-                              _orbits, _scan_batch, _valency_partitions,
+                              _contractions, _expansions, _scan_batch,
+                              _valency_partitions,
                               canonicalize, connected_components,
                               contract_edge, contract_edge_raw,
                               disjoint_union, enumerate_graphs,
@@ -167,7 +167,7 @@ def test_enumerate_rejects_large_windows():
 
 
 def test_enumerate_refuses_before_building_a_table():
-    # an 18-half-edge matching table would hold 34,459,425 rows
+    # (1, 9) would add a chord to each of the 127,072 classes of (1, 8)
     tracemalloc.start()
     try:
         with pytest.raises(NotImplementedError):
@@ -176,18 +176,6 @@ def test_enumerate_refuses_before_building_a_table():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-
-
-def test_matching_table_is_lexicographic():
-    for size in range(0, 11, 2):
-        table = _matching_table(size)
-        rows = [tuple((a, int(b)) for a, b in enumerate(row) if a < b)
-                for row in table]
-        assert rows == list(perfect_matchings(range(size)))
-    for size in range(2, 17, 2):
-        keys = _matching_keys(size)
-        assert len(keys) == len(_matching_table(size))
-        assert (np.diff(keys) > 0).all()
 
 
 def test_enumeration_matches_oracle():
@@ -227,6 +215,57 @@ def test_harer_zagier_orbifold_euler_characteristics():
                 key = (genus, n)
                 sums[key] = sums.get(key, 0) + Fraction((-1) ** e, aut)
     assert {k: sums[k] for k in expected} == expected
+
+
+def _gluings(emax):
+    """eps[g][e], the number of ways to glue a 2e-gon into a closed surface
+    of genus g, for e <= emax, by the Harer-Zagier recursion (e+1) eps_g(e)
+    = 2(2e-1) eps_g(e-1) + (e-1)(2e-1)(2e-3) eps_{g-1}(e-2); eps_0 are the
+    Catalan numbers."""
+    eps = [[int(g == 0)] + [0] * emax for g in range(emax // 2 + 1)]
+    for e in range(1, emax + 1):
+        for g, row in enumerate(eps):
+            total = 2 * (2 * e - 1) * row[e - 1]
+            if g and e >= 2:
+                total += ((e - 1) * (2 * e - 1) * (2 * e - 3)
+                          * eps[g - 1][e - 2])
+            assert total % (e + 1) == 0
+            row[e] = total // (e + 1)
+    assert eps[0] == [math.comb(2 * e, e) // (e + 1) for e in range(emax + 1)]
+    return eps
+
+
+def test_one_vertex_classes_count_harer_zagier_gluings():
+    # over the one-vertex classes of genus g, sum 2e/|Aut| = eps_g(e), with
+    # |Aut| counting the orientation-reversing automorphisms too
+    eps = _gluings(6)
+    for e in range(2, 7):
+        sums = {}
+        for g in enumerate_graphs(1, e):
+            genus = (1 + e - O.face_count(g.vtype, g.chords)) // 2
+            aut = 2 * g.aut if g.zero else g.aut
+            sums[genus] = sums.get(genus, 0) + Fraction(2 * e, aut)
+        assert sums == {genus: row[e] for genus, row in enumerate(eps)
+                        if row[e]}, e
+
+
+def test_each_window_is_one_cache_entry(monkeypatch):
+    # the default homology window builds every window it reads once,
+    # however its callers ask for it
+    cached = graphs.enumerate_graphs
+    windows = set()
+
+    def spy(nvert, nedge, *flag, **kwargs):
+        connected = flag[0] if flag else kwargs.get("connected", False)
+        windows.add((nvert, nedge, bool(connected)))
+        return cached(nvert, nedge, *flag, **kwargs)
+
+    for module in (graphs, complexes):
+        monkeypatch.setattr(module, "enumerate_graphs", spy)
+    cached.cache_clear()
+    complexes.homology_dims((1, 4), (1, 5))
+    assert len(windows) > 20
+    assert cached.cache_info().misses == len(windows)
 
 
 def test_search_matches_orbit_oracle():
@@ -318,32 +357,6 @@ def test_expansion_rejects_a_split_that_is_no_ideal_edge():
         expand_ideal_edge_raw(g, (1, (0, 1), (2, 3)))
 
 
-def _labels(key, count):
-    return tuple((key >> (4 * (15 - h))) & 15 for h in range(count))
-
-
-def _class_data_reference(size, keys, signs, leg_keys=None, nlegs=0):
-    """(canonical, sign, aut, zero) of one diagram from its orbit row of
-    packed keys (4 bits per label, first label highest)."""
-    if leg_keys is None:
-        best = keys.min()
-        eq = keys == best
-    else:
-        best_legs = leg_keys.min()
-        eq = leg_keys == best_legs
-        best = keys[eq].min()
-        eq &= keys == best
-    eq_signs = signs[eq]
-    zero = bool(eq_signs.min() != eq_signs.max())
-    stab = int(eq.sum())
-    canonical = tuple((a, b) for a, b in enumerate(_labels(int(best), size))
-                      if a < b)
-    if leg_keys is not None:
-        canonical = (_labels(int(best_legs), nlegs), canonical)
-    return (canonical, None if zero else int(eq_signs[0]),
-            stab // 2 if zero else stab, zero)
-
-
 @st.composite
 def raw_diagrams(draw):
     """A batch of random oriented diagrams of one valency type with at most
@@ -365,11 +378,18 @@ def raw_diagrams(draw):
 @settings(max_examples=60, deadline=None)
 @given(raw_diagrams())
 def test_scan_batch_matches_row_reference(diagram):
+    # against the exhaustive scan over every relabeling; the legs go in
+    # as incoming legs, so the oracle's key (legs, (), matching) compares
+    # as the pair (leg images, chords)
     vtype, chord_lists, leg_lists = diagram
-    keys, signs, leg_keys = _orbits(vtype, chord_lists, leg_lists)
-    nlegs = len(leg_lists[0]) if leg_lists else 0
-    expected = [_class_data_reference(sum(vtype), keys[i], signs[i],
-                                      None if leg_lists is None
-                                      else leg_keys[i], nlegs)
-                for i in range(len(chord_lists))]
+    expected = []
+    for i, chords in enumerate(chord_lists):
+        if leg_lists is None:
+            d = O.orbit_scan(vtype, chords)
+            canonical = d["canonical"]
+        else:
+            d = O.legged_orbit_scan(vtype, leg_lists[i], (), chords)
+            legs, _, matching = d["canonical"]
+            canonical = (legs, matching)
+        expected.append((canonical, d["sign"], d["aut"], d["zero"]))
     assert _scan_batch(vtype, chord_lists, leg_lists) == expected

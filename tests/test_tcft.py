@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,34 @@ def test_legged_diagrams_capped_at_16_slots():
     chords = tuple((2 * i, 2 * i + 1) for i in range(8))
     g, _ = canonicalize_legged(((3, 3, 3, 3, 4), (), (), chords))
     assert g.nedges == 8
+
+
+def test_legged_windows_match_the_sweep_counts():
+    # classes, ZERO classes and the sum of 1/aut over nonzero classes of
+    # the 8- and 9-slot windows with at most 3 legs, as the orbit sweep
+    # gave them (the oracle comparison above stops at 7 slots)
+    pins = {(0, 0, 4): (35, 10, Fraction(21)),
+            (0, 1, 4): (219, 6, Fraction(626, 3)),
+            (0, 2, 3): (191, 3, Fraction(373, 2)),
+            (0, 3, 3): (1709, 18, Fraction(5038, 3))}
+    for (nin, nout, e), pin in pins.items():
+        for n in range(nin + nout + 1):
+            classes = enumerate_legged_graphs(n, nin + nout - n, e)
+            assert (len(classes), sum(g.zero for g in classes),
+                    sum(Fraction(1, g.aut) for g in classes if not g.zero)) \
+                == pin, (n, nin + nout - n, e)
+
+
+def test_enumerate_legged_refuses_before_any_work():
+    # 17 slots: the candidate list alone once ran 47 s into a MemoryError
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotImplementedError):
+            enumerate_legged_graphs(1, 0, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_canonical_forms_rotation_and_flip():

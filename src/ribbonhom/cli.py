@@ -17,9 +17,9 @@ of text.  Exit codes: 0 pass, 1 identity failure, 2 input error.
 
 import argparse
 import json
+import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import jsonio
@@ -172,18 +172,23 @@ def _grid(emax):
 
 
 def _run_cells(fn, cells, workers):
-    if workers <= 1:
+    """fn over the cells, in a pool of at most `workers` processes, one
+    per cell and one per CPU; in this process when that is one.  The pool
+    is imported only here, so a one-worker run never loads
+    multiprocessing."""
+    size = min(workers, len(cells), os.cpu_count() or 1)
+    if size <= 1:
         return [fn(cell) for cell in cells]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=size) as pool:
         return list(pool.map(fn, cells))
 
 
 def _strips(emax, workers):
     """Work items (v, e, part, nparts) slicing each bidegree into strips,
     so one heavy bidegree still spreads across workers."""
-    nparts = max(1, workers)
-    return [(v, e, part, nparts) for (v, e) in _grid(emax)
-            for part in range(nparts)]
+    return [(v, e, part, workers) for (v, e) in _grid(emax)
+            for part in range(workers)]
 
 
 def _sorted_fails(fails):
@@ -473,6 +478,7 @@ def _suite_triangle(args, rng):
     emax = _bound(args, "triangle", "edges")
     order = _bound(args, "triangle", "order")
     graphs = [g for v, e in _grid(emax) for g in basis(v, e)]
+    chains = [GraphChain.of(g) for g in graphs]
     menus = _rank_menus(order)
     checks = 0
     fails = []
@@ -480,10 +486,10 @@ def _suite_triangle(args, rng):
         for i in range(CHAINS_PER_SIGNATURE):
             x = _random_chain(rng, dim, menus)
             ix = integral_I(x)
-            for g in graphs:
+            for g, chain in zip(graphs, chains):
                 checks += 1
                 lhs = pair_chain_graph(x, g)
-                rhs = pairing(ix, GraphChain.of(g))
+                rhs = pairing(ix, chain)
                 if lhs != rhs:
                     fails.append({"kind": "fail", "suite": "triangle",
                                   "n": dim.n, "m": dim.m, "chain": i,
@@ -645,6 +651,8 @@ _SUITE_FNS = {
 
 def cmd_verify(args):
     names = SUITES if args.suite == "all" else (args.suite,)
+    if args.workers < 1:
+        raise ValueError(f"--workers {args.workers} is below 1")
     for name in names:
         _check_window(args, name)
     rows = []

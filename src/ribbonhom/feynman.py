@@ -89,19 +89,16 @@ def amplitude(graph, x: CEChain, pairing=None):
     the graded sign of each redistribution, and contract the edges
     through `pairing` (the canonical form matrix when None)."""
     g, gsign = canonicalize(graph)
-    if g.zero or g is EMPTY_GRAPH:
+    terms = x.by_ranks().get(g.vtype)
+    if g.zero or g is EMPTY_GRAPH or not terms:
         return Fraction(0)
     dim = x.dim
+    if pairing is None:
+        pairing = canonical_form_matrix(dim)
     nv = len(g.vtype)
     total = Fraction(0)
-    for factors, coeff in x.terms.items():
-        if len(factors) != nv:
-            continue
+    for factors, coeff in terms:
         ranks = tuple(len(w) for w in factors)
-        if sorted(ranks) != list(g.vtype):
-            continue
-        if pairing is None:
-            pairing = canonical_form_matrix(dim)
         pars = [sum(dim.parities(w)) % 2 for w in factors]
         blocks = _norm_blocks(dim, factors, project=False)
         for assign in itertools.permutations(range(nv)):
@@ -133,7 +130,8 @@ def pair_chain_graph(x: CEChain, graph, pairing=None):
     g, gsign = canonicalize(graph)
     if g.zero or g is EMPTY_GRAPH:
         return Fraction(0)
-    return gsign * amplitude(g, x, pairing) / g.aut
+    amp = amplitude(g, x, pairing)
+    return gsign * amp / g.aut if amp else amp
 
 
 def integral_I(x: CEChain) -> GraphChain:

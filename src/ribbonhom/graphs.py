@@ -35,9 +35,10 @@ The moves of the complex, contracting an edge and expanding an ideal
 edge, relabel half-edges in a way that depends only on the valency type
 and the half-edges involved, not on the other chords.  Each such
 relabeling, composed with the standardization and its sign, is built once
-and cached as an integer array (a move template).  All the contractions or
-all the expansions of one graph are then a single numpy gather per result
-type, which goes to `_scan_batch` as an array.
+and cached as a tuple of labels (a move template).  A move of one graph
+is then its chords read through the template, and all the contractions or
+all the expansions of one graph go to `_scan_batch` together, one batch
+per result type.
 
 Enumeration generates classes from smaller ones and keeps one of each
 through the search.  One-vertex classes add a shortest chord to the
@@ -52,8 +53,6 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from functools import lru_cache
-
-import numpy as np
 
 from .superspace import perm_parity
 
@@ -282,18 +281,15 @@ def _scan_batch(vtype, chords, legs=None):
     one type, from `_canonical_search`.
 
     `chords` holds the oriented chords of each diagram, as a sequence of
-    chord tuples or an int array (diagrams x edges x 2).  The canonical
-    form is the least image partner array, as chords; with `legs` (the
-    leg slots of each diagram, incoming then outgoing) it is the least
-    leg images and then the least partner array, and `canonical` is the
-    pair (leg images, chords).  `sign` satisfies [input] = sign *
+    (a, b) pairs.  The canonical form is the least image partner array, as
+    chords; with `legs` (the leg slots of each diagram, incoming then
+    outgoing) it is the least leg images and then the least partner array,
+    and `canonical` is the pair (leg images, chords).  `sign` satisfies [input] = sign *
     [canonical].  The relabelings onto the canonical form are one coset
     of its stabilizer, on which the sign is a character: their signs are
     all equal, or split evenly and sum to zero exactly for ZERO classes.
     """
     _check_size(sum(vtype))
-    if isinstance(chords, np.ndarray):
-        chords = chords.tolist()
     out = []
     for i, ch in enumerate(chords):
         best, leg_images, net, count = _canonical_search(
@@ -482,9 +478,15 @@ def _move_relabeling(vertices, size, shuffle):
     `size`) in this order after the vertex shuffle `shuffle`: (vtype, R,
     sign), R[h] the standard label of h (0 for a label no vertex lists)."""
     vtype, new, sign = _sorting_relabeling(tuple(len(v) for v in vertices))
-    R = np.zeros(size, dtype=np.int64)
-    R[[h for v in vertices for h in v]] = new
-    return vtype, R, sign * perm_parity(tuple(shuffle))
+    R = [0] * size
+    for h, n in zip([h for v in vertices for h in v], new):
+        R[h] = n
+    return vtype, tuple(R), sign * perm_parity(tuple(shuffle))
+
+
+def _relabel(R, chords):
+    """The chords read through the move template R."""
+    return tuple([(R[a], R[b]) for a, b in chords])
 
 
 @lru_cache(maxsize=None)
@@ -515,20 +517,16 @@ def _contraction_template(vtype, a, b):
 
 def _contractions(g: RibbonGraph):
     """All non-loop contractions of g, before canonicalization, grouped by
-    result type: {vtype: (chords, signs)}, `chords` an int array (moves x
-    edges x 2), in edge order within each type."""
-    groups: dict = {}
+    result type: {vtype: (chords, signs)}, `chords` a list of chord tuples,
+    in edge order within each type."""
+    out: dict = {}
     for j, (a, b) in enumerate(g.chords):
         t = _contraction_template(g.vtype, a, b)
         if t is not None:
-            groups.setdefault(t[0], []).append((j, t[1], t[2]))
-    chords = np.array(g.chords, dtype=np.int64)
-    out = {}
-    for vtype, moves in groups.items():
-        js, Rs, signs = zip(*moves)
-        moved = np.stack(Rs)[np.arange(len(js))[:, None, None], chords]
-        others = ~np.eye(g.nedges, dtype=bool)[list(js)]
-        out[vtype] = (moved[others].reshape(len(js), -1, 2), signs)
+            vtype, R, sign = t
+            chords, signs = out.setdefault(vtype, ([], []))
+            chords.append(_relabel(R, g.chords[:j] + g.chords[j + 1:]))
+            signs.append(sign)
     return out
 
 
@@ -539,8 +537,8 @@ def contract_edge_raw(g: RibbonGraph, edge_index: int):
     if t is None:
         raise ValueError("cannot contract a loop")
     vtype, R, sign = t
-    rest = np.delete(np.array(g.chords, dtype=np.int64), edge_index, axis=0)
-    return vtype, tuple(map(tuple, R[rest].tolist())), sign
+    rest = g.chords[:edge_index] + g.chords[edge_index + 1:]
+    return vtype, _relabel(R, rest), sign
 
 
 def contract_edge(g: RibbonGraph, edge_index: int):
@@ -585,22 +583,21 @@ def _expansion_moves(vtype):
 
 @lru_cache(maxsize=None)
 def _expansion_templates(vtype):
-    """The expansion templates grouped by result type: {vtype': (R,
-    signs)}, one row of R per ideal edge, in `ideal_edges` order."""
+    """The expansion templates grouped by result type: {vtype': (Rs,
+    signs)}, one template per ideal edge, in `ideal_edges` order."""
     groups: dict = {}
     for vt, R, sign in _expansion_moves(vtype).values():
         groups.setdefault(vt, []).append((R, sign))
-    return {vt: (np.stack([R for R, _ in rows]), tuple(s for _, s in rows))
-            for vt, rows in groups.items()}
+    return {vt: tuple(zip(*rows)) for vt, rows in groups.items()}
 
 
 def _expansions(g: RibbonGraph):
     """All ideal-edge expansions of g, before canonicalization, grouped by
     result type: {vtype: (chords, signs)} as for `_contractions`."""
     size = 2 * g.nedges
-    chords = np.array(g.chords + ((size, size + 1),), dtype=np.int64)
-    return {vt: (R[:, chords], signs)
-            for vt, (R, signs) in _expansion_templates(g.vtype).items()}
+    chords = g.chords + ((size, size + 1),)
+    return {vt: ([_relabel(R, chords) for R in Rs], signs)
+            for vt, (Rs, signs) in _expansion_templates(g.vtype).items()}
 
 
 def ideal_edges(g: RibbonGraph):
@@ -617,8 +614,7 @@ def expand_ideal_edge_raw(g: RibbonGraph, ie: IdealEdge):
         raise ValueError("malformed ideal edge")
     vtype, R, sign = move
     size = 2 * g.nedges
-    chords = R[np.array(g.chords + ((size, size + 1),), dtype=np.int64)]
-    return vtype, tuple(map(tuple, chords.tolist())), sign
+    return vtype, _relabel(R, g.chords + ((size, size + 1),)), sign
 
 
 def expand_ideal_edge(g: RibbonGraph, ie: IdealEdge):
@@ -691,14 +687,47 @@ def connected_components(g: RibbonGraph):
 
 # ------------------------------------------------------------ enumeration
 
+def _cyclic_length(chord, size):
+    d = (chord[1] - chord[0]) % size
+    return min(d, size - d)
+
+
 @lru_cache(maxsize=None)
 def _chord_insertions(size):
-    """Every way to add one chord to a one-vertex diagram on size - 2
-    labels: (M, new), M[i, x] the label of old label x when the new chord
-    is new[i]."""
-    new = list(itertools.combinations(range(size), 2))
-    M = [[x for x in range(size) if x not in pair] for pair in new]
-    return np.array(M, dtype=np.int64), np.array(new, dtype=np.int64)
+    """Every way to add one chord to a one-vertex diagram on n = size - 2
+    labels, by increasing cyclic length L of the new chord: (L, new,
+    moved, grown), where the old chord (a, b) becomes moved[a * n + b],
+    of cyclic length grown[a * n + b]."""
+    n = size - 2
+    out = []
+    for new in itertools.combinations(range(size), 2):
+        M = [x for x in range(size) if x not in new]
+        moved = tuple((M[a], M[b]) for a in range(n) for b in range(n))
+        out.append((_cyclic_length(new, size), new, moved,
+                    tuple(_cyclic_length(c, size) for c in moved)))
+    return tuple(sorted(out, key=lambda ins: ins[0]))
+
+
+def _shortest_chord_children(chords, size):
+    """The diagrams made by adding one chord, last, to the one-vertex
+    diagram `chords` on size - 2 labels, where it is a shortest chord of
+    the result; see `_one_vertex_classes`."""
+    n = size - 2
+    codes = [a * n + b for a, b in chords]
+    lengths = [_cyclic_length(c, n) for c in chords]
+    m = min(lengths)
+    shortest = [c for c, k in zip(codes, lengths) if k == m]
+    out = []
+    for L, new, moved, grown in _chord_insertions(size):
+        if L > m:
+            if L > m + 1:
+                break
+            if min([grown[c] for c in shortest]) < L:
+                continue
+        child = [moved[c] for c in codes]
+        child.append(new)
+        out.append(child)
+    return out
 
 
 def _one_vertex_classes(nedge):
@@ -714,19 +743,24 @@ def _one_vertex_classes(nedge):
     chord at label 0 is a shortest chord.  Deleting it leaves a class one
     edge down, and adding it back to that class's canonical form at the
     same positions gives a rotation of C.
+
+    Few insertions need the other chords compared.  Inserting two labels
+    lengthens the two arcs of an old chord by 2 in all, so its cyclic
+    length grows by 0, 1 or 2, and by 2 only when both labels fall inside
+    its shorter arc, where the new chord is no longer than the old one
+    was.  So if the parent's shortest chord has length m, a new chord of
+    length L <= m is always a shortest one, one with L > m + 1 never is,
+    and one with L = m + 1 is a shortest one exactly when every old chord
+    of length m grows.  The insertions are tried by increasing L
+    (`_chord_insertions`) and stop past m + 1.
     """
     size = 2 * nedge
     parents = ([g.chords for g in enumerate_graphs(1, nedge - 1)]
                if nedge > 2 else [((0, 1),)])
-    M, new = _chord_insertions(size)
     found = {}
     for chords in parents:
-        # the children, the new chord last, and the cyclic chord lengths
-        children = np.concatenate([M[:, np.array(chords)], new[:, None]], 1)
-        d = children[..., 1] - children[..., 0]
-        length = np.minimum(d, size - d)
-        keep = length[:, -1] == length.min(axis=1)
-        for form, _, aut, zero in _scan_batch((size,), children[keep]):
+        for form, _, aut, zero in _scan_batch(
+                (size,), _shortest_chord_children(chords, size)):
             found[form] = (aut, zero)
     return [_make_graph((size,), form, aut, zero)
             for form, (aut, zero) in found.items()]
@@ -762,10 +796,10 @@ def _connected_classes(nvert, nedge):
                     max(len(ie.arc_a), len(ie.arc_b)) + 1 >= others:
                 groups.setdefault(child, []).append(R)
         size = 2 * parent.nedges
-        chords = np.array(parent.chords + ((size, size + 1),), dtype=np.int64)
+        chords = parent.chords + ((size, size + 1),)
         for child, Rs in groups.items():
-            for form, _, aut, zero in _scan_batch(child,
-                                                  np.stack(Rs)[:, chords]):
+            for form, _, aut, zero in _scan_batch(
+                    child, [_relabel(R, chords) for R in Rs]):
                 found[child, form] = (aut, zero)
     return [_make_graph(vt, form, aut, zero)
             for (vt, form), (aut, zero) in found.items()]

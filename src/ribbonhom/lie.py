@@ -159,11 +159,27 @@ class CEChain(LinearCombination):
     factors are symmetric.  Terms are kept factor-sorted.
     """
 
-    __slots__ = _SPACE = ("dim",)
+    __slots__ = ("dim", "_by_ranks")
+    _SPACE = ("dim",)
 
     def __init__(self, dim: SuperDim, terms=None):
         self.dim = dim
         self.terms = self._collect(terms)
+
+    def by_ranks(self):
+        """The terms grouped by the sorted lengths of their factors, which
+        is the valency type of the graphs they pair with: {ranks:
+        [(factors, coeff)]}.  Built on first use and kept, as a chain is
+        never changed in place."""
+        try:
+            return self._by_ranks
+        except AttributeError:
+            groups: dict = {}
+            for factors, coeff in self.terms.items():
+                ranks = tuple(sorted(len(w) for w in factors))
+                groups.setdefault(ranks, []).append((factors, coeff))
+            self._by_ranks = groups
+            return groups
 
     def _reduce(self, factors):
         sign = 1

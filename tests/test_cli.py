@@ -1,7 +1,10 @@
 """Command-line entry points, exit codes, and report determinism."""
 
+import concurrent.futures
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -260,7 +263,9 @@ def test_input_errors_exit_2(capsys, tmp_path):
                         (("adjointness", "--edges", "9"),
                          "18 half-edge slots"),
                         (("kontsevich", "--order", "2"), "3 letters"),
-                        (("triangle", "--order", "2"), "3 letters")):
+                        (("triangle", "--order", "2"), "3 letters"),
+                        (("d2", "--workers", "0"), "--workers 0"),
+                        (("d2", "--workers", "-3"), "--workers -3")):
         start = time.perf_counter()
         code, _, err = run(capsys, "verify", *argv)
         assert time.perf_counter() - start < 5, argv
@@ -275,6 +280,51 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["enumerate", "--vertices", "banana", "--edges", "1"])
     assert exc.value.code == 2
+
+
+def test_pool_starts_at_most_one_process_per_cell_and_cpu(capsys,
+                                                         monkeypatch):
+    # a stub executor records the pool size and runs the cells in process
+    sizes = []
+
+    class Stub:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Stub)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    assert cli._run_cells(abs, [-1, -2, -3], 1000) == [1, 2, 3]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert cli._run_cells(abs, list(range(-9, 0)), 1000) == \
+        list(range(9, 0, -1))
+    assert cli._run_cells(abs, [-5], 1000) == [5]
+    assert sizes == [3, 4]
+    # the striped suites give the same report through the pool
+    code, pooled, _ = run(capsys, "verify", "d2", "--edges", "4",
+                          "--workers", "6")
+    assert sizes == [3, 4, 4]
+    assert (code, pooled) == run(capsys, "verify", "d2", "--edges", "4")[:2]
+
+
+def test_import_loads_neither_numpy_nor_multiprocessing():
+    # every verb runs in its own process, so the import is paid each time
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = ("import sys, ribbonhom.cli; print(sorted(m for m in ("
+             "'numpy', 'multiprocessing', 'concurrent.futures.process') "
+             "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_scalars_never_serialized_as_floats(capsys):

@@ -1,5 +1,6 @@
 """Canonical forms, signs and enumeration of oriented ribbon graphs."""
 
+import itertools
 import json
 import math
 import random
@@ -14,7 +15,7 @@ import oracles as O
 from ribbonhom import complexes, graphs
 from ribbonhom.graphs import (EMPTY_GRAPH, FullyOrderedGraph, RibbonGraph,
                               _contractions, _expansions, _scan_batch,
-                              _valency_partitions,
+                              _shortest_chord_children, _valency_partitions,
                               canonicalize, connected_components,
                               contract_edge, contract_edge_raw,
                               disjoint_union, enumerate_graphs,
@@ -249,6 +250,30 @@ def test_one_vertex_classes_count_harer_zagier_gluings():
                         if row[e]}, e
 
 
+def test_bounded_insertions_keep_the_unbounded_children():
+    # the insertion loop stops past the parent's shortest chord length
+    # plus one; it must keep exactly the children of trying every pair of
+    # positions and keeping those whose new chord is a shortest chord
+    def length(chord, size):
+        d = chord[1] - chord[0]
+        return min(d, size - d)
+
+    for e in range(2, 7):
+        size = 2 * e
+        parents = ([g.chords for g in enumerate_graphs(1, e - 1)]
+                   if e > 2 else [((0, 1),)])
+        for chords in parents:
+            unbounded = set()
+            for new in itertools.combinations(range(size), 2):
+                rest = [x for x in range(size) if x not in new]
+                child = tuple((rest[a], rest[b]) for a, b in chords) + (new,)
+                if length(new, size) == min(length(c, size) for c in child):
+                    unbounded.add(child)
+            kept = [tuple(c) for c in _shortest_chord_children(chords, size)]
+            assert len(kept) == len(set(kept))
+            assert set(kept) == unbounded, chords
+
+
 def test_each_window_is_one_cache_entry(monkeypatch):
     # the default homology window builds every window it reads once,
     # however its callers ask for it
@@ -280,8 +305,7 @@ def test_search_matches_orbit_oracle():
                                              else c[::-1] for c in g.chords)))
                 moves = [*_contractions(g).items(), *_expansions(g).items()]
                 for vt, (chords, _) in moves:
-                    cases += [(vt, tuple(map(tuple, row)))
-                              for row in chords.tolist()]
+                    cases += [(vt, row) for row in chords]
     for vtype, chords in cases:
         d = O.orbit_scan(vtype, chords)
         assert _scan_batch(vtype, [chords]) == \
@@ -310,10 +334,8 @@ def _grouped(moves):
 
 
 def _as_lists(batched):
-    """Batched moves {vtype: (chords array, signs)} in the form of
-    `_grouped`."""
-    return {vt: [(tuple(map(tuple, c)), s)
-                 for c, s in zip(chords.tolist(), signs)]
+    """Batched moves {vtype: (chords, signs)} in the form of `_grouped`."""
+    return {vt: list(zip(chords, signs))
             for vt, (chords, signs) in batched.items()}
 
 

@@ -13,10 +13,9 @@ from .complexes import (GraphChain, basis, boundary, coboundary,
                         homology_dims, is_boundary, pairing)
 from .feynman import (amplitude, integral_I, integral_I_inverse,
                       pair_chain_graph)
-from .graphs import (EMPTY_GRAPH, FullyOrderedGraph, RibbonGraph,
-                     canonicalize, connected_components, contract_edge,
-                     disjoint_union, enumerate_graphs, expand_ideal_edge,
-                     ideal_edges)
+from .graphs import (EMPTY_GRAPH, RibbonGraph, canonicalize,
+                     connected_components, contract_edge, disjoint_union,
+                     enumerate_graphs, expand_ideal_edge, ideal_edges)
 from .lie import (CEChain, CoinvariantCoordinates, CyclicWord, bracket,
                   ce_differential, coinvariant_reduce, osp_act, osp_basis)
 from .scalars import format_scalar, json_scalar, parse_scalar

@@ -74,18 +74,30 @@ DEAD_PAIR_SAMPLES = 300
 def _span(text):
     """Parse 'N' or 'LO:HI' into an inclusive integer range."""
     parts = text.split(":")
-    if len(parts) == 1:
-        lo = hi = int(parts[0])
-    elif len(parts) == 2:
-        lo, hi = int(parts[0]), int(parts[1])
-    else:
-        raise ValueError(f"bad range {text!r}: expected N or LO:HI")
+    if len(parts) > 2:
+        raise argparse.ArgumentTypeError(
+            f"bad range {text!r}: expected N or LO:HI")
+    lo, hi = int(parts[0]), int(parts[-1])
     if lo < 0 or hi < 0:
-        raise ValueError(f"bad range {text!r}: bounds must be nonnegative")
+        raise argparse.ArgumentTypeError(
+            f"bad range {text!r}: bounds must be nonnegative")
+    if lo > hi:
+        raise argparse.ArgumentTypeError(
+            f"bad range {text!r}: {lo} is above {hi}")
     return lo, hi
 
 
-_span.__name__ = "range"  # argparse quotes this in usage errors
+def _count(text):
+    """Parse a nonnegative integer."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{n} is below 0")
+    return n
+
+
+# argparse quotes these names in usage errors
+_span.__name__ = "range"
+_count.__name__ = "count"
 
 
 def _span_str(span):
@@ -204,8 +216,8 @@ def cmd_enumerate(args):
     total = 0
     for v in range(max(vlo, 1), vhi + 1):
         for e in range(max(elo, 1), ehi + 1):
-            classes = [g for g in enumerate_graphs(v, e)
-                       if not args.connected or g.connected]
+            classes = enumerate_graphs(v, e, True) if args.connected \
+                else enumerate_graphs(v, e)
             rows.append({"kind": "cell", "v": v, "e": e,
                          "classes": len(classes)})
             for i, g in enumerate(classes):
@@ -505,9 +517,7 @@ def _suite_roundtrip(args, rng):
     checks = 0
     fails = []
     for v, e in _grid(emax):
-        for g in basis(v, e):
-            if not g.connected:
-                continue
+        for g in basis(v, e, True):
             checks += 1
             back = integral_I(integral_I_inverse(g))
             if back != GraphChain.of(g):
@@ -592,7 +602,7 @@ def _suite_invariance(args, rng):
                 checks += 1
                 diff = GraphChain(
                     {g: shifted.value(g) - base.value(g)
-                     for g in enumerate_graphs(v, e) if g.connected})
+                     for g in enumerate_graphs(v, e, True)})
                 if not diff:
                     continue
                 witness = is_boundary(diff)
@@ -710,9 +720,9 @@ def build_parser():
     p = sub.add_parser("characteristic", parents=[fmt],
                        help="characteristic class of an algebra")
     p.add_argument("--algebra", required=True, metavar="FILE")
-    p.add_argument("--order", type=int, default=4,
+    p.add_argument("--order", type=_count, default=4,
                    help="exterior degree bound")
-    p.add_argument("--exterior", type=int, default=None,
+    p.add_argument("--exterior", type=_count, default=None,
                    help="print only this exterior degree")
 
     p = sub.add_parser("correlate", parents=[fmt],
@@ -727,7 +737,7 @@ def build_parser():
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--vertices", type=_span, default=None, metavar="N")
     p.add_argument("--edges", type=_span, default=None, metavar="N")
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=_count, default=None)
     p.add_argument("--algebra", default=None, metavar="FILE",
                    help="algebra file for the fixture-based suites")
 

@@ -7,11 +7,11 @@ edge expansions weighted by automorphism-count ratios (bidegree (+1,+1)),
 making it the exact adjoint of the boundary for this pairing.
 
 The moves of one graph come from the cached move templates of `graphs`,
-grouped by result type, and each group goes to `_scan_batch`, which
-canonicalizes every move by the canonical search.  The coboundary of g
-sums s * aut(h) over the expansions landing in each class h as integers,
-over the denominator aut(g); the coboundary of a chain puts its
-coefficients over one common denominator and also sums integers.
+and each move is canonicalized by one call of `_scan`, the canonical
+search.  The coboundary of g sums s * aut(h) over the expansions landing
+in each class h as integers, over the denominator aut(g); the coboundary
+of a chain puts its coefficients over one common denominator and also
+sums integers.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .graphs import (RibbonGraph, _contractions, _expansions, _make_graph,
-                     _scan_batch, enumerate_graphs)
+                     _scan, enumerate_graphs)
 from .scalars import (LinearCombination, format_scalar, mat_transpose,
                       rank_exact, solve_exact)
 
@@ -69,17 +69,15 @@ def _as_chain(x) -> GraphChain:
     return x
 
 
-def _canonical_sum(groups, weight):
-    """Sum of raw moves given per result type, {vtype: (chords, signs)},
-    as {RibbonGraph: coeff}, each canonical class counted with the integer
-    weight(aut); the moves of one type go to `_scan_batch` together."""
+def _canonical_sum(moves, weight):
+    """Sum of raw moves (vtype, chords, sign) as {RibbonGraph: coeff},
+    each canonical class counted with the integer weight(aut)."""
     acc: dict = {}
-    for vt, (chords, signs) in groups.items():
-        for s, (canonical, csign, aut, zero) in zip(signs,
-                                                    _scan_batch(vt, chords)):
-            if not zero:
-                rg = _make_graph(vt, canonical, aut, zero)
-                acc[rg] = acc.get(rg, 0) + s * csign * weight(aut)
+    for vt, chords, s in moves:
+        canonical, csign, aut, zero = _scan(vt, chords)
+        if not zero:
+            rg = _make_graph(vt, canonical, aut, zero)
+            acc[rg] = acc.get(rg, 0) + s * csign * weight(aut)
     return acc
 
 

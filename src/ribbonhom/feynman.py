@@ -23,8 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .complexes import GraphChain
-from .graphs import (EMPTY_GRAPH, FullyOrderedGraph, RibbonGraph,
-                     canonicalize, perfect_matchings)
+from .graphs import EMPTY_GRAPH, canonicalize, perfect_matchings
 from .lie import CEChain
 from .superspace import (SuperDim, SuperTensor, canonical_form_matrix,
                          contract, koszul_sign, norm, perm_parity)
@@ -43,25 +42,6 @@ def beta(chords, t: SuperTensor):
     pairing each chord's slots through the canonical inner product, with
     the Koszul sign of gathering them."""
     return contract([t], chords, canonical_form_matrix(t.dim)).scalar()
-
-
-def amplitude_ordered(graph: FullyOrderedGraph, blocks):
-    """Amplitude of a fully ordered graph on a tuple of per-vertex tensors.
-
-    Zero when the block ranks do not match the valencies; otherwise the
-    state sum of the blocks along the graph's chords, read in the graph's
-    own labelling.
-    """
-    blocks = list(blocks)
-    if tuple(t.rank for t in blocks) != tuple(len(v) for v in graph.vertices):
-        return Fraction(0)
-    slot = {}
-    for v in graph.vertices:
-        for h in v:
-            slot[h] = len(slot)
-    chords = tuple((slot[a], slot[b]) for a, b in graph.edges)
-    return contract(blocks, chords,
-                    canonical_form_matrix(blocks[0].dim)).scalar()
 
 
 @lru_cache(maxsize=None)
@@ -154,8 +134,7 @@ def integral_I(x: CEChain) -> GraphChain:
             val = contract(blocks, matching, mat).scalar()
             if not val:
                 continue
-            g, sign = canonicalize(
-                FullyOrderedGraph.from_chords(ranks, matching))
+            g, sign = canonicalize((ranks, matching))
             if g.zero:
                 continue
             acc[g] = acc.get(g, 0) + coeff * val * sign

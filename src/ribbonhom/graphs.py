@@ -36,9 +36,8 @@ edge, relabel half-edges in a way that depends only on the valency type
 and the half-edges involved, not on the other chords.  Each such
 relabeling, composed with the standardization and its sign, is built once
 and cached as a tuple of labels (a move template).  A move of one graph
-is then its chords read through the template, and all the contractions or
-all the expansions of one graph go to `_scan_batch` together, one batch
-per result type.
+is then its chords read through the template, and each move is
+canonicalized by one call of `_scan`.
 
 Enumeration generates classes from smaller ones and keeps one of each
 through the search.  One-vertex classes add a shortest chord to the
@@ -128,8 +127,10 @@ def _search_frame(vtype):
     b on, and `spot[h][b]` (the labels of its slots, in slot order) to its
     slots.  `blocks[k]` and `members[k]` list the block offsets and the
     vertices of valency k in order, and `starts[t]` is the valency of the
-    block starting at label t (0 inside a block).
+    block starting at label t (0 inside a block).  A type past the
+    half-edge cap is refused here, so no search runs on it.
     """
+    _check_size(sum(vtype))
     offs = type_offsets(vtype)
     vert = [v for v, k in enumerate(vtype) for _ in range(k)]
     blocks = [[] for _ in range(max(vtype) + 1)]
@@ -276,35 +277,30 @@ def _canonical_search(vtype, chords, legs=()):
     return best, leg_images, net, len(leaves)
 
 
-def _scan_batch(vtype, chords, legs=None):
-    """(canonical, sign, aut, zero) of each of many oriented diagrams of
-    one type, from `_canonical_search`.
+def _scan(vtype, chords, legs=None):
+    """(canonical, sign, aut, zero) of one oriented diagram of type
+    `vtype`, from `_canonical_search`.
 
-    `chords` holds the oriented chords of each diagram, as a sequence of
-    (a, b) pairs.  The canonical form is the least image partner array, as
-    chords; with `legs` (the leg slots of each diagram, incoming then
-    outgoing) it is the least leg images and then the least partner array,
-    and `canonical` is the pair (leg images, chords).  `sign` satisfies [input] = sign *
-    [canonical].  The relabelings onto the canonical form are one coset
-    of its stabilizer, on which the sign is a character: their signs are
-    all equal, or split evenly and sum to zero exactly for ZERO classes.
+    `chords` holds the oriented chords as (a, b) pairs.  The canonical
+    form is the least image partner array, as chords; with `legs` (the leg
+    slots, incoming then outgoing, possibly none) it is the least leg
+    images and then the least partner array, and `canonical` is the pair
+    (leg images, chords).  `sign` satisfies [input] = sign * [canonical].
+    The relabelings onto the canonical form are one coset of its
+    stabilizer, on which the sign is a character: their signs are all
+    equal, or split evenly and sum to zero exactly for ZERO classes.
     """
-    _check_size(sum(vtype))
-    out = []
-    for i, ch in enumerate(chords):
-        best, leg_images, net, count = _canonical_search(
-            vtype, ch, () if legs is None else legs[i])
-        canonical = tuple([(a, b) for a, b in enumerate(best) if a < b])
-        if legs is not None:
-            canonical = (leg_images, canonical)
-        out.append((canonical, None if not net else 1 if net > 0 else -1,
-                    count if net else count // 2, not net))
-    return out
+    best, leg_images, net, count = _canonical_search(vtype, chords,
+                                                     legs or ())
+    canonical = tuple([(a, b) for a, b in enumerate(best) if a < b])
+    if legs is not None:
+        canonical = (leg_images, canonical)
+    if not net:
+        return canonical, None, count // 2, True
+    return canonical, 1 if net > 0 else -1, count, False
 
 
-@lru_cache(maxsize=500_000)
-def _scan_cached(vtype, chords, legs=None):
-    return _scan_batch(vtype, [chords], None if legs is None else [legs])[0]
+_scan_cached = lru_cache(maxsize=500_000)(_scan)
 
 
 # ------------------------------------------------------------ graph class
@@ -378,48 +374,6 @@ def _make_graph(vtype, chords, aut, zero) -> RibbonGraph:
 EMPTY_GRAPH = _make_graph((), (), 1, False)
 
 
-# --------------------------------------------------- fully ordered graphs
-
-class FullyOrderedGraph:
-    """A ribbon graph with every choice made: vertices as tuples of
-    half-edge labels (the tuple order is the cyclic order), edges as
-    ordered label pairs.  Labels may be arbitrary integers."""
-
-    __slots__ = ("vertices", "edges")
-
-    def __init__(self, vertices, edges):
-        self.vertices = tuple(tuple(v) for v in vertices)
-        self.edges = tuple((a, b) for a, b in edges)
-        labels = [h for v in self.vertices for h in v]
-        ends = [h for e in self.edges for h in e]
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate half-edge label")
-        if sorted(labels) != sorted(ends):
-            raise ValueError("edges do not match half-edges")
-        if any(len(v) < 3 for v in self.vertices):
-            raise ValueError("valencies must be >= 3")
-
-    @classmethod
-    def from_chords(cls, vtype, chords):
-        offs = type_offsets(vtype)
-        vertices = [tuple(range(offs[v], offs[v] + vtype[v]))
-                    for v in range(len(vtype))]
-        return cls(vertices, chords)
-
-    def standardize(self):
-        """Stable-sort vertices by valency and relabel half-edges to the
-        standard consecutive scheme; returns (vtype, chords, sign)."""
-        labels = (h for v in self.vertices for h in v)
-        slot = {h: s for s, h in enumerate(labels)}
-        (vtype, _, _, chords), sign = _standardize_diagram(
-            tuple(len(v) for v in self.vertices), (), (),
-            tuple((slot[a], slot[b]) for a, b in self.edges))
-        return vtype, chords, sign
-
-    def __repr__(self):
-        return f"FullyOrderedGraph({self.vertices}, {self.edges})"
-
-
 # ----------------------------------------------------------------- moves
 
 @lru_cache(maxsize=None)
@@ -455,17 +409,15 @@ def check_diagram(vtype, legs_in, legs_out, chords):
 def canonicalize(obj):
     """Canonical class and sign of a diagram: (RibbonGraph, sign) with
     [input] = sign * [canonical].  For ZERO classes the sign is +1 by
-    convention and the class must be discarded by chain arithmetic.  A
-    (vtype, chords) pair with a valency below 3, or whose chords do not
-    cover every half-edge exactly once, is rejected with ValueError."""
+    convention and the class must be discarded by chain arithmetic.  The
+    diagram is a RibbonGraph or a (vtype, chords) pair, its valencies in
+    any order; a pair with a valency below 3, or whose chords do not cover
+    every half-edge exactly once, is rejected with ValueError."""
     if isinstance(obj, RibbonGraph):
         return obj, 1
-    if isinstance(obj, FullyOrderedGraph):
-        vtype, chords, sign = obj.standardize()
-    else:
-        vtype, chords = obj
-        check_diagram(vtype, (), (), chords)
-        (vtype, _, _, chords), sign = _standardize_diagram(vtype, (), (), chords)
+    vtype, chords = obj
+    check_diagram(vtype, (), (), chords)
+    (vtype, _, _, chords), sign = _standardize_diagram(vtype, (), (), chords)
     if not vtype:
         return EMPTY_GRAPH, sign
     canonical, csign, aut, zero = _scan_cached(vtype, chords)
@@ -516,18 +468,10 @@ def _contraction_template(vtype, a, b):
 
 
 def _contractions(g: RibbonGraph):
-    """All non-loop contractions of g, before canonicalization, grouped by
-    result type: {vtype: (chords, signs)}, `chords` a list of chord tuples,
-    in edge order within each type."""
-    out: dict = {}
-    for j, (a, b) in enumerate(g.chords):
-        t = _contraction_template(g.vtype, a, b)
-        if t is not None:
-            vtype, R, sign = t
-            chords, signs = out.setdefault(vtype, ([], []))
-            chords.append(_relabel(R, g.chords[:j] + g.chords[j + 1:]))
-            signs.append(sign)
-    return out
+    """All non-loop contractions of g, before canonicalization, in edge
+    order: a list of (vtype, chords, sign)."""
+    return [contract_edge_raw(g, j) for j in range(g.nedges)
+            if not g.is_loop(j)]
 
 
 def contract_edge_raw(g: RibbonGraph, edge_index: int):
@@ -581,23 +525,10 @@ def _expansion_moves(vtype):
     return out
 
 
-@lru_cache(maxsize=None)
-def _expansion_templates(vtype):
-    """The expansion templates grouped by result type: {vtype': (Rs,
-    signs)}, one template per ideal edge, in `ideal_edges` order."""
-    groups: dict = {}
-    for vt, R, sign in _expansion_moves(vtype).values():
-        groups.setdefault(vt, []).append((R, sign))
-    return {vt: tuple(zip(*rows)) for vt, rows in groups.items()}
-
-
 def _expansions(g: RibbonGraph):
-    """All ideal-edge expansions of g, before canonicalization, grouped by
-    result type: {vtype: (chords, signs)} as for `_contractions`."""
-    size = 2 * g.nedges
-    chords = g.chords + ((size, size + 1),)
-    return {vt: ([_relabel(R, chords) for R in Rs], signs)
-            for vt, (Rs, signs) in _expansion_templates(g.vtype).items()}
+    """All ideal-edge expansions of g, before canonicalization, in
+    `ideal_edges` order: a list of (vtype, chords, sign)."""
+    return [expand_ideal_edge_raw(g, ie) for ie in ideal_edges(g)]
 
 
 def ideal_edges(g: RibbonGraph):
@@ -635,13 +566,12 @@ def disjoint_union(*graphs: RibbonGraph):
     graphs = [g for g in graphs if g.nverts]
     if len(graphs) < 2:
         return (graphs[0] if graphs else EMPTY_GRAPH), 1
-    vertices, edges, shift = [], [], 0
+    vtype, chords, shift = (), [], 0
     for g in graphs:
-        vertices += [tuple(h + shift for h in block)
-                     for block in g.vertex_blocks()]
-        edges += [(a + shift, b + shift) for a, b in g.chords]
+        vtype += g.vtype
+        chords += [(a + shift, b + shift) for a, b in g.chords]
         shift += 2 * g.nedges
-    return canonicalize(FullyOrderedGraph(vertices, edges))
+    return canonicalize((vtype, chords))
 
 
 def _vertex_roots(g: RibbonGraph):
@@ -675,9 +605,10 @@ def connected_components(g: RibbonGraph):
     for r in dict.fromkeys(roots):
         verts = [v for v in range(g.nverts) if roots[v] == r]
         grouping.extend(verts)
-        half_edges = {h for v in verts for h in blocks[v]}
-        edges = [c for c in g.chords if c[0] in half_edges]
-        comp, s = canonicalize(FullyOrderedGraph([blocks[v] for v in verts], edges))
+        slot = {h: n for n, h in enumerate(h for v in verts
+                                           for h in blocks[v])}
+        chords = [(slot[a], slot[b]) for a, b in g.chords if a in slot]
+        comp, s = canonicalize((tuple(g.vtype[v] for v in verts), chords))
         comps.append(comp)
         total_sign *= s
     # sign of regrouping the vertex order component by component
@@ -759,8 +690,8 @@ def _one_vertex_classes(nedge):
                if nedge > 2 else [((0, 1),)])
     found = {}
     for chords in parents:
-        for form, _, aut, zero in _scan_batch(
-                (size,), _shortest_chord_children(chords, size)):
+        for child in _shortest_chord_children(chords, size):
+            form, _, aut, zero = _scan((size,), child)
             found[form] = (aut, zero)
     return [_make_graph((size,), form, aut, zero)
             for form, (aut, zero) in found.items()]
@@ -789,17 +720,13 @@ def _connected_classes(nvert, nedge):
         others = vt[-2] if top else 0
         if others == vt[-1]:
             continue
-        groups: dict = {}
+        size = 2 * parent.nedges
+        chords = parent.chords + ((size, size + 1),)
         for ie, (child, R, _) in _expansion_moves(vt).items():
             # the new vertices have valencies len(arc) + 1
             if ie.vertex == top and \
                     max(len(ie.arc_a), len(ie.arc_b)) + 1 >= others:
-                groups.setdefault(child, []).append(R)
-        size = 2 * parent.nedges
-        chords = parent.chords + ((size, size + 1),)
-        for child, Rs in groups.items():
-            for form, _, aut, zero in _scan_batch(
-                    child, [_relabel(R, chords) for R in Rs]):
+                form, _, aut, zero = _scan(child, _relabel(R, chords))
                 found[child, form] = (aut, zero)
     return [_make_graph(vt, form, aut, zero)
             for (vt, form), (aut, zero) in found.items()]

@@ -146,7 +146,8 @@ def graph_from_json(obj):
     legs_in = tuple(map(slot, _expect_list(obj.get("legs_in", []), "legs_in")))
     legs_out = tuple(map(slot, _expect_list(obj.get("legs_out", []),
                                             "legs_out")))
-    if "half_edges" in obj and int(obj["half_edges"]) != len(relabel):
+    if "half_edges" in obj and \
+            _expect_int(obj["half_edges"], "half_edges") != len(relabel):
         raise ValueError("half_edges count does not match the vertices")
     check_diagram(vtype, legs_in, legs_out, edges)
     if legs_in or legs_out or "legs_in" in obj or "legs_out" in obj:

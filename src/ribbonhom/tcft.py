@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .ainfinity import AInfinityAlgebra, ValidationReport
-from .graphs import (RibbonGraph, _check_size, _place_legs, _scan_batch,
+from .graphs import (RibbonGraph, _check_size, _place_legs, _scan,
                      _scan_cached, _standardize_diagram, _valency_partitions,
                      check_diagram, perfect_matchings)
 from .scalars import LinearCombination, format_scalar
@@ -324,14 +324,11 @@ def enumerate_legged_graphs(nin, nout, nedges):
     found = {}
     for nverts in range(1, size // 3 + 1):
         for vtype in _valency_partitions(size, nverts):
-            candidates = [(legs, mat)
-                          for legs in _fixed_leg_placements(vtype, nin + nout)
-                          for mat in perfect_matchings(
-                              [s for s in range(size) if s not in legs])]
-            scans = _scan_batch(vtype, [mat for _, mat in candidates],
-                                [legs for legs, _ in candidates])
-            for (images, ch), _, aut, zero in scans:
-                found[vtype, images, ch] = (aut, zero)
+            for legs in _fixed_leg_placements(vtype, nin + nout):
+                for mat in perfect_matchings(
+                        [s for s in range(size) if s not in legs]):
+                    (images, ch), _, aut, zero = _scan(vtype, mat, legs)
+                    found[vtype, images, ch] = (aut, zero)
     out = [_make_legged(vt, images[:nin], images[nin:], ch, aut, zero)
            for (vt, images, ch), (aut, zero) in found.items()]
     return tuple(sorted(out, key=lambda g: g.sort_key))

@@ -39,6 +39,38 @@ def test_enumerate_counts_match_pins(capsys):
     assert code == 0 and len(graphs) == 3
 
 
+def test_connected_windows_are_asked_for_directly(capsys, monkeypatch):
+    # enumerate --connected and the roundtrip and invariance suites ask
+    # for the connected windows only, and list what filtering the full
+    # window by connectedness gives
+    asked = []
+
+    def spy(fn):
+        def spied(nvert, nedge, connected=False):
+            asked.append(connected)
+            return fn(nvert, nedge, connected)
+        return spied
+
+    monkeypatch.setattr(cli, "enumerate_graphs", spy(cli.enumerate_graphs))
+    monkeypatch.setattr(cli, "basis", spy(cli.basis))
+    code, rep, _ = structured(capsys, "enumerate", "--vertices", "1:3",
+                              "--edges", "1:5", "--connected")
+    assert code == 0 and asked and all(asked)
+    for argv in (("roundtrip", "--edges", "3"), ("invariance", "--edges", "2")):
+        asked.clear()
+        code, _, _ = run(capsys, "verify", *argv)
+        assert code == 0 and asked and all(asked), argv
+    monkeypatch.undo()
+    listed = [(r["v"], r["e"], r["index"], r["vertices"], r["edges"])
+              for r in rep["rows"] if r["kind"] == "graph"]
+    filtered = [(v, e, i, [list(b) for b in g.vertex_blocks()],
+                 [list(c) for c in g.chords])
+                for v in range(1, 4) for e in range(1, 6)
+                for i, g in enumerate(g for g in cli.enumerate_graphs(v, e)
+                                      if g.connected)]
+    assert listed == filtered
+
+
 def test_text_mirrors_structured(capsys):
     code, text, _ = run(capsys, "enumerate", "--vertices", "2",
                         "--edges", "3")
@@ -187,6 +219,12 @@ def test_input_errors_exit_2(capsys, tmp_path):
         "list": ([], "JSON object"),
         "number": (3, "JSON object"),
     }
+    theta_doc = {"vertices": [[0, 1, 2], [3, 4, 5]],
+                 "edges": [[0, 3], [1, 4], [2, 5]]}
+    for value in (None, [6], 6.9):
+        graphs[f"half_edges_{value}"] = (
+            dict(theta_doc, half_edges=value),
+            f"half_edges {json.dumps(value)} is not an integer")
     for name, (doc, words) in graphs.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
@@ -270,6 +308,22 @@ def test_input_errors_exit_2(capsys, tmp_path):
         code, _, err = run(capsys, "verify", *argv)
         assert time.perf_counter() - start < 5, argv
         assert code == 2 and err.startswith("error:") and words in err, \
+            (argv, err)
+    # reversed ranges and negative counts are refused by the parser
+    for argv, words in (
+            (("homology", "--vertices", "4:1"), "'4:1': 4 is above 1"),
+            (("enumerate", "--vertices", "1", "--edges", "3:2"),
+             "'3:2': 3 is above 2"),
+            (("characteristic", "--algebra", ALGEBRA, "--order", "-2"),
+             "--order: -2 is below 0"),
+            (("characteristic", "--algebra", ALGEBRA, "--exterior", "-1"),
+             "--exterior: -1 is below 0"),
+            (("verify", "equivalence", "--order", "-1"),
+             "--order: -1 is below 0")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and "error:" in err and words in err, \
             (argv, err)
 
 

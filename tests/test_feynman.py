@@ -4,14 +4,13 @@ import random
 from fractions import Fraction
 
 from ribbonhom.complexes import GraphChain, coboundary, pairing
-from ribbonhom.feynman import (amplitude, amplitude_ordered, beta,
-                               integral_I, integral_I_inverse, kappa,
-                               pair_chain_graph)
-from ribbonhom.graphs import (FullyOrderedGraph, canonicalize, disjoint_union,
-                              enumerate_graphs)
+from ribbonhom.feynman import (amplitude, beta, integral_I,
+                               integral_I_inverse, kappa, pair_chain_graph)
+from ribbonhom.graphs import canonicalize, disjoint_union, enumerate_graphs
 from ribbonhom.lie import CEChain, CyclicWord, ce_differential
-from ribbonhom.superspace import (SuperDim, SuperTensor, invert_perm,
-                                  koszul_apply)
+from ribbonhom.superspace import (SuperDim, SuperTensor,
+                                  canonical_form_matrix, contract,
+                                  invert_perm, koszul_apply)
 
 D10 = SuperDim(1, 0)
 D11 = SuperDim(1, 1)
@@ -60,19 +59,23 @@ def test_beta_equivariance():
 
 
 def test_amplitude_ordered_theta_and_flip():
-    fog = FullyOrderedGraph(((0, 1, 2), (3, 4, 5)), ((0, 3), (1, 4), (2, 5)))
+    # the theta diagram's state sum in its own labelling, and the sign of
+    # reversing one edge
+    chords = ((0, 3), (1, 4), (2, 5))
+    flipped = ((3, 0), (1, 4), (2, 5))
     b1 = SuperTensor.word(D10, (0, 0, 0))
     b2 = SuperTensor.word(D10, (1, 1, 1))
-    assert amplitude_ordered(fog, (b1, b2)) == 1
-    assert amplitude_ordered(fog, (b1, SuperTensor.word(D10, (1, 1)))) == 0
+    assert contract([b1, b2], chords, canonical_form_matrix(D10)).scalar() \
+        == 1
     rng = random.Random(9)
-    flipped = FullyOrderedGraph(fog.vertices, ((3, 0), (1, 4), (2, 5)))
+    pair = canonical_form_matrix(D11)
     for _ in range(20):
         blocks = [SuperTensor(D11, 3,
                               {tuple(rng.randrange(3) for _ in range(3)):
                                Fraction(rng.randint(-2, 2))})
                   for _ in range(2)]
-        assert amplitude_ordered(flipped, blocks) == -amplitude_ordered(fog, blocks)
+        assert contract(blocks, flipped, pair).scalar() == \
+            -contract(blocks, chords, pair).scalar()
 
 
 def test_amplitude_orientation_and_degree():

@@ -13,11 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 import oracles as O
 from ribbonhom import complexes, graphs
-from ribbonhom.graphs import (EMPTY_GRAPH, FullyOrderedGraph, RibbonGraph,
-                              _contractions, _expansions, _scan_batch,
-                              _shortest_chord_children, _valency_partitions,
-                              canonicalize, connected_components,
-                              contract_edge, contract_edge_raw,
+from ribbonhom.graphs import (EMPTY_GRAPH, _contractions, _expansions,
+                              _scan, _shortest_chord_children,
+                              _valency_partitions, canonicalize,
+                              connected_components, contract_edge,
+                              contract_edge_raw,
                               disjoint_union, enumerate_graphs,
                               expand_ideal_edge, expand_ideal_edge_raw,
                               ideal_edges, perfect_matchings, valency_types)
@@ -77,12 +77,13 @@ def test_relabeling_lands_in_same_class():
             continue
         g = cells[rng.randrange(len(cells))]
         # rotate each block by a random amount: same cyclic orders
-        blocks = []
+        slot = {}
         for blk in g.vertex_blocks():
             r = rng.randrange(len(blk))
-            blocks.append(tuple(blk[r:] + blk[:r]))
-        fog = FullyOrderedGraph(tuple(blocks), g.chords)
-        h, _ = canonicalize(fog)
+            for h in blk[r:] + blk[:r]:
+                slot[h] = len(slot)
+        h, _ = canonicalize((g.vtype, tuple((slot[a], slot[b])
+                                            for a, b in g.chords)))
         assert h is g, (g, h)
 
 
@@ -303,13 +304,12 @@ def test_search_matches_orbit_oracle():
             for g in enumerate_graphs(v, e):
                 cases.append((g.vtype, tuple(c if rng.random() < 0.5
                                              else c[::-1] for c in g.chords)))
-                moves = [*_contractions(g).items(), *_expansions(g).items()]
-                for vt, (chords, _) in moves:
-                    cases += [(vt, row) for row in chords]
+                cases += [(vt, chords) for vt, chords, _ in
+                          [*_contractions(g), *_expansions(g)]]
     for vtype, chords in cases:
         d = O.orbit_scan(vtype, chords)
-        assert _scan_batch(vtype, [chords]) == \
-            [(d["canonical"], d["sign"], d["aut"], d["zero"])], (vtype, chords)
+        assert _scan(vtype, chords) == \
+            (d["canonical"], d["sign"], d["aut"], d["zero"]), (vtype, chords)
 
 
 def test_generated_windows_match_the_sweep_counts():
@@ -325,20 +325,6 @@ def test_generated_windows_match_the_sweep_counts():
             == pin, (v, e)
 
 
-def _grouped(moves):
-    """Per-move (vtype, chords, sign) triples grouped by vtype, in order."""
-    groups = {}
-    for vt, ch, s in moves:
-        groups.setdefault(vt, []).append((ch, s))
-    return groups
-
-
-def _as_lists(batched):
-    """Batched moves {vtype: (chords, signs)} in the form of `_grouped`."""
-    return {vt: list(zip(chords, signs))
-            for vt, (chords, signs) in batched.items()}
-
-
 def _classes_to_e6():
     return [g for e in range(1, 7) for v in range(1, 2 * e // 3 + 1)
             for g in enumerate_graphs(v, e)]
@@ -346,29 +332,25 @@ def _classes_to_e6():
 
 def test_contraction_templates_match_oracle():
     # every contraction of every class with e <= 6, one move at a time
-    # against the oracle and batched against the single moves
+    # and all of them together, against the oracle
     for g in _classes_to_e6():
         edges = [j for j in range(g.nedges) if not g.is_loop(j)]
-        contracted = [contract_edge_raw(g, j) for j in edges]
-        assert contracted == [O.contract_edge_oracle(g.vtype, g.chords, j)
-                              for j in edges], g
-        assert _as_lists(_contractions(g)) == _grouped(contracted), g
+        expected = [O.contract_edge_oracle(g.vtype, g.chords, j)
+                    for j in edges]
+        assert [contract_edge_raw(g, j) for j in edges] == expected, g
+        assert _contractions(g) == expected, g
 
 
 def test_expansion_templates_match_oracle():
     # the ideal edges of every class with e <= 6, in order, and every
-    # expansion, batched by result type, move by move against the oracle
+    # expansion, one at a time and all together, against the oracle
     for g in _classes_to_e6():
         expected = O.ideal_expansions_oracle(g.vtype, g.chords)
         assert ideal_edges(g) == [ie for ie, _ in expected], g
-        assert _as_lists(_expansions(g)) == _grouped(
-            move for _, move in expected), g
-
-
-def test_single_expansion_matches_batch():
-    for g in _classes_to_e6():
-        assert _as_lists(_expansions(g)) == _grouped(
-            expand_ideal_edge_raw(g, ie) for ie in ideal_edges(g)), g
+        moves = [move for _, move in expected]
+        assert [expand_ideal_edge_raw(g, ie) for ie in ideal_edges(g)] \
+            == moves, g
+        assert _expansions(g) == moves, g
 
 
 def test_expansion_rejects_a_split_that_is_no_ideal_edge():
@@ -404,14 +386,15 @@ def test_scan_batch_matches_row_reference(diagram):
     # as incoming legs, so the oracle's key (legs, (), matching) compares
     # as the pair (leg images, chords)
     vtype, chord_lists, leg_lists = diagram
-    expected = []
     for i, chords in enumerate(chord_lists):
         if leg_lists is None:
             d = O.orbit_scan(vtype, chords)
             canonical = d["canonical"]
+            scan = _scan(vtype, chords)
         else:
             d = O.legged_orbit_scan(vtype, leg_lists[i], (), chords)
             legs, _, matching = d["canonical"]
             canonical = (legs, matching)
-        expected.append((canonical, d["sign"], d["aut"], d["zero"]))
-    assert _scan_batch(vtype, chord_lists, leg_lists) == expected
+            scan = _scan(vtype, chords, leg_lists[i])
+        assert scan == (canonical, d["sign"], d["aut"], d["zero"]), \
+            (vtype, chords)

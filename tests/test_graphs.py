@@ -353,6 +353,13 @@ def test_expansion_templates_match_oracle():
         assert _expansions(g) == moves, g
 
 
+def test_single_expansion_matches_batch():
+    # every expansion built alone equals its entry in the full move list
+    for g in _classes_to_e6():
+        assert _expansions(g) == [expand_ideal_edge_raw(g, ie)
+                                  for ie in ideal_edges(g)], g
+
+
 def test_expansion_rejects_a_split_that_is_no_ideal_edge():
     g, _ = canonicalize(LOOP_PAIR)
     with pytest.raises(ValueError):

@@ -536,7 +536,7 @@ def _suite_exp(args, rng):
     full = partition_function(algebra, window).chain
     connected = connected_partition_function(algebra, window)
     lhs = exp_chain(connected, window)
-    checks = len(set(lhs.terms) | set(full.terms)) or 1
+    checks = len(set(lhs.terms) | set(full.terms))
     fails = []
     diff = lhs - full
     if diff:
@@ -671,6 +671,9 @@ def cmd_verify(args):
     for name in names:
         rng = random.Random(f"{args.seed}:{name}")
         bounds, n, fails = _SUITE_FNS[name](args, rng)
+        if not n:
+            raise ValueError(f"verify {name} made no check in the window " +
+                             " ".join(f"{k}={v}" for k, v in bounds.items()))
         rows.extend(fails)
         summary = {"kind": "suite", "name": name}
         summary.update(bounds)

@@ -22,8 +22,7 @@ from functools import lru_cache
 
 from .graphs import (RibbonGraph, _contractions, _expansions, _make_graph,
                      _scan, enumerate_graphs)
-from .scalars import (LinearCombination, format_scalar, mat_transpose,
-                      rank_exact, solve_exact)
+from .scalars import LinearCombination, format_scalar, rank_exact, solve_exact
 
 
 class GraphChain(LinearCombination):
@@ -139,19 +138,14 @@ def basis(nvert, nedge, connected=False):
 
 
 def _boundary_rows(nvert, nedge):
-    """Dense matrix of the boundary from basis(nvert, nedge) to
-    basis(nvert - 1, nedge - 1), one row per source class; no rows when
-    either basis is empty."""
+    """The boundary from basis(nvert, nedge) to basis(nvert - 1, nedge - 1)
+    as sparse rows, one {target index: int} row per source class; no rows
+    when either basis is empty."""
     tgt = {g: i for i, g in enumerate(basis(nvert - 1, nedge - 1))}
     if not tgt:
         return []
-    rows = []
-    for g in basis(nvert, nedge):
-        row = [Fraction(0)] * len(tgt)
-        for rg, c in _boundary_graph(g):
-            row[tgt[rg]] = Fraction(c)
-        rows.append(row)
-    return rows
+    return [{tgt[rg]: c for rg, c in _boundary_graph(g)}
+            for g in basis(nvert, nedge)]
 
 
 def _boundary_rank(nvert, nedge) -> int:
@@ -197,14 +191,14 @@ def is_boundary(x: GraphChain):
     if deg is None:
         return GraphChain()
     v, e = deg
-    rows = _boundary_rows(v + 1, e + 1)
-    if not rows:
-        return None
+    src = basis(v + 1, e + 1)
     tgt = {g: i for i, g in enumerate(basis(v, e))}
-    rhs = [Fraction(0)] * len(tgt)
-    for g, c in x.terms.items():
-        rhs[tgt[g]] = Fraction(c)
-    sol = solve_exact(mat_transpose(rows), rhs)
+    # the columns of the boundary, one sparse row per target class
+    cols = [{} for _ in tgt]
+    for i, g in enumerate(src):
+        for rg, c in _boundary_graph(g):
+            cols[tgt[rg]][i] = c
+    sol = solve_exact(cols, {tgt[g]: c for g, c in x.terms.items()})
     if sol is None:
         return None
-    return GraphChain({g: c for g, c in zip(basis(v + 1, e + 1), sol)})
+    return GraphChain({src[i]: c for i, c in sol.items()})

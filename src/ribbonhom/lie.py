@@ -400,10 +400,7 @@ def coinvariant_reduce(x: CEChain) -> CoinvariantCoordinates:
         for fs in basis:
             img = osp_act(xi, CEChain(dim, {fs: Fraction(1)}))
             if img:
-                row = [Fraction(0)] * len(basis)
-                for t, c in img.terms.items():
-                    row[index[t]] = c
-                rows.append(row)
+                rows.append({index[t]: c for t, c in img.terms.items()})
     # a pivot row is zero left of its pivot, so clearing the pivots of x
     # leftmost first never refills one already cleared
     pivots = _echelon(rows)

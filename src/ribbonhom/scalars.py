@@ -10,7 +10,9 @@ canonical keys mapped to nonzero exact coefficients, in a space named by a
 few attributes, with the vector-space arithmetic written once.
 
 The exact linear algebra used across the package (inverse, rank, solve)
-lives here as well, all of it on one sparse row echelon routine.
+lives here as well, all of it on one sparse row echelon routine.  A matrix
+enters it as sparse rows: one {col: value} dict per row holding the row's
+nonzero entries, which callers build directly from their own sparse data.
 """
 
 from __future__ import annotations
@@ -129,25 +131,18 @@ def parse_scalar(s) -> Fraction:
 
 # ---------------------------------------------------- exact linear algebra
 
-def identity_matrix(n: int) -> list[list[Fraction]]:
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
-def mat_transpose(a):
-    return [list(col) for col in zip(*a)] if a else []
-
-
 def _echelon(rows) -> dict:
-    """Sparse row echelon form of dense rows over exact scalars.
+    """Sparse row echelon form of an iterable of sparse {col: value} rows.
 
-    Each row is kept as a {col: value} dict of its nonzeros and reduced
-    against the table {pivot_col: row scaled to 1 at pivot_col, zero left
-    of it}; what is left nonzero enters the table at its leftmost column.
-    Sparsest rows go first, to limit fill-in: the set of pivot columns
-    does not depend on the row order.
+    Each row is copied without its zero values and reduced against the
+    table {pivot_col: row scaled to 1 at pivot_col, zero left of it}; what
+    is left nonzero enters the table at its leftmost column.  Sparsest rows
+    go first, in a stable order, to limit fill-in: the set of pivot
+    columns does not depend on the row order.
     """
     table: dict = {}
-    for row in sorted(({c: v for c, v in enumerate(r) if v} for r in rows), key=len):
+    rows = sorted(({c: v for c, v in r.items() if v} for r in rows), key=len)
+    for row in rows:
         while row:
             col = min(row)
             pivot = table.get(col)
@@ -165,42 +160,50 @@ def _echelon(rows) -> dict:
     return table
 
 
-def _solve(a, b):
-    """Rows of one X with A X = B, free variables set to 0, or None when a
-    pivot of the echelon form of [A | B] falls in B."""
-    n = len(a[0]) if a else 0
-    width = len(b[0]) if b else 0
-    table = _echelon([list(ra) + list(rb) for ra, rb in zip(a, b)])
-    x = [[Fraction(0)] * width for _ in range(n)]
+def _solve(rows, n):
+    """One X with A X = B, free variables set to 0, or None when a pivot of
+    the echelon form falls in B.  `rows` are the sparse rows of [A | B],
+    B in the columns n + k; X comes back as {pivot col: {k: nonzero
+    value}}, by back-substitution from the rightmost pivot."""
+    x: dict = {}
+    table = _echelon(rows)
     for col in sorted(table, reverse=True):
         if col >= n:
             return None
-        acc = [table[col].get(n + k, Fraction(0)) for k in range(width)]
+        acc = {c - n: v for c, v in table[col].items() if c >= n}
         for c, v in table[col].items():
             if col < c < n:
-                acc = [s - v * t for s, t in zip(acc, x[c])]
-        x[col] = acc
+                for k, t in x.get(c, {}).items():
+                    acc[k] = acc.get(k, 0) - v * t
+        x[col] = {k: s for k, s in acc.items() if s}
     return x
 
 
 def mat_inverse(a):
-    """Inverse over exact scalars; ValueError if singular."""
-    x = _solve(a, identity_matrix(len(a)))
+    """Inverse of a dense square matrix over exact scalars, as a dense
+    matrix; ValueError if singular."""
+    n = len(a)
+    x = _solve([{**dict(enumerate(row)), n + i: 1}
+                for i, row in enumerate(a)], n)
     if x is None:
         raise ValueError("singular matrix")
-    return x
+    return [[x[i].get(j, Fraction(0)) for j in range(n)] for i in range(n)]
 
 
 def rank_exact(rows) -> int:
-    """Rank of a matrix of exact scalars."""
+    """Rank of a matrix given as a list of sparse {col: value} rows."""
     return len(_echelon(rows))
 
 
-def solve_exact(a, b):
+def solve_exact(rows, rhs):
     """One exact solution x of A x = b, or None if inconsistent.
 
-    Free variables are set to zero.  `a` is a list of rows, `b` a list of
-    scalars.
+    `rows` is A as a list of sparse {col: value} rows and `rhs` is b as
+    {row index: value}; x comes back as {col: nonzero value}, with the
+    free variables set to zero.
     """
-    x = _solve(a, [[rhs] for rhs in b])
-    return None if x is None else [row[0] for row in x]
+    n = 1 + max((c for row in rows for c in row), default=-1)
+    x = _solve([{**row, n: rhs[i]} if rhs.get(i) else row
+                for i, row in enumerate(rows)], n)
+    return None if x is None else {c: xs[0] for c, xs in sorted(x.items())
+                                   if xs}

@@ -22,8 +22,7 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
-from .scalars import (LinearCombination, format_scalar, mat_inverse,
-                      mat_transpose)
+from .scalars import LinearCombination, format_scalar, mat_inverse
 
 
 class SuperDim:
@@ -117,7 +116,7 @@ class SymplecticForm:
                 if self.matrix[b][a] != expect:
                     raise ValueError("form is not super-skew-symmetric")
         try:
-            mat_inverse([list(r) for r in self.matrix])
+            mat_inverse(self.matrix)
         except ValueError:
             raise ValueError("form is degenerate") from None
 
@@ -129,7 +128,7 @@ class SymplecticForm:
         """Matrix of the induced pairing on the dual basis: the transpose of
         the inverse.  For the canonical form this is the canonical matrix
         itself, which is what pins the convention."""
-        return mat_transpose(mat_inverse([list(r) for r in self.matrix]))
+        return [list(col) for col in zip(*mat_inverse(self.matrix))]
 
     def __eq__(self, other):
         return (isinstance(other, SymplecticForm)

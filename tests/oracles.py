@@ -543,6 +543,17 @@ def gauss_jordan_reduce(rows, vec):
     return set(pivots), vec
 
 
+def sparse_rows(rows):
+    """A dense matrix as the package's sparse rows: one {col: value} dict
+    of the nonzero entries per row."""
+    return [{c: v for c, v in enumerate(row) if v} for row in rows]
+
+
+def identity(n):
+    """The n x n identity matrix as dense rows."""
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
 def mat_mul(a, b):
     """Dense product of two matrices given as lists of rows."""
     n, k, m = len(a), len(b), len(b[0]) if b else 0

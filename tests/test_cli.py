@@ -309,6 +309,19 @@ def test_input_errors_exit_2(capsys, tmp_path):
         assert time.perf_counter() - start < 5, argv
         assert code == 2 and err.startswith("error:") and words in err, \
             (argv, err)
+    # a suite that makes no check in its window is refused, not passed
+    for argv, window in ((("d2", "--edges", "0"), "edges=0"),
+                         (("delta2", "--edges", "0"), "edges=0"),
+                         (("adjointness", "--edges", "1"), "edges=1"),
+                         (("roundtrip", "--edges", "0"), "edges=0"),
+                         (("invariance", "--edges", "0"), "edges=0"),
+                         (("kontsevich", "--edges", "0"), "edges=0"),
+                         (("triangle", "--edges", "0"), "edges=0"),
+                         (("equivalence", "--order", "0"), "order=0")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and not out and err.startswith(
+            f"error: verify {argv[0]} made no check") and window in err, \
+            (argv, err)
     # reversed ranges and negative counts are refused by the parser
     for argv, words in (
             (("homology", "--vertices", "4:1"), "'4:1': 4 is above 1"),

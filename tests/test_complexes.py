@@ -1,13 +1,16 @@
 """Graph chain complex: differentials, pairing, homology, witnesses."""
 
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ribbonhom.complexes import (GraphChain, basis, boundary, coboundary,
-                                 homology_dims, is_boundary, pairing)
+import oracles as O
+from ribbonhom.complexes import (GraphChain, _boundary_rank, _boundary_rows,
+                                 basis, boundary, coboundary, homology_dims,
+                                 is_boundary, pairing)
 from ribbonhom.graphs import canonicalize, enumerate_graphs
 from ribbonhom.tcft import MorphismChain, enumerate_legged_graphs
 
@@ -108,6 +111,68 @@ def test_is_boundary_produces_checkable_witness():
     assert is_boundary(GraphChain.of(twisted)) is None
 
 
+def oracle_boundary(v, e):
+    """The boundary leaving (v, e) as a dense matrix that only the oracles
+    build: one row per nonzero class of `oracles.enumerate_classes`, one
+    column per nonzero class one bidegree down, entries from
+    `oracles.boundary_oracle`.  Returns (row classes, column classes,
+    rows), a class being its (type, canonical chords)."""
+    def classes(v, e):
+        return [(d["type"], d["canonical"])
+                for d in O.enumerate_classes(v, e) if not d["zero"]]
+    src, tgt = classes(v, e), classes(v - 1, e - 1)
+    col = {key: j for j, key in enumerate(tgt)}
+    rows = []
+    for vtype, chords in src:
+        row = [0] * len(tgt)
+        for key, c in O.boundary_oracle(vtype, chords).items():
+            row[col[key]] = c
+        rows.append(row)
+    return src, tgt, rows
+
+
+def test_boundary_ranks_and_witnesses_match_the_oracle():
+    for e in range(1, 6):
+        for v in range(1, (2 * e) // 3 + 1):
+            src, tgt, rows = oracle_boundary(v, e)
+            assert _boundary_rank(v, e) == O.rank_bareiss(rows), (v, e)
+            # the rows that were ranked are the oracle's, entry by entry
+            if tgt:
+                keys = [(g.vtype, g.chords) for g in basis(v - 1, e - 1)]
+                ours = {(g.vtype, g.chords): {keys[j]: c
+                                              for j, c in row.items()}
+                        for g, row in zip(basis(v, e), _boundary_rows(v, e))}
+                assert ours == {key: {t: c for t, c in zip(tgt, row) if c}
+                                for key, row in zip(src, rows)}, (v, e)
+    # x is a boundary exactly when appending it as a column to the
+    # transpose of the boundary keeps the rank; chains drawn half in the
+    # image (from the oracle's rows) and half at random
+    rng = random.Random(15)
+    outcomes = set()
+    for v, e in ((1, 3), (2, 4)):
+        _, tgt, rows = oracle_boundary(v + 1, e + 1)
+        graphs = {(g.vtype, g.chords): g for g in basis(v, e)}
+        columns = [list(col) for col in zip(*rows)]
+        rank = O.rank_bareiss(columns)
+        for trial in range(6):
+            if trial % 2:
+                coeffs = [rng.randint(-2, 2) for _ in rows]
+                x = [sum(a * row[j] for a, row in zip(coeffs, rows))
+                     for j in range(len(tgt))]
+            else:
+                x = [Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                     for _ in tgt]
+            chain = GraphChain({graphs[key]: c for key, c in zip(tgt, x)})
+            grows = O.rank_bareiss([col + [c] for col, c in
+                                    zip(columns, x)]) > rank
+            witness = is_boundary(chain)
+            assert (witness is None) == grows, (v, e, x)
+            if witness is not None:
+                assert boundary(witness) == chain
+            outcomes.add(grows)
+    assert outcomes == {False, True}
+
+
 def test_basis_connected_filter():
     assert basis(3, 4) == ()  # no valency type fits three vertices, 8 slots
     full = basis(3, 5)
@@ -122,7 +187,8 @@ def test_homology_euler_characteristic_on_diagonals():
     # Each cell is its own call and no (2, 7) matrix is built.  A rank
     # enters two neighbouring cells with opposite signs, so this checks
     # which ranks each cell subtracts; the ranks themselves are checked
-    # against oracles.rank_bareiss in test_scalars.
+    # against oracles.rank_bareiss in
+    # test_boundary_ranks_and_witnesses_match_the_oracle.
     for d in (1, 2):
         homology = euler = 0
         for v in range(1, 2 * d + 1):

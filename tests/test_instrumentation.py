@@ -32,3 +32,22 @@ def test_traced_entry_points_and_caches_exist():
         assert callable(getattr(cached, "cache_info", None)), key
         info = cached.cache_info()
         assert info.hits >= 0 and info.misses >= 0, key
+
+
+def test_tracer_sees_the_rank_layer(monkeypatch):
+    # the tracer wraps `rank_exact` where `complexes` holds it and reads
+    # the row count of each input; the benchmark's tests pin the largest
+    # one of the default homology window at 1,146 rows
+    from ribbonhom import complexes
+    inputs = []
+    rank_exact = complexes.rank_exact
+
+    def spy(rows):
+        inputs.append(rows)
+        return rank_exact(rows)
+
+    monkeypatch.setattr(complexes, "rank_exact", spy)
+    complexes.homology_dims((1, 4), (1, 5))
+    assert inputs and all(isinstance(rows, list) for rows in inputs)
+    assert all(isinstance(row, dict) for rows in inputs for row in rows)
+    assert max(len(rows) for rows in inputs) == 1146

@@ -13,7 +13,7 @@ from ribbonhom.graphs import enumerate_graphs
 from ribbonhom.lie import (CEChain, CyclicWord, bracket, ce_differential,
                            coinvariant_reduce, cyclic_reduce, osp_act,
                            osp_basis)
-from ribbonhom.scalars import mat_transpose, rank_exact
+from ribbonhom.scalars import rank_exact
 from ribbonhom.superspace import (SuperDim, SuperTensor, SymplecticForm,
                                   canonical_form_matrix)
 
@@ -223,10 +223,10 @@ def rand_even_form(rng, form):
     while True:
         psi = [[Fraction(rng.randint(-2, 2)) if (i < n2) == (j < n2)
                 else Fraction(0) for j in range(t)] for i in range(t)]
-        if rank_exact(psi) == t:
+        if rank_exact(oracles.sparse_rows(psi)) == t:
             break
     s = rng.choice([-2, -1, 1, 2])
-    moved = oracles.mat_mul(mat_transpose(psi),
+    moved = oracles.mat_mul([list(col) for col in zip(*psi)],
                             oracles.mat_mul(form.matrix, psi))
     return psi, SymplecticForm(dim, [[s * x for x in row] for row in moved])
 

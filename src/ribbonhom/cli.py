@@ -12,7 +12,10 @@ Verbs:
 Reports are deterministic given the inputs and --seed: no timings, stable
 ordering, exact scalars rendered as "num/den" strings.  The structured
 format carries the same rows as the text format, one JSON object per line
-of text.  Exit codes: 0 pass, 1 identity failure, 2 input error.
+of text.  Each verb is a generator of rows, and `write_report` writes
+every row as it arrives, so no report is held whole.  Exit codes: 0 pass,
+1 identity failure, 2 input error; every input error is raised before the
+first row, so a run that exits 2 writes nothing on stdout.
 """
 
 import argparse
@@ -113,24 +116,91 @@ def _fmt(value):
     return str(value)
 
 
-def _report(command, params, rows, result):
-    return {"command": command, "params": params, "rows": rows,
-            "result": result}
+def _fields(obj):
+    return " ".join(f"{k}={_fmt(v)}" for k, v in obj.items() if k != "kind")
 
 
-def render_text(report):
-    """One text line per structured element, same order, same fields."""
-    lines = []
-    params = " ".join(f"{k}={_fmt(v)}" for k, v in report["params"].items())
-    lines.append(f"ribbonhom {report['command']}"
-                 + (f" {params}" if params else ""))
-    for row in report["rows"]:
-        body = " ".join(f"{k}={_fmt(v)}"
-                        for k, v in row.items() if k != "kind")
-        lines.append(f"{row['kind']} {body}".rstrip())
-    result = " ".join(f"{k}={_fmt(v)}" for k, v in report["result"].items())
-    lines.append(f"result {result}")
-    return "\n".join(lines)
+def _text_head(command, params):
+    fields = _fields(params)
+    return f"ribbonhom {command}" + (f" {fields}" if fields else "") + "\n"
+
+
+def _text_row(row, index):
+    return f"{row['kind']} {_fields(row)}".rstrip() + "\n"
+
+
+def _text_tail(result, count):
+    return f"result {_fields(result)}\n"
+
+
+# one encoder for every row; with an indent, json encodes in Python
+_ENCODER = json.JSONEncoder(indent=1)
+
+
+def _nested(obj, depth):
+    """obj encoded as it appears `depth` levels down in an indented
+    document; json escapes newlines inside strings, so every newline of
+    the encoding starts an indented line."""
+    return _ENCODER.encode(obj).replace("\n", "\n" + " " * depth)
+
+
+def _json_head(command, params):
+    return (f'{{\n "command": {_ENCODER.encode(command)},\n'
+            f' "params": {_nested(params, 1)},\n "rows": [')
+
+
+def _json_row(row, index):
+    return (",\n  " if index else "\n  ") + _nested(row, 2)
+
+
+def _json_tail(result, count):
+    return (("\n ]" if count else "]")
+            + f',\n "result": {_nested(result, 1)}\n}}\n')
+
+
+# head, row and tail renderers of each --format.  The structured document
+# is byte for byte json.dumps(report, indent=1) + "\n" of the report
+# {"command", "params", "rows", "result"}; the text format is one line per
+# element of it, in the same order, with the same fields.
+_FORMATS = {"text": (_text_head, _text_row, _text_tail),
+            "structured": (_json_head, _json_row, _json_tail)}
+
+
+# errors that refuse an input; a verb raises them before its first row
+_REFUSALS = (OSError, ValueError, KeyError, NotImplementedError)
+
+
+def write_report(command, params, rows, fmt):
+    """Write one report to sys.stdout, each row as the generator `rows`
+    yields it, and return its exit code.
+
+    The generator's return value (result, code) closes the report.  A
+    refusal it raises before its first row is written as one `error:`
+    line on stderr instead, with exit code 2 and nothing on stdout; one
+    raised later is a fault and propagates.  sys.stdout is looked up here,
+    on each call, so a replaced stream (a test's capture) receives it."""
+    head, render, tail = _FORMATS[fmt]
+    out = sys.stdout
+    count = 0
+    while True:
+        try:
+            row = next(rows)
+        except StopIteration as stop:
+            result, code = stop.value
+            break
+        except _REFUSALS as exc:
+            if count:
+                raise
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        if not count:
+            out.write(head(command, params))
+        out.write(render(row, count))
+        count += 1
+    if not count:
+        out.write(head(command, params))
+    out.write(tail(result, count))
+    return code
 
 
 def _algebra(args):
@@ -154,9 +224,41 @@ def _bound(args, suite, key):
     return span if isinstance(span, int) else span[1]
 
 
+def _check_slots(what, slots):
+    """Refuse, before any work, a window whose diagrams have more
+    half-edge slots than the cap allows."""
+    if slots > MAX_HALF_EDGES:
+        raise NotImplementedError(
+            f"{what} reaches diagrams of {slots} half-edge slots; graphs "
+            f"beyond {MAX_HALF_EDGES} half-edge slots (8 edges) are out of "
+            f"scope")
+
+
+def _cells(args):
+    """The bidegrees (v, e) of a verb's --vertices and --edges window that
+    can carry graphs other than the empty one (v, e >= 1), in report
+    order."""
+    vlo, vhi = args.vertices
+    elo, ehi = args.edges
+    return [(v, e) for v in range(max(vlo, 1), vhi + 1)
+            for e in range(max(elo, 1), ehi + 1)]
+
+
+def _check_cells(args, cells, boundary=False):
+    """Refuse a window past the half-edge cap before any work: its cells
+    are enumerated, and with `boundary` the boundary leaving (v + 1, e + 1)
+    is ranked for each cell that carries graphs (3v <= 2e)."""
+    slots = [2 * e for v, e in cells]
+    if boundary:
+        slots += [2 * (e + 1) for v, e in cells if 3 * v <= 2 * e]
+    _check_slots(f"{args.verb} --vertices {_span_str(args.vertices)} "
+                 f"--edges {_span_str(args.edges)}", max(slots, default=0))
+
+
 def _check_window(args, suite):
     """Refuse a suite's window before any work: an --order too small for
-    a cyclic word, or diagrams beyond the half-edge cap."""
+    a cyclic word, diagrams beyond the half-edge cap, or a window in which
+    the suite can make no check."""
     emax = _bound(args, suite, "edges")
     slots = 2 * (emax + EXTRA_EDGES.get(suite, 0))
     if suite == "tcft":
@@ -169,11 +271,26 @@ def _check_window(args, suite):
         if suite == "triangle":
             # integrating words of `order` letters gives order // 2 edges
             slots = max(slots, 2 * (order // 2))
-    if slots > MAX_HALF_EDGES:
-        raise NotImplementedError(
-            f"verify {suite} --edges {emax} reaches diagrams of {slots} "
-            f"half-edge slots; graphs beyond {MAX_HALF_EDGES} half-edge "
-            f"slots (8 edges) are out of scope")
+    _check_slots(f"verify {suite} --edges {emax}", slots)
+    # exp and tcft count checks that depend on the algebra; cmd_verify
+    # refuses those after the suite has run
+    grid = _grid(emax)
+    window = f"edges={emax}"
+    if suite in ("d2", "delta2", "kontsevich", "triangle", "roundtrip"):
+        empty = not grid
+    elif suite == "adjointness":
+        empty = not any(v >= 2 for v, e in grid)
+    elif suite == "invariance":
+        empty = emax < 1
+    elif suite == "equivalence":
+        order = _bound(args, suite, "order")
+        empty = not any(v <= order for v, e in grid)
+        window += f" order={order}"
+    else:
+        empty = False
+    if empty:
+        raise ValueError(f"verify {suite} made no check in the window "
+                         f"{window}")
 
 
 def _grid(emax):
@@ -208,57 +325,53 @@ def _sorted_fails(fails):
 
 
 # ----------------------------------------------------------------- verbs
+# Each verb is a generator: it yields its rows as it makes them and
+# returns (result, exit code).  Every refusal is raised before the first
+# row.
 
 def cmd_enumerate(args):
-    vlo, vhi = args.vertices
-    elo, ehi = args.edges
-    rows = []
+    cells = _cells(args)
+    _check_cells(args, cells)
     total = 0
-    for v in range(max(vlo, 1), vhi + 1):
-        for e in range(max(elo, 1), ehi + 1):
-            classes = enumerate_graphs(v, e, True) if args.connected \
-                else enumerate_graphs(v, e)
-            rows.append({"kind": "cell", "v": v, "e": e,
-                         "classes": len(classes)})
-            for i, g in enumerate(classes):
-                row = {"kind": "graph", "v": v, "e": e, "index": i}
-                row.update(jsonio.graph_to_json(g))
-                rows.append(row)
-            total += len(classes)
-    params = {"vertices": _span_str(args.vertices),
-              "edges": _span_str(args.edges), "connected": args.connected}
-    return _report("enumerate", params, rows,
-                   {"status": "ok", "classes": total}), 0
+    for v, e in cells:
+        classes = enumerate_graphs(v, e, True) if args.connected \
+            else enumerate_graphs(v, e)
+        yield {"kind": "cell", "v": v, "e": e, "classes": len(classes)}
+        for i, g in enumerate(classes):
+            yield {"kind": "graph", "v": v, "e": e, "index": i,
+                   **jsonio.graph_to_json(g)}
+        total += len(classes)
+    return {"status": "ok", "classes": total}, 0
 
 
 def cmd_homology(args):
-    vlo, vhi = args.vertices
-    elo, ehi = args.edges
-    dims = homology_dims((max(vlo, 1), vhi), (max(elo, 1), ehi))
-    rows = [{"kind": "betti", "v": v, "e": e, "dim": dims[v, e]}
-            for (v, e) in sorted(dims)]
-    params = {"vertices": _span_str(args.vertices),
-              "edges": _span_str(args.edges)}
-    return _report("homology", params, rows,
-                   {"status": "ok", "cells": len(rows)}), 0
+    cells = _cells(args)
+    _check_cells(args, cells, boundary=True)
+    ranks = {}
+    for v, e in cells:
+        # one cell per call, so each Betti number is written when it is
+        # known; `ranks` keeps the boundary ranks neighbouring cells share
+        (dim,) = homology_dims((v, v), (e, e), ranks).values()
+        yield {"kind": "betti", "v": v, "e": e, "dim": dim}
+    return {"status": "ok", "cells": len(cells)}, 0
 
 
 def cmd_partition(args):
     algebra = _algebra(args)
+    cells = _cells(args)
+    _check_cells(args, cells)
     vlo, vhi = args.vertices
     elo, ehi = args.edges
     pf = partition_function(algebra, (vhi, ehi))
-    rows = [{"kind": "validated",
-             "hamiltonians": sorted(algebra.hamiltonians)}]
-    for v in range(max(vlo, 1), vhi + 1):
-        for e in range(max(elo, 1), ehi + 1):
-            for i, g in enumerate(basis(v, e, args.connected)):
-                rows.append({"kind": "z", "v": v, "e": e, "index": i,
-                             "value": json_scalar(pf.value(g)),
-                             "vertices": [list(b) for b in g.vertex_blocks()],
-                             "edges": [list(p) for p in g.chords]})
+    yield {"kind": "validated", "hamiltonians": sorted(algebra.hamiltonians)}
+    for v, e in cells:
+        for i, g in enumerate(basis(v, e, args.connected)):
+            yield {"kind": "z", "v": v, "e": e, "index": i,
+                   "value": json_scalar(pf.value(g)),
+                   "vertices": [list(b) for b in g.vertex_blocks()],
+                   "edges": [list(p) for p in g.chords]}
     checked = 0
-    failures = []
+    failures = 0
     for v in range(max(vlo, 1), vhi):
         for e in range(max(elo, 1), ehi):
             for g in basis(v, e):
@@ -267,20 +380,13 @@ def cmd_partition(args):
                 total = sum((c * pf.value(h) for h, c in dg.terms.items()),
                             Fraction(0))
                 if total:
-                    failures.append(
-                        {"kind": "fail", "check": "cycle", "v": v, "e": e,
-                         "graph": jsonio.graph_to_json(g),
-                         "value": json_scalar(total)})
-    rows.extend(failures)
-    rows.append({"kind": "cycle-check", "graphs": checked,
-                 "failures": len(failures)})
-    status = "pass" if not failures else "fail"
-    params = {"algebra": args.algebra,
-              "vertices": _span_str(args.vertices),
-              "edges": _span_str(args.edges), "connected": args.connected}
-    return _report("partition", params, rows,
-                   {"status": status, "failures": len(failures)}), \
-        (0 if not failures else 1)
+                    failures += 1
+                    yield {"kind": "fail", "check": "cycle", "v": v, "e": e,
+                           "graph": jsonio.graph_to_json(g),
+                           "value": json_scalar(total)}
+    yield {"kind": "cycle-check", "graphs": checked, "failures": failures}
+    return {"status": "pass" if not failures else "fail",
+            "failures": failures}, (0 if not failures else 1)
 
 
 def cmd_characteristic(args):
@@ -291,13 +397,10 @@ def cmd_characteristic(args):
     obj = jsonio.ce_chain_to_json(chain)
     terms = sorted(obj["terms"],
                    key=lambda t: (len(t["factors"]), t["factors"]))
-    rows = [{"kind": "term", "degree": len(t["factors"]),
-             "factors": t["factors"], "coeff": t["coeff"]} for t in terms]
-    params = {"algebra": args.algebra, "order": args.order}
-    if args.exterior is not None:
-        params["exterior"] = args.exterior
-    return _report("characteristic", params, rows,
-                   {"status": "ok", "terms": len(rows)}), 0
+    for t in terms:
+        yield {"kind": "term", "degree": len(t["factors"]),
+               "factors": t["factors"], "coeff": t["coeff"]}
+    return {"status": "ok", "terms": len(terms)}, 0
 
 
 def _legless_diagram(g):
@@ -313,15 +416,13 @@ def cmd_correlate(args):
     else:
         legs_in, legs_out = [], []
         tensor = correlation(algebra, _legless_diagram(graph)).scale(sign)
-    rows = [{"kind": "class", "aut": graph.aut, "zero": graph.zero,
-             "legs_in": legs_in, "legs_out": legs_out}]
+    yield {"kind": "class", "aut": graph.aut, "zero": graph.zero,
+           "legs_in": legs_in, "legs_out": legs_out}
     for word in sorted(tensor.terms, key=lambda w: (len(w), w)):
-        rows.append({"kind": "entry", "word": list(word),
-                     "coeff": json_scalar(tensor.terms[word])})
-    params = {"algebra": args.algebra, "graph": args.graph}
-    return _report("correlate", params, rows,
-                   {"status": "ok", "rank": tensor.rank,
-                    "entries": len(tensor.terms)}), 0
+        yield {"kind": "entry", "word": list(word),
+               "coeff": json_scalar(tensor.terms[word])}
+    return {"status": "ok", "rank": tensor.rank,
+            "entries": len(tensor.terms)}, 0
 
 
 # ------------------------------------------------------------ verify cells
@@ -660,33 +761,32 @@ _SUITE_FNS = {
 
 
 def cmd_verify(args):
+    """Every suite runs before the first row: a suite whose checks depend
+    on the algebra (exp, tcft) may still be refused after an earlier
+    suite has run."""
     names = SUITES if args.suite == "all" else (args.suite,)
     if args.workers < 1:
         raise ValueError(f"--workers {args.workers} is below 1")
     for name in names:
         _check_window(args, name)
-    rows = []
-    checks = 0
-    failures = 0
+    runs = []
     for name in names:
         rng = random.Random(f"{args.seed}:{name}")
         bounds, n, fails = _SUITE_FNS[name](args, rng)
         if not n:
             raise ValueError(f"verify {name} made no check in the window " +
                              " ".join(f"{k}={v}" for k, v in bounds.items()))
-        rows.extend(fails)
-        summary = {"kind": "suite", "name": name}
-        summary.update(bounds)
-        summary.update({"checks": n, "failures": len(fails),
-                        "status": "pass" if not fails else "fail"})
-        rows.append(summary)
+        runs.append((name, bounds, n, fails))
+    checks = failures = 0
+    for name, bounds, n, fails in runs:
+        yield from fails
+        yield {"kind": "suite", "name": name, **bounds, "checks": n,
+               "failures": len(fails),
+               "status": "pass" if not fails else "fail"}
         checks += n
         failures += len(fails)
-    status = "pass" if not failures else "fail"
-    params = {"suite": args.suite, "seed": args.seed}
-    return _report("verify", params, rows,
-                   {"status": status, "checks": checks,
-                    "failures": failures}), (0 if not failures else 1)
+    return {"status": "pass" if not failures else "fail", "checks": checks,
+            "failures": failures}, (0 if not failures else 1)
 
 
 # ------------------------------------------------------------------ main
@@ -747,28 +847,29 @@ def build_parser():
     return parser
 
 
+# each verb's row generator and the arguments its report header echoes,
+# in order; ranges as N or LO:HI, and an argument left unset is omitted
 _DISPATCH = {
-    "enumerate": cmd_enumerate,
-    "homology": cmd_homology,
-    "partition": cmd_partition,
-    "characteristic": cmd_characteristic,
-    "correlate": cmd_correlate,
-    "verify": cmd_verify,
+    "enumerate": (cmd_enumerate, ("vertices", "edges", "connected")),
+    "homology": (cmd_homology, ("vertices", "edges")),
+    "partition": (cmd_partition,
+                  ("algebra", "vertices", "edges", "connected")),
+    "characteristic": (cmd_characteristic, ("algebra", "order", "exterior")),
+    "correlate": (cmd_correlate, ("algebra", "graph")),
+    "verify": (cmd_verify, ("suite", "seed")),
 }
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        report, code = _DISPATCH[args.verb](args)
-    except (OSError, ValueError, KeyError, NotImplementedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "structured":
-        print(json.dumps(report, indent=1))
-    else:
-        print(render_text(report))
-    return code
+    verb, names = _DISPATCH[args.verb]
+    params = {}
+    for name in names:
+        value = getattr(args, name)
+        if value is not None:
+            params[name] = _span_str(value) if isinstance(value, tuple) \
+                else value
+    return write_report(args.verb, params, verb(args), args.format)
 
 
 if __name__ == "__main__":

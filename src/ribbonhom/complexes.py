@@ -154,15 +154,19 @@ def _boundary_rank(nvert, nedge) -> int:
     return rank_exact(rows) if rows else 0
 
 
-def homology_dims(vrange, erange) -> dict:
+def homology_dims(vrange, erange, ranks=None) -> dict:
     """Exact homology dimensions of the boundary complex.
 
     `vrange` and `erange` are inclusive (lo, hi) pairs; returns
-    {(v, e): dim} for every bidegree in the window.
+    {(v, e): dim} for every bidegree in the window.  `ranks`, a dict of
+    boundary ranks by source bidegree, is filled as they are computed;
+    callers that pass the same dict to calls on neighbouring windows rank
+    each boundary once.
     """
     vlo, vhi = vrange
     elo, ehi = erange
-    ranks: dict = {}
+    if ranks is None:
+        ranks = {}
 
     def rank(v, e):
         if (v, e) not in ranks:

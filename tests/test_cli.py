@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -18,6 +19,8 @@ ALGEBRA = os.path.join(DATA, "frobenius_02.json")
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
+    # every refusal comes before the first row
+    assert code != 2 or not out.out, argv
     return code, out.out, out.err
 
 
@@ -309,19 +312,32 @@ def test_input_errors_exit_2(capsys, tmp_path):
         assert time.perf_counter() - start < 5, argv
         assert code == 2 and err.startswith("error:") and words in err, \
             (argv, err)
-    # a suite that makes no check in its window is refused, not passed
-    for argv, window in ((("d2", "--edges", "0"), "edges=0"),
-                         (("delta2", "--edges", "0"), "edges=0"),
-                         (("adjointness", "--edges", "1"), "edges=1"),
-                         (("roundtrip", "--edges", "0"), "edges=0"),
-                         (("invariance", "--edges", "0"), "edges=0"),
-                         (("kontsevich", "--edges", "0"), "edges=0"),
-                         (("triangle", "--edges", "0"), "edges=0"),
-                         (("equivalence", "--order", "0"), "order=0")):
-        code, out, err = run(capsys, "verify", *argv)
-        assert code == 2 and not out and err.startswith(
-            f"error: verify {argv[0]} made no check") and window in err, \
-            (argv, err)
+    # a suite that makes no check in its window is refused, not passed,
+    # and refused from the window alone: no suite runs
+    def ran(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("partition_function", "integral_I", "ce_differential",
+                     "boundary", "coboundary"):
+            patch.setattr(cli, name, ran)
+        for argv, window in ((("d2", "--edges", "0"), "edges=0"),
+                             (("delta2", "--edges", "0"), "edges=0"),
+                             (("adjointness", "--edges", "1"), "edges=1"),
+                             (("adjointness", "--edges", "2"), "edges=2"),
+                             (("roundtrip", "--edges", "0"), "edges=0"),
+                             (("roundtrip", "--edges", "1"), "edges=1"),
+                             (("invariance", "--edges", "0"), "edges=0"),
+                             (("kontsevich", "--edges", "0"), "edges=0"),
+                             (("kontsevich", "--edges", "1"), "edges=1"),
+                             (("triangle", "--edges", "0"), "edges=0"),
+                             (("equivalence", "--order", "0"), "order=0"),
+                             (("all", "--edges", "2"), "edges=2")):
+            code, out, err = run(capsys, "verify", *argv)
+            suite = "adjointness" if argv[0] == "all" else argv[0]
+            assert code == 2 and not out and err.startswith(
+                f"error: verify {suite} made no check") and window in err, \
+                (argv, err)
     # reversed ranges and negative counts are refused by the parser
     for argv, words in (
             (("homology", "--vertices", "4:1"), "'4:1': 4 is above 1"),
@@ -338,6 +354,74 @@ def test_input_errors_exit_2(capsys, tmp_path):
         err = capsys.readouterr().err
         assert exc.value.code == 2 and "error:" in err and words in err, \
             (argv, err)
+
+
+def test_windows_past_the_cap_are_refused_before_any_work(capsys):
+    # each verb refuses a window whose diagrams pass the 16-slot cap before
+    # its first row; homology --edges 1:8 used to rank every smaller cell
+    # before it needed (2, 9)
+    for argv in (("enumerate", "--vertices", "1:5", "--edges", "1:9"),
+                 ("homology", "--edges", "1:8"),
+                 ("partition", "--algebra", ALGEBRA, "--vertices", "2:4",
+                  "--edges", "1:9")):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and not out and "18 half-edge slots" in err, \
+            (argv, err)
+        assert peak < 1 << 20, argv
+    # the boundary leaves a cell only where it carries graphs (3v <= 2e):
+    # the cells of (6:7, 8) are all empty, so nothing reaches (7:8, 9)
+    code, out, _ = run(capsys, "homology", "--vertices", "6:7", "--edges", "8")
+    assert code == 0 and out.endswith("result status=ok cells=2\n")
+
+
+def test_structured_output_is_the_indented_report(capsys, tmp_path):
+    # the writer streams rows, but the document is the one json.dumps
+    # gives for the whole report; an empty row list included
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps({"vertices": [[0, 1, 2], [3, 4, 5]],
+                                 "edges": [[0, 3], [1, 4], [2, 5]]}))
+    for argv in (("enumerate", "--vertices", "1:2", "--edges", "1:3"),
+                 ("homology", "--vertices", "1:2", "--edges", "1:3"),
+                 ("homology", "--vertices", "0", "--edges", "1"),
+                 ("partition", "--algebra", ALGEBRA, "--vertices", "1:2",
+                  "--edges", "1:3"),
+                 ("characteristic", "--algebra", ALGEBRA, "--order", "2"),
+                 ("correlate", str(theta), "--algebra", ALGEBRA),
+                 ("verify", "roundtrip", "--edges", "3")):
+        code, out, _ = run(capsys, *argv, "--format", "structured")
+        assert code == 0, argv
+        assert out == json.dumps(json.loads(out), indent=1) + "\n", argv
+
+
+def test_writer_holds_no_whole_report(monkeypatch):
+    # with the classes enumerated beforehand, writing the report takes a
+    # small part of its size: no row list, no document string
+    class Sink:
+        size = 0
+
+        def write(self, text):
+            self.size += len(text)
+            return len(text)
+
+    for v in range(1, 4):
+        for e in range(1, 7):
+            cli.enumerate_graphs(v, e)
+    sink = Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = cli.main(["enumerate", "--vertices", "1:3", "--edges", "1:6",
+                         "--format", "structured"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.size > 1_000_000
+    assert peak < sink.size / 4, (peak, sink.size)
 
 
 def test_usage_errors(capsys):

@@ -11,7 +11,8 @@ and each move is canonicalized by one call of `_scan`, the canonical
 search.  The coboundary of g sums s * aut(h) over the expansions landing
 in each class h as integers, over the denominator aut(g); the coboundary
 of a chain puts its coefficients over one common denominator and also
-sums integers.
+sums integers.  The move sums of one graph are cached as flat tuples
+(h1, c1, h2, c2, ...), with no tuple per term, and read back by `_terms`.
 """
 
 from __future__ import annotations
@@ -69,36 +70,45 @@ def _as_chain(x) -> GraphChain:
 
 
 def _canonical_sum(moves, weight):
-    """Sum of raw moves (vtype, chords, sign) as {RibbonGraph: coeff},
-    each canonical class counted with the integer weight(aut)."""
+    """Sum of raw moves (vtype, chords, sign), each canonical class h
+    counted with the integer weight(aut(h)), as one flat tuple (h1, c1,
+    h2, c2, ...) of the classes with a nonzero sum."""
     acc: dict = {}
     for vt, chords, s in moves:
         canonical, csign, aut, zero = _scan(vt, chords)
         if not zero:
             rg = _make_graph(vt, canonical, aut, zero)
             acc[rg] = acc.get(rg, 0) + s * csign * weight(aut)
-    return acc
+    return tuple([x for rg, c in acc.items() if c for x in (rg, c)])
+
+
+def _terms(flat):
+    """The (class, coeff) pairs of a flat tuple (h1, c1, h2, c2, ...)."""
+    it = iter(flat)
+    return zip(it, it)
 
 
 @lru_cache(maxsize=None)
 def _boundary_graph(g: RibbonGraph):
-    acc = _canonical_sum(_contractions(g), lambda aut: 1)
-    return tuple((rg, c) for rg, c in acc.items() if c)
+    """The boundary of g as one flat tuple (h1, c1, h2, c2, ...): the
+    classes h its contractions land in, each with its integer
+    coefficient; read it with `_terms`."""
+    return _canonical_sum(_contractions(g), lambda aut: 1)
 
 
 @lru_cache(maxsize=None)
 def _coboundary_graph(g: RibbonGraph):
-    """The coboundary of g as integer numerators over g.aut: s * aut(h)
-    summed over the expansions landing in each class h."""
-    acc = _canonical_sum(_expansions(g), lambda aut: aut)
-    return tuple((rg, c) for rg, c in acc.items() if c)
+    """The coboundary of g as one flat tuple (h1, n1, h2, n2, ...) of
+    integer numerators over g.aut: s * aut(h) summed over the expansions
+    landing in each class h; read it with `_terms`."""
+    return _canonical_sum(_expansions(g), lambda aut: aut)
 
 
 def boundary(x) -> GraphChain:
     """Sum of signed non-loop edge contractions, extended linearly."""
     out: dict = {}
     for g, c in _as_chain(x).terms.items():
-        for rg, s in _boundary_graph(g):
+        for rg, s in _terms(_boundary_graph(g)):
             out[rg] = out.get(rg, 0) + c * s
     return GraphChain(out)
 
@@ -113,7 +123,7 @@ def coboundary(x) -> GraphChain:
     out: dict = {}
     for g, c in terms.items():
         weight = c.numerator * (den // (c.denominator * g.aut))
-        for rg, n in _coboundary_graph(g):
+        for rg, n in _terms(_coboundary_graph(g)):
             out[rg] = out.get(rg, 0) + weight * n
     return GraphChain()._new({rg: Fraction(n, den) for rg, n in out.items()})
 
@@ -144,7 +154,7 @@ def _boundary_rows(nvert, nedge):
     tgt = {g: i for i, g in enumerate(basis(nvert - 1, nedge - 1))}
     if not tgt:
         return []
-    return [{tgt[rg]: c for rg, c in _boundary_graph(g)}
+    return [{tgt[rg]: c for rg, c in _terms(_boundary_graph(g))}
             for g in basis(nvert, nedge)]
 
 
@@ -200,7 +210,7 @@ def is_boundary(x: GraphChain):
     # the columns of the boundary, one sparse row per target class
     cols = [{} for _ in tgt]
     for i, g in enumerate(src):
-        for rg, c in _boundary_graph(g):
+        for rg, c in _terms(_boundary_graph(g)):
             cols[tgt[rg]][i] = c
     sol = solve_exact(cols, {tgt[g]: c for g, c in x.terms.items()})
     if sol is None:

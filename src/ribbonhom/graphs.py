@@ -26,6 +26,12 @@ first, with the least image so far as the incumbent, it drops a branch at
 its first larger entry; the relabelings that survive are the coset onto
 the canonical form, so they give the sign, |Aut| and the ZERO flag.
 
+The chords of a canonical form are the shared pairs of `_PAIRS`, one
+tuple per (a, b), and the classes are interned in one table per valency
+type whose key every class of the type keeps as its `vtype`.  So a class
+holds references to shared objects, not copies of its own: the tables of
+classes are most of the memory a large window spends.
+
 The same search canonicalizes the legged diagrams of `tcft`.  A leg slot
 is a fixed point of the matching (its own partner), and the images of the
 leg slots, incoming then outgoing, are compared first: each leg's vertex
@@ -109,6 +115,12 @@ def perfect_matchings(points):
 # A scope limit: at most 16 half-edge slots, legs included, so at most 8
 # edges without legs.  Canonical forms and enumeration refuse larger graphs.
 MAX_HALF_EDGES = 16
+
+# The one tuple of each chord (a, b), a and b below the cap: canonical
+# forms and the cached chord tables are built from it, so each stored chord
+# is a reference.  Lifting the 16-slot cap (ROADMAP item 3) must grow it.
+_PAIRS = tuple(tuple((a, b) for b in range(MAX_HALF_EDGES))
+               for a in range(MAX_HALF_EDGES))
 
 
 def _check_size(size):
@@ -282,17 +294,18 @@ def _scan(vtype, chords, legs=None):
     `vtype`, from `_canonical_search`.
 
     `chords` holds the oriented chords as (a, b) pairs.  The canonical
-    form is the least image partner array, as chords; with `legs` (the leg
-    slots, incoming then outgoing, possibly none) it is the least leg
-    images and then the least partner array, and `canonical` is the pair
-    (leg images, chords).  `sign` satisfies [input] = sign * [canonical].
-    The relabelings onto the canonical form are one coset of its
-    stabilizer, on which the sign is a character: their signs are all
-    equal, or split evenly and sum to zero exactly for ZERO classes.
+    form is the least image partner array, as chords taken from `_PAIRS`;
+    with `legs` (the leg slots, incoming then outgoing, possibly none) it
+    is the least leg images and then the least partner array, and
+    `canonical` is the pair (leg images, chords).  `sign` satisfies
+    [input] = sign * [canonical].  The relabelings onto the canonical form
+    are one coset of its stabilizer, on which the sign is a character:
+    their signs are all equal, or split evenly and sum to zero exactly for
+    ZERO classes.
     """
     best, leg_images, net, count = _canonical_search(vtype, chords,
                                                      legs or ())
-    canonical = tuple([(a, b) for a, b in enumerate(best) if a < b])
+    canonical = tuple([_PAIRS[a][b] for a, b in enumerate(best) if a < b])
     if legs is not None:
         canonical = (leg_images, canonical)
     if not net:
@@ -308,9 +321,11 @@ _scan_cached = lru_cache(maxsize=500_000)(_scan)
 class RibbonGraph:
     """Canonical representative of an oriented ribbon graph class.
 
-    Instances are interned by (vtype, chords); `zero` flags classes killed
-    by an orientation-reversing automorphism, `aut` counts the
-    orientation-preserving automorphisms.
+    Instances are interned in one table per valency type, {vtype: {chords:
+    RibbonGraph}}; `vtype` is that table's key, shared by every class of
+    the type, and `chords` holds the shared pairs of `_PAIRS`.  `zero`
+    flags classes killed by an orientation-reversing automorphism, `aut`
+    counts the orientation-preserving automorphisms.
     """
 
     __slots__ = ("vtype", "chords", "aut", "zero")
@@ -363,11 +378,15 @@ class RibbonGraph:
 
 
 def _make_graph(vtype, chords, aut, zero) -> RibbonGraph:
-    key = (vtype, chords)
-    g = RibbonGraph._intern.get(key)
+    table = RibbonGraph._intern.get(vtype)
+    if table is None:
+        table = RibbonGraph._intern[vtype] = {}
+    g = table.get(chords)
     if g is None:
-        g = RibbonGraph(vtype, chords, aut, zero)
-        RibbonGraph._intern[key] = g
+        # a new class of a known type keeps the type its table already has
+        first = next(iter(table.values()), None)
+        g = table[chords] = RibbonGraph(first.vtype if first else vtype,
+                                        chords, aut, zero)
     return g
 
 
@@ -391,11 +410,18 @@ def _sorting_relabeling(vtype):
 
 def _standardize_diagram(vtype, legs_in, legs_out, chords):
     """Stable-sort the vertices by valency and relabel the slots to the
-    consecutive scheme: (diagram, sign) with [input] = sign * [output]."""
+    consecutive scheme: (diagram, sign) with [input] = sign * [output].
+
+    The output becomes a `_scan_cached` key, so within the cap its chords
+    are the shared pairs of `_PAIRS`; past it (a glued diagram read only
+    by a state sum) they are new tuples."""
     vtype, new, sign = _sorting_relabeling(tuple(vtype))
+    if len(new) <= MAX_HALF_EDGES:
+        chords = tuple([_PAIRS[new[a]][new[b]] for a, b in chords])
+    else:
+        chords = tuple([(new[a], new[b]) for a, b in chords])
     return (vtype, tuple(new[s] for s in legs_in),
-            tuple(new[s] for s in legs_out),
-            tuple((new[a], new[b]) for a, b in chords)), sign
+            tuple(new[s] for s in legs_out), chords), sign
 
 
 def check_diagram(vtype, legs_in, legs_out, chords):
@@ -627,13 +653,13 @@ def _cyclic_length(chord, size):
 def _chord_insertions(size):
     """Every way to add one chord to a one-vertex diagram on n = size - 2
     labels, by increasing cyclic length L of the new chord: (L, new,
-    moved, grown), where the old chord (a, b) becomes moved[a * n + b],
-    of cyclic length grown[a * n + b]."""
+    moved, grown), where the old chord (a, b) becomes moved[a * n + b]
+    (a pair of `_PAIRS`), of cyclic length grown[a * n + b]."""
     n = size - 2
     out = []
     for new in itertools.combinations(range(size), 2):
         M = [x for x in range(size) if x not in new]
-        moved = tuple((M[a], M[b]) for a in range(n) for b in range(n))
+        moved = tuple(_PAIRS[M[a]][M[b]] for a in range(n) for b in range(n))
         out.append((_cyclic_length(new, size), new, moved,
                     tuple(_cyclic_length(c, size) for c in moved)))
     return tuple(sorted(out, key=lambda ins: ins[0]))

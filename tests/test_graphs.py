@@ -3,7 +3,10 @@
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -21,6 +24,7 @@ from ribbonhom.graphs import (EMPTY_GRAPH, _contractions, _expansions,
                               disjoint_union, enumerate_graphs,
                               expand_ideal_edge, expand_ideal_edge_raw,
                               ideal_edges, perfect_matchings, valency_types)
+from ribbonhom.tcft import enumerate_legged_graphs
 
 PINNED = json.loads(
     (Path(__file__).parent / "data" / "pinned.json").read_text())
@@ -292,6 +296,64 @@ def test_each_window_is_one_cache_entry(monkeypatch):
     complexes.homology_dims((1, 4), (1, 5))
     assert len(windows) > 20
     assert cached.cache_info().misses == len(windows)
+
+
+def test_stored_chords_are_the_shared_pairs():
+    # every producer of classes stores the one tuple of each chord, and the
+    # move caches of the complex hold no tuple per term
+    def shared(chords):
+        return all(p is graphs._PAIRS[p[0]][p[1]] for p in chords)
+
+    theta, _ = canonicalize(THETA_TWISTED)
+    loop, _ = canonicalize(LOOP_PAIR)
+    user = ((4, 3, 3), ((0, 4), (1, 7), (2, 5), (3, 8), (6, 9)))
+    made = [*enumerate_graphs(1, 5), *enumerate_graphs(3, 5),
+            disjoint_union(theta, loop)[0], canonicalize(user)[0]]
+    for g in complexes.basis(2, 4):
+        made += complexes.boundary(g).terms
+        made += complexes.coboundary(g).terms
+        for flat in (complexes._boundary_graph(g),
+                     complexes._coboundary_graph(g)):
+            assert not any(isinstance(x, tuple) for x in flat), g
+    # each class keeps the key of its type's intern table as its vtype
+    keys = {vt: vt for vt in graphs.RibbonGraph._intern}
+    for g in made:
+        assert g.vtype is keys[g.vtype], g
+    made += enumerate_legged_graphs(1, 1, 3)
+    for g in made:
+        assert shared(g.chords), g
+    # the cached tables that keep chords: scan keys and insertions
+    assert shared(graphs._standardize_diagram(user[0], (), (), user[1])
+                  [0][3])
+    assert all(shared(moved) for _, _, moved, _ in
+               graphs._chord_insertions(10))
+
+
+MEMORY_PROBE = """
+import tracemalloc
+from ribbonhom import complexes, graphs
+tracemalloc.start()
+for v in (1, 2, 3):
+    graphs.enumerate_graphs(v, 5)
+for g in complexes.basis(3, 5):
+    complexes.coboundary(g)
+kept = tracemalloc.get_traced_memory()[0]
+print(kept / sum(map(len, graphs.RibbonGraph._intern.values())))
+"""
+
+
+def test_classes_keep_few_bytes_each():
+    # the caches are global, so a new interpreter measures the bytes that
+    # stay allocated per class: the classes of (v, 5), v <= 3, and the
+    # coboundary of basis(3, 5), which fills the move cache and makes the
+    # (4, 6) targets.  With a chord tuple and a term tuple of their own and
+    # one intern key each, the classes kept about 1,840 B each; with
+    # shared pairs, flat move caches and per-type intern tables about 790.
+    src = os.path.dirname(os.path.dirname(graphs.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", MEMORY_PROBE], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert float(out) < 1200
 
 
 def test_search_matches_orbit_oracle():

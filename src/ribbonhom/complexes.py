@@ -8,10 +8,15 @@ making it the exact adjoint of the boundary for this pairing.
 
 The moves of one graph come from the cached move templates of `graphs`,
 and each move is canonicalized by one call of `_scan`, the canonical
-search.  The coboundary of g sums s * aut(h) over the expansions landing
-in each class h as integers, over the denominator aut(g); the coboundary
-of a chain puts its coefficients over one common denominator and also
-sums integers.  The move sums of one graph are cached as flat tuples
+search.  The coboundary of g is the expansion pass of `graphs`: s * aut(h)
+summed over the expansions landing in each class h as integers, over the
+denominator aut(g), with an entry n = 0 for the ZERO classes and the sums
+that cancel, which the enumeration needs and every reader here skips.  The
+coboundary of a chain puts its coefficients over one common denominator
+and also sums integers.  The boundary rows that homology ranks are read
+from the passes of the targets by adjointness, n / aut(g) for g in the
+boundary of h, so no contraction is searched there; the boundary of a
+chain contracts.  The move sums of one graph are cached as flat tuples
 (h1, c1, h2, c2, ...), with no tuple per term, and read back by `_terms`.
 """
 
@@ -21,8 +26,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .graphs import (RibbonGraph, _contractions, _expansions, _make_graph,
-                     _scan, enumerate_graphs)
+from .graphs import (RibbonGraph, _contractions, _expansion_pass,
+                     _make_graph, _scan, enumerate_graphs)
 from .scalars import LinearCombination, format_scalar, rank_exact, solve_exact
 
 
@@ -69,16 +74,15 @@ def _as_chain(x) -> GraphChain:
     return x
 
 
-def _canonical_sum(moves, weight):
-    """Sum of raw moves (vtype, chords, sign), each canonical class h
-    counted with the integer weight(aut(h)), as one flat tuple (h1, c1,
-    h2, c2, ...) of the classes with a nonzero sum."""
+def _canonical_sum(moves):
+    """Sum of raw moves (vtype, chords, sign) by canonical class, as one
+    flat tuple (h1, c1, h2, c2, ...) of the classes with a nonzero sum."""
     acc: dict = {}
     for vt, chords, s in moves:
         canonical, csign, aut, zero = _scan(vt, chords)
         if not zero:
             rg = _make_graph(vt, canonical, aut, zero)
-            acc[rg] = acc.get(rg, 0) + s * csign * weight(aut)
+            acc[rg] = acc.get(rg, 0) + s * csign
     return tuple([x for rg, c in acc.items() if c for x in (rg, c)])
 
 
@@ -93,15 +97,14 @@ def _boundary_graph(g: RibbonGraph):
     """The boundary of g as one flat tuple (h1, c1, h2, c2, ...): the
     classes h its contractions land in, each with its integer
     coefficient; read it with `_terms`."""
-    return _canonical_sum(_contractions(g), lambda aut: 1)
+    return _canonical_sum(_contractions(g))
 
 
-@lru_cache(maxsize=None)
-def _coboundary_graph(g: RibbonGraph):
-    """The coboundary of g as one flat tuple (h1, n1, h2, n2, ...) of
-    integer numerators over g.aut: s * aut(h) summed over the expansions
-    landing in each class h; read it with `_terms`."""
-    return _canonical_sum(_expansions(g), lambda aut: aut)
+# The coboundary of g as one flat tuple (h1, n1, h2, n2, ...) of integer
+# numerators over g.aut, read with `_terms`: the expansion pass of `graphs`
+# itself, one cache shared with the enumeration.  Its entries with n = 0
+# (ZERO classes and sums that cancel) are skipped by every reader here.
+_coboundary_graph = _expansion_pass
 
 
 def boundary(x) -> GraphChain:
@@ -124,7 +127,8 @@ def coboundary(x) -> GraphChain:
     for g, c in terms.items():
         weight = c.numerator * (den // (c.denominator * g.aut))
         for rg, n in _terms(_coboundary_graph(g)):
-            out[rg] = out.get(rg, 0) + weight * n
+            if n:
+                out[rg] = out.get(rg, 0) + weight * n
     return GraphChain()._new({rg: Fraction(n, den) for rg, n in out.items()})
 
 
@@ -150,12 +154,27 @@ def basis(nvert, nedge, connected=False):
 def _boundary_rows(nvert, nedge):
     """The boundary from basis(nvert, nedge) to basis(nvert - 1, nedge - 1)
     as sparse rows, one {target index: int} row per source class; no rows
-    when either basis is empty."""
-    tgt = {g: i for i, g in enumerate(basis(nvert - 1, nedge - 1))}
+    when either basis is empty.
+
+    The rows are read by adjointness from the expansion passes of the
+    targets (those of the connected targets made the classes of (nvert,
+    nedge)): the coefficient of g in the boundary of h is n / aut(g),
+    where n is the entry of h in the pass of g, and that division is
+    exact.  So no contraction is canonicalized, and the rows equal the
+    contraction rows of `_boundary_graph` as dicts.
+    """
+    tgt = basis(nvert - 1, nedge - 1)
     if not tgt:
         return []
-    return [{tgt[rg]: c for rg, c in _terms(_boundary_graph(g))}
-            for g in basis(nvert, nedge)]
+    src = {h: i for i, h in enumerate(basis(nvert, nedge))}
+    rows = [{} for _ in src]
+    for j, g in enumerate(tgt):
+        for h, n in _terms(_coboundary_graph(g)):
+            if n:
+                c, r = divmod(n, g.aut)
+                assert not r, (g, h, n)
+                rows[src[h]][j] = c
+    return rows
 
 
 def _boundary_rank(nvert, nedge) -> int:

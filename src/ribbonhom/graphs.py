@@ -43,14 +43,19 @@ and the half-edges involved, not on the other chords.  Each such
 relabeling, composed with the standardization and its sign, is built once
 and cached as a tuple of labels (a move template).  A move of one graph
 is then its chords read through the template, and each move is
-canonicalized by one call of `_scan`.
+canonicalized by one call of `_scan`.  The expansions of a class are
+canonicalized once, in one cached pass (`_expansion_pass`) that lists
+every class they land in with its integer coefficient: it is the
+coboundary of the class, the boundary into it by adjointness, and the
+enumeration's source of the classes one vertex up.
 
 Enumeration generates classes from smaller ones and keeps one of each
 through the search.  One-vertex classes add a shortest chord to the
 one-vertex classes one edge down (`_one_vertex_classes`).  With two or
-more vertices the connected classes are ideal-edge expansions of the
-connected classes one vertex down (`_connected_classes`), and the
-disconnected ones are disjoint unions of connected classes.
+more vertices the connected classes are the classes that the expansion
+passes of the connected classes one vertex down land in
+(`_connected_classes`), and the disconnected ones are disjoint unions of
+connected classes.
 """
 
 from __future__ import annotations
@@ -133,30 +138,30 @@ def _check_size(size):
 def _search_frame(vtype):
     """Tables of the canonical search for one type.
 
-    `offs[v]` is the block offset of vertex v and `vert[h]` the vertex of
-    slot h.  Placing the vertex of h in the block at offset b with h first
-    writes `cyc[h]` (its slots in cyclic order from h) to the labels from
-    b on, and `spot[h][b]` (the labels of its slots, in slot order) to its
-    slots.  `blocks[k]` and `members[k]` list the block offsets and the
-    vertices of valency k in order, and `starts[t]` is the valency of the
-    block starting at label t (0 inside a block).  A type past the
-    half-edge cap is refused here, so no search runs on it.
+    `offs[v]` is the block offset of vertex v, and `base[h]` and `val[h]`
+    are the block offset and the valency of the vertex of slot h.  Placing
+    the vertex of h in the block at offset b with h first writes `cyc[h]`
+    (its slots in cyclic order from h) to the labels from b on, and
+    `spot[h][b]` (the labels of its slots, in slot order) to its slots.
+    `blocks[k]` lists the block offsets of valency k in order, and
+    `starts[t]` is the valency of the block starting at label t (0 inside
+    a block).  A type past the half-edge cap is refused here, so no search
+    runs on it.
     """
     _check_size(sum(vtype))
     offs = type_offsets(vtype)
-    vert = [v for v, k in enumerate(vtype) for _ in range(k)]
+    base = [o for o, k in zip(offs, vtype) for _ in range(k)]
+    val = [k for k in vtype for _ in range(k)]
     blocks = [[] for _ in range(max(vtype) + 1)]
-    members = [[] for _ in blocks]
     starts = [0] * sum(vtype)
-    for v, (o, k) in enumerate(zip(offs, vtype)):
+    for o, k in zip(offs, vtype):
         blocks[k].append(o)
-        members[k].append(v)
         starts[o] = k
     cyc = [tuple(o + (s + r) % k for s in range(k))
            for o, k in zip(offs, vtype) for r in range(k)]
     spot = [{b: tuple(b + (s - r) % k for s in range(k)) for b in blocks[k]}
             for k in vtype for r in range(k)]
-    return offs, vert, cyc, spot, blocks, members, starts
+    return offs, base, val, cyc, spot, blocks, starts
 
 
 def _place_legs(vtype, legs):
@@ -165,18 +170,17 @@ def _place_legs(vtype, legs):
     first; a leg on a vertex already placed moves with it.  Returns (img,
     inv, taken): the label of each slot, the slot at each label (-1 where
     nothing is placed yet) and the count of blocks taken per valency."""
-    offs, vert, cyc, spot, blocks, _, _ = _search_frame(vtype)
-    img = [-1] * len(vert)
-    inv = [-1] * len(vert)
+    _, base, val, cyc, spot, blocks, _ = _search_frame(vtype)
+    img = [-1] * len(base)
+    inv = [-1] * len(base)
     taken = [0] * len(blocks)
     for h in legs:
         if img[h] < 0:
-            v = vert[h]
-            k = vtype[v]
+            k = val[h]
             b = blocks[k][taken[k]]
             taken[k] += 1
             inv[b:b + k] = cyc[h]
-            img[offs[v]:offs[v] + k] = spot[h][b]
+            img[base[h]:base[h] + k] = spot[h][b]
     return img, inv, taken
 
 
@@ -194,30 +198,33 @@ def _canonical_search(vtype, chords, legs=()):
     far as the incumbent and drops a branch at its first larger entry;
     the leaves left are exactly the relabelings onto the least image.
     Each leg is placed the same way first, in order (`_place_legs`), and
-    is then a fixed point of the matching.
+    is then a fixed point of the matching.  `free` counts the labels that
+    hold no slot yet.
     """
-    offs, vert, cyc, spot, blocks, members, starts = _search_frame(vtype)
-    size = len(vert)
-    partner = list(range(size))
+    offs, base, val, cyc, spot, blocks, starts = _search_frame(vtype)
+    size = len(base)
+    if legs:
+        partner = list(range(size))
+        img, inv, taken = _place_legs(vtype, legs)
+        free = inv.count(-1)
+        leg_images = tuple([img[h] for h in legs])
+    else:
+        partner = [0] * size    # without legs the chords cover every slot
+        img, inv, taken = [-1] * size, [-1] * size, [0] * len(blocks)
+        free = size
+        leg_images = ()
     for a, b in chords:
         partner[a] = b
         partner[b] = a
-    img, inv, taken = _place_legs(vtype, legs)
-    leg_images = tuple(img[h] for h in legs)
     best = None
     leaves = []
-    # pending branches: (label, img, inv, taken, choice at the label,
-    # whether the entries so far were below the incumbent, incumbent)
-    stack = [(0, img, inv, taken, -1, True, None)]
-    while stack:
-        t, img, inv, taken, h, less, mark = stack.pop()
-        less = less and best is mark
-        if h >= 0:
-            k = starts[t]
-            inv[t:t + k] = cyc[h]
-            img[offs[vert[h]]:offs[vert[h]] + k] = spot[h][t]
+    # pending branches: (label, img, inv, taken, free, choice at the
+    # label, whether the entries so far were below the incumbent, incumbent)
+    stack = []
+    t, less = 0, True
+    while True:
         while t < size:
-            if -1 not in inv:
+            if not free:
                 # every vertex placed: the other entries in one pass
                 if not less:
                     rest = [img[partner[x]] for x in inv[t:]]
@@ -231,40 +238,40 @@ def _canonical_search(vtype, chords, legs=()):
                 # branch: the choices whose entry at t is least
                 k = starts[t]
                 taken[k] += 1
-                options = []
-                for v in members[k]:
-                    o = offs[v]
+                least, picks = size, None
+                for o in blocks[k]:
                     if img[o] >= 0:
                         continue
                     for h in range(o, o + k):
                         p = partner[h]
-                        if vert[p] == v:
+                        if base[p] == o:
                             q = t + (p - h) % k
                         else:
                             q = img[p]
                             if q < 0:
-                                kp = vtype[vert[p]]
-                                q = blocks[kp][taken[kp]]
-                        options.append((q, h))
-                least = min(options)[0]
+                                q = blocks[val[p]][taken[val[p]]]
+                        if q < least:
+                            least, picks = q, [h]
+                        elif q == least:
+                            picks.append(h)
                 if not less and least > best[t]:
                     break
-                picks = [h for q, h in options if q == least]
                 for h in reversed(picks[1:]):
-                    stack.append((t, img[:], inv[:], taken[:], h, less, best))
+                    stack.append((t, img[:], inv[:], taken[:], free, h, less,
+                                  best))
                 src = picks[0]
-                o = offs[vert[src]]
                 inv[t:t + k] = cyc[src]
-                img[o:o + k] = spot[src][t]
+                img[base[src]:base[src] + k] = spot[src][t]
+                free -= k
             p = partner[src]
             q = img[p]
             if q < 0:
-                v = vert[p]
-                k = vtype[v]
+                k = val[p]
                 q = blocks[k][taken[k]]
                 taken[k] += 1
                 inv[q:q + k] = cyc[p]
-                img[offs[v]:offs[v] + k] = spot[p][q]
+                img[base[p]:base[p] + k] = spot[p][q]
+                free -= k
             if not less:
                 if q > best[t]:
                     break
@@ -276,15 +283,27 @@ def _canonical_search(vtype, chords, legs=()):
                 best = [img[partner[x]] for x in inv]
                 leaves = []
             leaves.append(img)
+        if not stack:
+            break
+        t, img, inv, taken, free, h, less, mark = stack.pop()
+        less = less and best is mark
+        k = starts[t]
+        inv[t:t + k] = cyc[h]
+        img[base[h]:base[h] + k] = spot[h][t]
+        free -= k
     # the sign of a relabeling is the vertex-permutation parity times one
     # factor -1 per reversed edge
     net = 0
     for img in leaves:
+        flips = 0
+        for a, b in chords:
+            if img[a] > img[b]:
+                flips += 1
         heads = [img[o] for o in offs]
-        flips = sum([img[a] > img[b] for a, b in chords])
         for i, x in enumerate(heads):
             for y in heads[i + 1:]:
-                flips += x > y
+                if x > y:
+                    flips += 1
         net += -1 if flips & 1 else 1
     return best, leg_images, net, len(leaves)
 
@@ -586,6 +605,29 @@ def expand_ideal_edge(g: RibbonGraph, ie: IdealEdge):
     return rg, sign * s2
 
 
+@lru_cache(maxsize=None)
+def _expansion_pass(g: RibbonGraph):
+    """Every class the ideal-edge expansions of g land in, once each in
+    first-landing order, as one flat tuple (h1, n1, h2, n2, ...): n is the
+    integer sum of s * aut(h) over the expansions landing in h, s the move
+    sign times the sign of the canonical form, and 0 for a ZERO class.
+
+    Each move of g is canonicalized here once: the pass is the coboundary
+    of g over the denominator aut(g) (`complexes._coboundary_graph`), the
+    enumeration's source of the classes one vertex up
+    (`_connected_classes`), and, read by adjointness, the boundary into g
+    (`complexes._boundary_rows`).  The entries with n = 0 (ZERO classes,
+    and sums that cancel) are kept for the enumeration; every reader of
+    coefficients skips them.
+    """
+    acc: dict = {}
+    for vt, chords, s in _expansions(g):
+        canonical, csign, aut, zero = _scan(vt, chords)
+        h = _make_graph(vt, canonical, aut, zero)
+        acc[h] = acc.get(h, 0) + (0 if zero else s * csign * aut)
+    return tuple([x for item in acc.items() for x in item])
+
+
 def disjoint_union(*graphs: RibbonGraph):
     """Disjoint union, the vertices listed graph by graph: (RibbonGraph,
     sign)."""
@@ -725,37 +767,19 @@ def _one_vertex_classes(nedge):
 
 def _connected_classes(nvert, nedge):
     """The connected classes with nvert >= 2 vertices: the distinct
-    classes of the ideal-edge expansions of the connected classes one
-    vertex and one edge down, restricted to expansions that split the
-    parent's unique vertex of largest valency into two vertices, one of
-    which has a valency at least every other vertex's.
+    classes that the ideal-edge expansions of the connected classes one
+    vertex and one edge down land in (`_expansion_pass`), ZERO classes
+    included.
 
-    Every connected class C arises so.  Let w be a vertex of C of largest
-    valency K.  C is connected with at least two vertices, so w has an
-    edge to another vertex u; contracting it gives a connected parent P
-    whose merged vertex has valency K + k_u - 2 > K, more than any other
-    vertex of P.  Splitting that vertex of P along the ideal edge that
-    separates the half-edges of w from those of u gives back C, with w
-    of valency K at least every other vertex's.  Classes are unchanged
-    by relabeling, so P may be taken canonical.
+    Every connected class C arises so.  C is connected with at least two
+    vertices, so it has an edge between two distinct vertices.
+    Contracting that edge gives a connected class P one vertex and one
+    edge down, and C is the expansion of P's merged vertex along the
+    ideal edge that separates the half-edges of the two vertices.  Classes
+    are unchanged by relabeling, so P may be taken canonical.
     """
-    found = {}
-    for parent in enumerate_graphs(nvert - 1, nedge - 1, True):
-        vt = parent.vtype
-        top = len(vt) - 1   # the last vertex has the largest valency
-        others = vt[-2] if top else 0
-        if others == vt[-1]:
-            continue
-        size = 2 * parent.nedges
-        chords = parent.chords + ((size, size + 1),)
-        for ie, (child, R, _) in _expansion_moves(vt).items():
-            # the new vertices have valencies len(arc) + 1
-            if ie.vertex == top and \
-                    max(len(ie.arc_a), len(ie.arc_b)) + 1 >= others:
-                form, _, aut, zero = _scan(child, _relabel(R, chords))
-                found[child, form] = (aut, zero)
-    return [_make_graph(vt, form, aut, zero)
-            for (vt, form), (aut, zero) in found.items()]
+    return {h for parent in enumerate_graphs(nvert - 1, nedge - 1, True)
+            for h in _expansion_pass(parent)[::2]}
 
 
 def _splits(nvert, nedge, most=None):

@@ -13,10 +13,10 @@ summed over the expansions landing in each class h as integers, over the
 denominator aut(g), with an entry n = 0 for the ZERO classes and the sums
 that cancel, which the enumeration needs and every reader here skips.  The
 coboundary of a chain puts its coefficients over one common denominator
-and also sums integers.  The boundary rows that homology ranks are read
-from the passes of the targets by adjointness, n / aut(g) for g in the
-boundary of h, so no contraction is searched there; the boundary of a
-chain contracts.  The move sums of one graph are cached as flat tuples
+and also sums integers.  The boundary rows that homology ranks and that
+`is_boundary` solves against are read from the passes of the targets by
+adjointness, n / aut(g) for g in the boundary of h, so no contraction is
+searched there; the boundary of a chain contracts.  The move sums of one graph are cached as flat tuples
 (h1, c1, h2, c2, ...), with no tuple per term, and read back by `_terms`.
 """
 
@@ -74,18 +74,6 @@ def _as_chain(x) -> GraphChain:
     return x
 
 
-def _canonical_sum(moves):
-    """Sum of raw moves (vtype, chords, sign) by canonical class, as one
-    flat tuple (h1, c1, h2, c2, ...) of the classes with a nonzero sum."""
-    acc: dict = {}
-    for vt, chords, s in moves:
-        canonical, csign, aut, zero = _scan(vt, chords)
-        if not zero:
-            rg = _make_graph(vt, canonical, aut, zero)
-            acc[rg] = acc.get(rg, 0) + s * csign
-    return tuple([x for rg, c in acc.items() if c for x in (rg, c)])
-
-
 def _terms(flat):
     """The (class, coeff) pairs of a flat tuple (h1, c1, h2, c2, ...)."""
     it = iter(flat)
@@ -97,7 +85,13 @@ def _boundary_graph(g: RibbonGraph):
     """The boundary of g as one flat tuple (h1, c1, h2, c2, ...): the
     classes h its contractions land in, each with its integer
     coefficient; read it with `_terms`."""
-    return _canonical_sum(_contractions(g))
+    acc: dict = {}
+    for vt, chords, s in _contractions(g):
+        canonical, csign, aut, zero = _scan(vt, chords)
+        if not zero:
+            rg = _make_graph(vt, canonical, aut, zero)
+            acc[rg] = acc.get(rg, 0) + s * csign
+    return tuple([x for rg, c in acc.items() if c for x in (rg, c)])
 
 
 # The coboundary of g as one flat tuple (h1, n1, h2, n2, ...) of integer
@@ -228,9 +222,9 @@ def is_boundary(x: GraphChain):
     tgt = {g: i for i, g in enumerate(basis(v, e))}
     # the columns of the boundary, one sparse row per target class
     cols = [{} for _ in tgt]
-    for i, g in enumerate(src):
-        for rg, c in _terms(_boundary_graph(g)):
-            cols[tgt[rg]][i] = c
+    for i, row in enumerate(_boundary_rows(v + 1, e + 1)):
+        for j, c in row.items():
+            cols[j][i] = c
     sol = solve_exact(cols, {tgt[g]: c for g, c in x.terms.items()})
     if sol is None:
         return None

@@ -205,8 +205,9 @@ def test_homology_euler_characteristic_on_diagonals():
 
 
 def test_boundary_rows_by_adjointness_equal_the_contraction_rows():
-    # the rows that homology ranks are read from the expansion passes of
-    # the targets; the boundary of single chains still contracts
+    # the rows that homology ranks and `is_boundary` solves against are
+    # read from the expansion passes of the targets; the boundary of a
+    # chain still contracts
     for e in range(1, 7):
         for v in range(1, 2 * e // 3 + 1):
             tgt = {g: j for j, g in enumerate(basis(v - 1, e - 1))}

@@ -21,8 +21,7 @@ from .lie import (CEChain, CoinvariantCoordinates, CyclicWord, bracket,
 from .scalars import format_scalar, json_scalar, parse_scalar
 from .superspace import (SuperDim, SuperTensor, SymplecticForm, contract,
                          koszul_apply)
-from .tcft import (EMPTY_LEGGED, LeggedGraph, MorphismChain,
-                   canonicalize_legged, compose, compose_tensors,
+from .tcft import (MorphismChain, compose, compose_tensors,
                    composition_compatibility, correlation,
                    enumerate_legged_graphs, glue)
 

@@ -36,7 +36,7 @@ from .graphs import MAX_HALF_EDGES, enumerate_graphs
 from .lie import CEChain, CyclicWord, ce_differential
 from .scalars import json_scalar
 from .superspace import SuperDim
-from .tcft import (LeggedGraph, composition_compatibility, correlation,
+from .tcft import (composition_compatibility, correlation,
                    enumerate_legged_graphs)
 
 SUITES = ("d2", "delta2", "adjointness", "kontsevich", "triangle",
@@ -45,18 +45,19 @@ SUITES = ("d2", "delta2", "adjointness", "kontsevich", "triangle",
 # ambient signatures used for random Chevalley-Eilenberg chains
 CHAIN_SIGNATURES = (SuperDim(1, 1), SuperDim(2, 0), SuperDim(1, 2))
 
-# per-suite window defaults; --vertices/--edges/--order override them
-SUITE_BOUNDS = {
+# the options each suite reads, besides --seed and --workers, with their
+# defaults (no --algebra is the built-in fixture); verify refuses any other
+SUITE_OPTIONS = {
     "d2": {"edges": 6},
     "delta2": {"edges": 6},
     "adjointness": {"edges": 5},
     "kontsevich": {"edges": 4, "order": 8},
     "triangle": {"edges": 4, "order": 8},
     "roundtrip": {"edges": 4},
-    "exp": {"vertices": 4, "edges": 6},
-    "equivalence": {"edges": 4, "order": 4},
-    "invariance": {"edges": 4},
-    "tcft": {"edges": 2},
+    "exp": {"vertices": 4, "edges": 6, "algebra": None},
+    "equivalence": {"edges": 4, "order": 4, "algebra": None},
+    "invariance": {"edges": 4, "algebra": None},
+    "tcft": {"edges": 2, "algebra": None},
 }
 
 # edges past --edges that a suite's diagrams reach: the coboundary of the
@@ -218,10 +219,8 @@ def _algebra(args):
 
 
 def _bound(args, suite, key):
-    span = getattr(args, key, None)
-    if span is None:
-        return SUITE_BOUNDS[suite][key]
-    return span if isinstance(span, int) else span[1]
+    value = getattr(args, key)
+    return SUITE_OPTIONS[suite][key] if value is None else value
 
 
 def _check_slots(what, slots):
@@ -403,21 +402,12 @@ def cmd_characteristic(args):
     return {"status": "ok", "terms": len(terms)}, 0
 
 
-def _legless_diagram(g):
-    return g.vtype, (), (), g.chords
-
-
 def cmd_correlate(args):
     algebra = _algebra(args)
     graph, sign = jsonio.graph_from_json(jsonio.load_json(args.graph))
-    if isinstance(graph, LeggedGraph):
-        legs_in, legs_out = list(graph.legs_in), list(graph.legs_out)
-        tensor = correlation(algebra, graph).scale(sign)
-    else:
-        legs_in, legs_out = [], []
-        tensor = correlation(algebra, _legless_diagram(graph)).scale(sign)
+    tensor = correlation(algebra, graph).scale(sign)
     yield {"kind": "class", "aut": graph.aut, "zero": graph.zero,
-           "legs_in": legs_in, "legs_out": legs_out}
+           "legs_in": list(graph.legs_in), "legs_out": list(graph.legs_out)}
     for word in sorted(tensor.terms, key=lambda w: (len(w), w)):
         yield {"kind": "entry", "word": list(word),
                "coeff": json_scalar(tensor.terms[word])}
@@ -561,56 +551,48 @@ def _random_chain(rng, dim, menus):
                 return x
 
 
-def _suite_kontsevich(args, rng):
-    emax = _bound(args, "kontsevich", "edges")
-    order = _bound(args, "kontsevich", "order")
+def _chain_graph_suite(args, rng, suite, of_graph, of_chain, sides):
+    """Compare two pairings of random CE chains x with the graphs g of the
+    suite's window: sides(x, of_chain(x), g, of_graph(g)) is (lhs, rhs)."""
+    emax = _bound(args, suite, "edges")
+    order = _bound(args, suite, "order")
     graphs = [g for v, e in _grid(emax) for g in basis(v, e)]
-    cob = {g: coboundary(GraphChain.of(g)) for g in graphs}
+    images = [of_graph(g) for g in graphs]
     menus = _rank_menus(order)
     checks = 0
     fails = []
     for dim in CHAIN_SIGNATURES:
         for i in range(CHAINS_PER_SIGNATURE):
             x = _random_chain(rng, dim, menus)
-            dx = ce_differential(x)
-            for g in graphs:
+            fx = of_chain(x)
+            for g, fg in zip(graphs, images):
                 checks += 1
-                lhs = pair_chain_graph(dx, g)
-                rhs = pair_chain_graph(x, cob[g])
+                lhs, rhs = sides(x, fx, g, fg)
                 if lhs != rhs:
-                    fails.append({"kind": "fail", "suite": "kontsevich",
+                    fails.append({"kind": "fail", "suite": suite,
                                   "n": dim.n, "m": dim.m, "chain": i,
                                   "graph": jsonio.graph_to_json(g),
                                   "lhs": json_scalar(lhs),
                                   "rhs": json_scalar(rhs)})
     return {"edges": emax, "order": order,
             "chains": CHAINS_PER_SIGNATURE}, checks, fails
+
+
+def _suite_kontsevich(args, rng):
+    # <dx, g> = <x, delta g>
+    return _chain_graph_suite(
+        args, rng, "kontsevich", lambda g: coboundary(GraphChain.of(g)),
+        ce_differential,
+        lambda x, dx, g, dg: (pair_chain_graph(dx, g),
+                              pair_chain_graph(x, dg)))
 
 
 def _suite_triangle(args, rng):
-    emax = _bound(args, "triangle", "edges")
-    order = _bound(args, "triangle", "order")
-    graphs = [g for v, e in _grid(emax) for g in basis(v, e)]
-    chains = [GraphChain.of(g) for g in graphs]
-    menus = _rank_menus(order)
-    checks = 0
-    fails = []
-    for dim in CHAIN_SIGNATURES:
-        for i in range(CHAINS_PER_SIGNATURE):
-            x = _random_chain(rng, dim, menus)
-            ix = integral_I(x)
-            for g, chain in zip(graphs, chains):
-                checks += 1
-                lhs = pair_chain_graph(x, g)
-                rhs = pairing(ix, chain)
-                if lhs != rhs:
-                    fails.append({"kind": "fail", "suite": "triangle",
-                                  "n": dim.n, "m": dim.m, "chain": i,
-                                  "graph": jsonio.graph_to_json(g),
-                                  "lhs": json_scalar(lhs),
-                                  "rhs": json_scalar(rhs)})
-    return {"edges": emax, "order": order,
-            "chains": CHAINS_PER_SIGNATURE}, checks, fails
+    # <x, g> = <I(x), g>
+    return _chain_graph_suite(
+        args, rng, "triangle", GraphChain.of, integral_I,
+        lambda x, ix, g, chain: (pair_chain_graph(x, g),
+                                 pairing(ix, chain)))
 
 
 def _suite_roundtrip(args, rng):
@@ -767,6 +749,10 @@ def cmd_verify(args):
     names = SUITES if args.suite == "all" else (args.suite,)
     if args.workers < 1:
         raise ValueError(f"--workers {args.workers} is below 1")
+    for key in ("vertices", "edges", "order", "algebra"):
+        if getattr(args, key) is not None and \
+                not any(key in SUITE_OPTIONS[name] for name in names):
+            raise ValueError(f"verify {args.suite} does not read --{key}")
     for name in names:
         _check_window(args, name)
     runs = []
@@ -838,8 +824,8 @@ def build_parser():
     p.add_argument("suite", choices=SUITES + ("all",))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--vertices", type=_span, default=None, metavar="N")
-    p.add_argument("--edges", type=_span, default=None, metavar="N")
+    p.add_argument("--vertices", type=_count, default=None, metavar="N")
+    p.add_argument("--edges", type=_count, default=None, metavar="N")
     p.add_argument("--order", type=_count, default=None)
     p.add_argument("--algebra", default=None, metavar="FILE",
                    help="algebra file for the fixture-based suites")

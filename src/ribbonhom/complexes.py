@@ -32,7 +32,8 @@ from .scalars import LinearCombination, format_scalar, rank_exact, solve_exact
 
 
 class GraphChain(LinearCombination):
-    """Finite linear combination of oriented ribbon graph classes.
+    """Finite linear combination of oriented ribbon graph classes without
+    legs (legged classes form the chains of `tcft.MorphismChain`).
 
     ZERO classes and zero coefficients are dropped on construction, so the
     zero chain is the one with no terms.
@@ -44,6 +45,8 @@ class GraphChain(LinearCombination):
         self.terms = self._collect(terms)
 
     def _reduce(self, g):
+        if g.legs_in or g.legs_out:
+            raise ValueError("legged graph inside a plain graph chain")
         return None if g.zero else (g, 1)
 
     @classmethod

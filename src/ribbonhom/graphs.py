@@ -26,16 +26,21 @@ first, with the least image so far as the incumbent, it drops a branch at
 its first larger entry; the relabelings that survive are the coset onto
 the canonical form, so they give the sign, |Aut| and the ZERO flag.
 
+A class may carry labelled legs, the open slots of the TCFT reading of
+the same graphs (`tcft`): `legs_in[i]` is the slot of incoming label i,
+`legs_out[j]` that of outgoing label j, and the edges match the other
+slots.  A closed graph is the class with no legs.  A leg slot is a fixed
+point of the matching (its own partner), and the images of the leg slots,
+incoming then outgoing, are compared first: each leg's vertex is placed,
+in order, before the search of the other slots runs.
+
 The chords of a canonical form are the shared pairs of `_PAIRS`, one
 tuple per (a, b), and the classes are interned in one table per valency
-type whose key every class of the type keeps as its `vtype`.  So a class
-holds references to shared objects, not copies of its own: the tables of
-classes are most of the memory a large window spends.
-
-The same search canonicalizes the legged diagrams of `tcft`.  A leg slot
-is a fixed point of the matching (its own partner), and the images of the
-leg slots, incoming then outgoing, are compared first: each leg's vertex
-is placed, in order, before the legless search runs.
+type whose key every class of the type keeps as its `vtype`; within a
+table a class without legs is keyed by its chords and one with legs by
+(legs_in, legs_out, chords).  So a class holds references to shared
+objects, not copies of its own: the tables of classes are most of the
+memory a large window spends.
 
 The moves of the complex, contracting an edge and expanding an ideal
 edge, relabel half-edges in a way that depends only on the valency type
@@ -340,21 +345,34 @@ _scan_cached = lru_cache(maxsize=500_000)(_scan)
 class RibbonGraph:
     """Canonical representative of an oriented ribbon graph class.
 
-    Instances are interned in one table per valency type, {vtype: {chords:
-    RibbonGraph}}; `vtype` is that table's key, shared by every class of
-    the type, and `chords` holds the shared pairs of `_PAIRS`.  `zero`
-    flags classes killed by an orientation-reversing automorphism, `aut`
-    counts the orientation-preserving automorphisms.
+    Instances are interned in one table per valency type, {vtype: {key:
+    RibbonGraph}}, the key being `chords`, or (legs_in, legs_out, chords)
+    for a class with legs; `vtype` is that table's key, shared by every
+    class of the type, and `chords` holds the shared pairs of `_PAIRS`.
+    `legs_in` and `legs_out` are the slots of the incoming and outgoing leg
+    labels, the empty tuple for a class without legs.  `zero` flags classes
+    killed by an orientation-reversing automorphism, `aut` counts the
+    orientation-preserving automorphisms.
     """
 
-    __slots__ = ("vtype", "chords", "aut", "zero")
+    __slots__ = ("vtype", "legs_in", "legs_out", "chords", "aut", "zero")
     _intern: dict = {}
 
-    def __init__(self, vtype, chords, aut, zero):
+    def __init__(self, vtype, legs_in, legs_out, chords, aut, zero):
         self.vtype = vtype
+        self.legs_in = legs_in
+        self.legs_out = legs_out
         self.chords = chords
         self.aut = aut
         self.zero = zero
+
+    @property
+    def nin(self):
+        return len(self.legs_in)
+
+    @property
+    def nout(self):
+        return len(self.legs_out)
 
     @property
     def nverts(self):
@@ -366,21 +384,30 @@ class RibbonGraph:
 
     @property
     def sort_key(self):
-        return (self.nedges, self.nverts, self.vtype, self.chords)
+        return (self.nedges, self.nverts, self.vtype, self.legs_in,
+                self.legs_out, self.chords)
 
     def __eq__(self, other):
         return (isinstance(other, RibbonGraph)
-                and self.vtype == other.vtype and self.chords == other.chords)
+                and self.vtype == other.vtype and self.chords == other.chords
+                and self.legs_in == other.legs_in
+                and self.legs_out == other.legs_out)
 
     def __hash__(self):
+        # classes that differ only in their legs share a hash
         return hash((self.vtype, self.chords))
 
     def __lt__(self, other):
         return self.sort_key < other.sort_key
 
     def __repr__(self):
+        legs = (f", in{self.legs_in}, out{self.legs_out}"
+                if self.legs_in or self.legs_out else "")
         flag = ", zero" if self.zero else ""
-        return f"RibbonGraph({self.vtype}, {self.chords}{flag})"
+        return f"RibbonGraph({self.vtype}{legs}, {self.chords}{flag})"
+
+    def diagram(self):
+        return (self.vtype, self.legs_in, self.legs_out, self.chords)
 
     def vertex_blocks(self):
         offs = type_offsets(self.vtype)
@@ -396,16 +423,17 @@ class RibbonGraph:
         return self.nverts > 0 and len(set(_vertex_roots(self))) == 1
 
 
-def _make_graph(vtype, chords, aut, zero) -> RibbonGraph:
+def _make_graph(vtype, chords, aut, zero, legs_in=(), legs_out=()):
     table = RibbonGraph._intern.get(vtype)
     if table is None:
         table = RibbonGraph._intern[vtype] = {}
-    g = table.get(chords)
+    key = (legs_in, legs_out, chords) if legs_in or legs_out else chords
+    g = table.get(key)
     if g is None:
         # a new class of a known type keeps the type its table already has
         first = next(iter(table.values()), None)
-        g = table[chords] = RibbonGraph(first.vtype if first else vtype,
-                                        chords, aut, zero)
+        g = table[key] = RibbonGraph(first.vtype if first else vtype,
+                                     legs_in, legs_out, chords, aut, zero)
     return g
 
 
@@ -455,18 +483,28 @@ def canonicalize(obj):
     """Canonical class and sign of a diagram: (RibbonGraph, sign) with
     [input] = sign * [canonical].  For ZERO classes the sign is +1 by
     convention and the class must be discarded by chain arithmetic.  The
-    diagram is a RibbonGraph or a (vtype, chords) pair, its valencies in
-    any order; a pair with a valency below 3, or whose chords do not cover
-    every half-edge exactly once, is rejected with ValueError."""
+    diagram is a RibbonGraph, a (vtype, chords) pair or a (vtype, legs_in,
+    legs_out, chords) tuple, its valencies in any order; empty leg lists
+    give the class without legs.  A diagram with a valency below 3, or
+    whose legs and chords do not cover every half-edge exactly once, is
+    rejected with ValueError."""
     if isinstance(obj, RibbonGraph):
         return obj, 1
-    vtype, chords = obj
-    check_diagram(vtype, (), (), chords)
-    (vtype, _, _, chords), sign = _standardize_diagram(vtype, (), (), chords)
+    if len(obj) == 2:
+        (vtype, chords), legs_in, legs_out = obj, (), ()
+    else:
+        vtype, legs_in, legs_out, chords = obj
+    check_diagram(vtype, legs_in, legs_out, chords)
+    (vtype, legs_in, legs_out, chords), sign = \
+        _standardize_diagram(vtype, legs_in, legs_out, chords)
     if not vtype:
         return EMPTY_GRAPH, sign
-    canonical, csign, aut, zero = _scan_cached(vtype, chords)
-    g = _make_graph(vtype, canonical, aut, zero)
+    legs = legs_in + legs_out
+    canonical, csign, aut, zero = _scan_cached(vtype, chords, legs or None)
+    if legs:
+        images, canonical = canonical
+        legs_in, legs_out = images[:len(legs_in)], images[len(legs_in):]
+    g = _make_graph(vtype, canonical, aut, zero, legs_in, legs_out)
     return g, sign * (1 if zero else csign)
 
 

@@ -6,7 +6,9 @@ integers and exact rational strings.  Schemas:
 
   tensor   {"signature": {"n", "m"}, "rank", "terms": [{"word", "coeff"}]}
   graph    {"half_edges", "vertices": [[slot..]..], "edges": [[a,b]..],
-            "legs_in": [..], "legs_out": [..]}  (+ "aut"/"zero" on output)
+            "legs_in": [..], "legs_out": [..]}  (+ "aut"/"zero" on output;
+            the leg keys only for a class with a leg, and empty leg lists
+            read as the class without legs)
   chain    [{"graph": {..}, "coeff": ".."}]
   cechain  {"signature": {..}, "terms": [{"factors": [[letter..]..],
             "coeff": ".."}]}
@@ -14,7 +16,8 @@ integers and exact rational strings.  Schemas:
             "h": [{"k", "tensor": {..}}..], "truncation"}
 
 Readers canonicalize graphs and fold the resulting signs into chain
-coefficients; a reader returns the same object its writer came from.
+coefficients; a reader returns the same object its writer came from, and
+refuses an object that lacks a field with a ValueError naming both.
 """
 
 from __future__ import annotations
@@ -23,11 +26,10 @@ import json
 
 from .ainfinity import AInfinityAlgebra
 from .complexes import GraphChain
-from .graphs import RibbonGraph, canonicalize, check_diagram
+from .graphs import canonicalize
 from .lie import CEChain
 from .scalars import json_scalar, parse_scalar
 from .superspace import SuperDim, SuperTensor, SymplecticForm
-from .tcft import LeggedGraph, canonicalize_legged
 
 
 def _signature(dim: SuperDim) -> dict:
@@ -38,6 +40,12 @@ def _expect_object(obj, what):
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object, "
                          f"not {type(obj).__name__}")
+
+
+def _field(obj, key, what):
+    if key not in obj:
+        raise ValueError(f'{what} has no "{key}" field')
+    return obj[key]
 
 
 def _expect_list(obj, what):
@@ -55,8 +63,8 @@ def _expect_int(obj, what):
 
 def _dim_of(obj) -> SuperDim:
     _expect_object(obj, "signature")
-    return SuperDim(_expect_int(obj["n"], "signature n"),
-                    _expect_int(obj["m"], "signature m"))
+    return SuperDim(_expect_int(_field(obj, "n", "signature"), "signature n"),
+                    _expect_int(_field(obj, "m", "signature"), "signature m"))
 
 
 # ----------------------------------------------------------------- tensors
@@ -69,13 +77,13 @@ def tensor_to_json(t: SuperTensor) -> dict:
 
 def tensor_from_json(obj) -> SuperTensor:
     _expect_object(obj, "tensor")
-    dim = _dim_of(obj["signature"])
+    dim = _dim_of(_field(obj, "signature", "tensor"))
     terms = {}
-    for item in _expect_list(obj["terms"], "terms"):
+    for item in _expect_list(_field(obj, "terms", "tensor"), "terms"):
         _expect_object(item, "a tensor term")
-        word = tuple(_expect_int(a, "letter")
-                     for a in _expect_list(item["word"], "word"))
-        terms[word] = parse_scalar(item["coeff"])
+        word = tuple(_expect_int(a, "letter") for a in _expect_list(
+            _field(item, "word", "a tensor term"), "word"))
+        terms[word] = parse_scalar(_field(item, "coeff", "a tensor term"))
     rank = obj.get("rank")
     if rank is None:
         if not terms:
@@ -96,11 +104,12 @@ def matrix_from_json(rows) -> list:
 # ------------------------------------------------------------------ graphs
 
 def graph_to_json(g) -> dict:
-    """Canonical graph as a diagram; legged graphs add the leg arrays."""
+    """Canonical graph as a diagram; a class with a leg adds the leg
+    arrays."""
     out = {"half_edges": sum(g.vtype),
            "vertices": [list(b) for b in g.vertex_blocks()],
            "edges": [list(c) for c in g.chords]}
-    if isinstance(g, LeggedGraph):
+    if g.legs_in or g.legs_out:
         out["legs_in"] = list(g.legs_in)
         out["legs_out"] = list(g.legs_out)
     out["aut"] = g.aut
@@ -114,8 +123,8 @@ def graph_from_json(obj):
     half-edge ids; they are relabeled in block order.  Every vertex must
     have valency >= 3, and legs and edges must use each half-edge once."""
     _expect_object(obj, "graph")
-    blocks = [_expect_list(v, "a vertex")
-              for v in _expect_list(obj["vertices"], "vertices")]
+    blocks = [_expect_list(v, "a vertex") for v in
+              _expect_list(_field(obj, "vertices", "graph"), "vertices")]
 
     def half_edge_id(h):
         if isinstance(h, bool) or not isinstance(h, (int, float, str)):
@@ -142,17 +151,15 @@ def graph_from_json(obj):
         return slot(c[0]), slot(c[1])
 
     vtype = tuple(len(b) for b in blocks)
-    edges = tuple(map(edge, _expect_list(obj["edges"], "edges")))
+    edges = tuple(map(edge, _expect_list(_field(obj, "edges", "graph"),
+                                         "edges")))
     legs_in = tuple(map(slot, _expect_list(obj.get("legs_in", []), "legs_in")))
     legs_out = tuple(map(slot, _expect_list(obj.get("legs_out", []),
                                             "legs_out")))
     if "half_edges" in obj and \
             _expect_int(obj["half_edges"], "half_edges") != len(relabel):
         raise ValueError("half_edges count does not match the vertices")
-    check_diagram(vtype, legs_in, legs_out, edges)
-    if legs_in or legs_out or "legs_in" in obj or "legs_out" in obj:
-        return canonicalize_legged((vtype, legs_in, legs_out, edges))
-    return canonicalize((vtype, edges))
+    return canonicalize((vtype, legs_in, legs_out, edges))
 
 
 def chain_to_json(x: GraphChain) -> list:
@@ -162,13 +169,11 @@ def chain_to_json(x: GraphChain) -> list:
 
 def chain_from_json(items) -> GraphChain:
     acc: dict = {}
-    for item in items:
-        g, sign = graph_from_json(item["graph"])
-        if isinstance(g, LeggedGraph):
-            raise ValueError("legged graph inside a plain graph chain")
-        c = parse_scalar(item["coeff"]) * sign
-        if not g.zero:
-            acc[g] = acc.get(g, 0) + c
+    for item in _expect_list(items, "chain"):
+        _expect_object(item, "a chain term")
+        g, sign = graph_from_json(_field(item, "graph", "a chain term"))
+        c = parse_scalar(_field(item, "coeff", "a chain term")) * sign
+        acc[g] = acc.get(g, 0) + c
     return GraphChain(acc)
 
 
@@ -182,11 +187,15 @@ def ce_chain_to_json(x: CEChain) -> dict:
 
 
 def ce_chain_from_json(obj) -> CEChain:
-    dim = _dim_of(obj["signature"])
+    _expect_object(obj, "CE chain")
+    dim = _dim_of(_field(obj, "signature", "CE chain"))
     terms: dict = {}
-    for item in obj["terms"]:
-        fs = tuple(tuple(w) for w in item["factors"])
-        terms[fs] = terms.get(fs, 0) + parse_scalar(item["coeff"])
+    for item in _expect_list(_field(obj, "terms", "CE chain"), "terms"):
+        _expect_object(item, "a CE chain term")
+        fs = tuple(tuple(w) for w in _field(item, "factors",
+                                            "a CE chain term"))
+        terms[fs] = terms.get(fs, 0) + parse_scalar(
+            _field(item, "coeff", "a CE chain term"))
     return CEChain(dim, terms)
 
 
@@ -202,20 +211,21 @@ def algebra_to_json(a: AInfinityAlgebra) -> dict:
 
 def algebra_from_json(obj) -> AInfinityAlgebra:
     _expect_object(obj, "algebra")
-    dim = _dim_of(obj["signature"])
-    form = SymplecticForm(dim, matrix_from_json(obj["omega"]))
+    dim = _dim_of(_field(obj, "signature", "algebra"))
+    form = SymplecticForm(dim, matrix_from_json(_field(obj, "omega",
+                                                       "algebra")))
     hams = {}
-    for item in _expect_list(obj["h"], "h"):
+    for item in _expect_list(_field(obj, "h", "algebra"), "h"):
         _expect_object(item, "an h item")
-        k = _expect_int(item["k"], "k")
-        t = tensor_from_json(item["tensor"])
+        k = _expect_int(_field(item, "k", "an h item"), "k")
+        t = tensor_from_json(_field(item, "tensor", "an h item"))
         if t.dim != dim:
             raise ValueError("Hamiltonian signature differs from the algebra")
         if t.rank != k:
             raise ValueError(f"tensor of rank {t.rank} filed under k={k}")
         hams[k] = t
-    return AInfinityAlgebra(form, hams,
-                            _expect_int(obj["truncation"], "truncation"))
+    return AInfinityAlgebra(form, hams, _expect_int(
+        _field(obj, "truncation", "algebra"), "truncation"))
 
 
 # ------------------------------------------------------------------- files

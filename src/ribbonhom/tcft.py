@@ -1,22 +1,20 @@
 """Ribbon graphs with labelled legs: gluing and correlation functions.
 
-A legged graph keeps the chord-diagram storage of `graphs` for its
-internal vertices (valencies >= 3, half-edge slots numbered vertex-major,
-block order = cyclic order) and reserves some slots for legs:
-``legs_in[i]`` is the slot carrying incoming label i, ``legs_out[j]`` the
-slot carrying outgoing label j, and the remaining slots are matched up by
-the internal edges.  An orientation is, as in the legless case, an
-ordering of the vertices together with a direction of every internal
-edge; leg labels are fixed by isomorphisms and carry no orientation data.
-This is the convention the correlator below respects on the nose: the
-vertex tensors are odd (transposing two vertices negates the state sum),
-the edge pairing is super-skew (reversing a direction negates it) and
-parity-even (the list order of the edges is immaterial).  Canonical forms
-come from the canonical search of `graphs`, with the leg slots as fixed
-points whose images are compared first; a legged diagram, legs included,
-has at most 16 half-edge slots.  Legged classes are enumerated from the
-leg placements that the search's leg rule leaves in place, each with every
-matching of the other slots.
+A legged graph is a `graphs.RibbonGraph` whose `legs_in[i]` is the slot
+carrying incoming label i and `legs_out[j]` the slot carrying outgoing
+label j; the internal edges match up the remaining slots, and a closed
+graph is the class with no legs, so there is no separate graph class.  An
+orientation is, as without legs, an ordering of the vertices together
+with a direction of every internal edge; leg labels are fixed by
+isomorphisms and carry no orientation data.  This is the convention the
+correlator below respects on the nose: the vertex tensors are odd
+(transposing two vertices negates the state sum), the edge pairing is
+super-skew (reversing a direction negates it) and parity-even (the list
+order of the edges is immaterial).  Canonical forms come from
+`graphs.canonicalize`; a legged diagram, legs included, has at most 16
+half-edge slots.  Legged classes are enumerated from the leg placements
+that the search's leg rule leaves in place, each with every matching of
+the other slots.
 
 Gluing joins outgoing leg j of the first graph to incoming leg j of the
 second by a new internal edge directed first-to-second.  The correlator
@@ -37,114 +35,17 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .ainfinity import AInfinityAlgebra, ValidationReport
-from .graphs import (RibbonGraph, _check_size, _place_legs, _scan,
-                     _scan_cached, _standardize_diagram, _valency_partitions,
-                     check_diagram, perfect_matchings)
+from .graphs import (EMPTY_GRAPH, RibbonGraph, _check_size, _make_graph,
+                     _place_legs, _scan, _standardize_diagram,
+                     _valency_partitions, canonicalize, perfect_matchings)
 from .scalars import LinearCombination, format_scalar
 from .superspace import SuperTensor, contract
-
-
-# ------------------------------------------------------------- graph class
-
-class LeggedGraph:
-    """Canonical representative of an oriented ribbon graph class with
-    labelled legs; interned, `zero`/`aut` as for RibbonGraph."""
-
-    __slots__ = ("vtype", "legs_in", "legs_out", "chords", "aut", "zero")
-    _intern: dict = {}
-
-    def __init__(self, vtype, legs_in, legs_out, chords, aut, zero):
-        self.vtype = vtype
-        self.legs_in = legs_in
-        self.legs_out = legs_out
-        self.chords = chords
-        self.aut = aut
-        self.zero = zero
-
-    @property
-    def nin(self):
-        return len(self.legs_in)
-
-    @property
-    def nout(self):
-        return len(self.legs_out)
-
-    @property
-    def nverts(self):
-        return len(self.vtype)
-
-    @property
-    def nedges(self):
-        return len(self.chords)
-
-    @property
-    def sort_key(self):
-        return (self.nedges, self.nverts, self.vtype,
-                self.legs_in, self.legs_out, self.chords)
-
-    def __eq__(self, other):
-        return (isinstance(other, LeggedGraph)
-                and self.vtype == other.vtype
-                and self.legs_in == other.legs_in
-                and self.legs_out == other.legs_out
-                and self.chords == other.chords)
-
-    def __hash__(self):
-        return hash((self.vtype, self.legs_in, self.legs_out, self.chords))
-
-    def __lt__(self, other):
-        return self.sort_key < other.sort_key
-
-    def __repr__(self):
-        flag = ", zero" if self.zero else ""
-        return (f"LeggedGraph({self.vtype}, in{self.legs_in}, "
-                f"out{self.legs_out}, {self.chords}{flag})")
-
-    vertex_blocks = RibbonGraph.vertex_blocks   # the same slot layout
-
-    def diagram(self):
-        return (self.vtype, self.legs_in, self.legs_out, self.chords)
-
-
-def _make_legged(vtype, legs_in, legs_out, chords, aut, zero) -> LeggedGraph:
-    key = (vtype, legs_in, legs_out, chords)
-    g = LeggedGraph._intern.get(key)
-    if g is None:
-        g = LeggedGraph(vtype, legs_in, legs_out, chords, aut, zero)
-        LeggedGraph._intern[key] = g
-    return g
-
-
-EMPTY_LEGGED = _make_legged((), (), (), (), 1, False)
-
-
-def canonicalize_legged(diagram):
-    """Canonical class and sign of a legged diagram: (LeggedGraph, sign)
-    with [input] = sign * [canonical]; +1 on zero classes by the same
-    convention as plain graphs."""
-    if isinstance(diagram, LeggedGraph):
-        return diagram, 1
-    vtype, legs_in, legs_out, chords = diagram
-    vtype = tuple(vtype)
-    legs_in = tuple(legs_in)
-    legs_out = tuple(legs_out)
-    chords = tuple(tuple(c) for c in chords)
-    check_diagram(vtype, legs_in, legs_out, chords)
-    if not vtype:
-        return EMPTY_LEGGED, 1
-    (vtype, legs_in, legs_out, chords), sign = \
-        _standardize_diagram(vtype, legs_in, legs_out, chords)
-    (legs, ch), csign, aut, zero = _scan_cached(vtype, chords,
-                                                legs_in + legs_out)
-    g = _make_legged(vtype, legs[:len(legs_in)], legs[len(legs_in):], ch,
-                     aut, zero)
-    return g, sign * (1 if zero else csign)
 
 
 # ----------------------------------------------------------------- gluing
 
 def _as_diagram(g):
-    if isinstance(g, LeggedGraph):
+    if isinstance(g, RibbonGraph):
         return g.diagram()
     vtype, legs_in, legs_out, chords = g
     return (tuple(vtype), tuple(legs_in), tuple(legs_out),
@@ -173,9 +74,9 @@ def glue_diagram(g1, g2):
 
 
 def glue(g1, g2):
-    """Glued canonical class: (LeggedGraph, sign)."""
+    """Glued canonical class: (RibbonGraph, sign)."""
     diagram, sign = glue_diagram(g1, g2)
-    g, s2 = canonicalize_legged(diagram)
+    g, s2 = canonicalize(diagram)
     return g, sign * s2
 
 
@@ -200,7 +101,7 @@ class MorphismChain(LinearCombination):
         return None if g.zero else (g, 1)
 
     @classmethod
-    def of(cls, graph: LeggedGraph, coeff=Fraction(1)) -> "MorphismChain":
+    def of(cls, graph: RibbonGraph, coeff=Fraction(1)) -> "MorphismChain":
         return cls(graph.nin, graph.nout, {graph: coeff})
 
     def __repr__(self):
@@ -230,16 +131,14 @@ def correlation(algebra: AInfinityAlgebra, graph) -> SuperTensor:
     vertex, internal edges contracted with the dual pairing, leg slots
     left open and ordered incoming labels then outgoing labels.
 
-    Accepts a canonical LeggedGraph or a raw diagram tuple; on canonical
-    zero classes the result is the zero tensor, which is also what the
-    state sum itself produces on any diagram of such a class."""
+    Accepts a canonical RibbonGraph or a raw (vtype, legs_in, legs_out,
+    chords) diagram; on canonical zero classes the result is the zero
+    tensor, which is also what the state sum itself produces on any
+    diagram of such a class."""
     dim = algebra.form.dim
-    if isinstance(graph, LeggedGraph):
-        if graph.zero:
-            return SuperTensor.zero(dim, graph.nin + graph.nout)
-        vtype, legs_in, legs_out, chords = graph.diagram()
-    else:
-        vtype, legs_in, legs_out, chords = _as_diagram(graph)
+    if isinstance(graph, RibbonGraph) and graph.zero:
+        return SuperTensor.zero(dim, graph.nin + graph.nout)
+    vtype, legs_in, legs_out, chords = _as_diagram(graph)
     if not vtype:
         return SuperTensor(dim, 0, {(): Fraction(1)})
     return contract([algebra.hamiltonian(k) for k in vtype], chords,
@@ -266,8 +165,8 @@ def composition_compatibility(algebra: AInfinityAlgebra, g1, g2,
     kept across calls on the same algebra, memoizes the correlator of
     each canonical graph."""
     report = ValidationReport()
-    g1, s1 = canonicalize_legged(g1)
-    g2, s2 = canonicalize_legged(g2)
+    g1, s1 = canonicalize(g1)
+    g2, s2 = canonicalize(g2)
     if g1.nout != g2.nin:
         report.fail("arity", f"{g1.nout} outgoing legs against "
                              f"{g2.nin} incoming")
@@ -320,7 +219,7 @@ def enumerate_legged_graphs(nin, nout, nedges):
     size = 2 * nedges + nin + nout
     _check_size(size)
     if size == 0:
-        return (EMPTY_LEGGED,)
+        return (EMPTY_GRAPH,)
     found = {}
     for nverts in range(1, size // 3 + 1):
         for vtype in _valency_partitions(size, nverts):
@@ -329,6 +228,6 @@ def enumerate_legged_graphs(nin, nout, nedges):
                         [s for s in range(size) if s not in legs]):
                     (images, ch), _, aut, zero = _scan(vtype, mat, legs)
                     found[vtype, images, ch] = (aut, zero)
-    out = [_make_legged(vt, images[:nin], images[nin:], ch, aut, zero)
+    out = [_make_graph(vt, ch, aut, zero, images[:nin], images[nin:])
            for (vt, images, ch), (aut, zero) in found.items()]
     return tuple(sorted(out, key=lambda g: g.sort_key))

@@ -221,6 +221,10 @@ def test_input_errors_exit_2(capsys, tmp_path):
                               "half-edge id [2] is not"),
         "list": ([], "JSON object"),
         "number": (3, "JSON object"),
+        "no_edges": ({"vertices": [[0, 1, 2], [3, 4, 5]]},
+                     'graph has no "edges" field'),
+        "no_vertices": ({"edges": [[0, 3], [1, 4], [2, 5]]},
+                        'graph has no "vertices" field'),
     }
     theta_doc = {"vertices": [[0, 1, 2], [3, 4, 5]],
                  "edges": [[0, 3], [1, 4], [2, 5]]}
@@ -284,6 +288,18 @@ def test_input_errors_exit_2(capsys, tmp_path):
                              "truncation 5.5"),
         "truncation_bool": (lambda doc: doc.update(truncation=True),
                             "truncation true"),
+        "no_truncation": (lambda doc: doc.pop("truncation"),
+                          'algebra has no "truncation" field'),
+        "no_omega": (lambda doc: doc.pop("omega"),
+                     'algebra has no "omega" field'),
+        "no_k": (lambda doc: doc["h"][0].pop("k"),
+                 'an h item has no "k" field'),
+        "no_m": (lambda doc: doc["signature"].pop("m"),
+                 'signature has no "m" field'),
+        "no_terms": (lambda doc: doc["h"][0]["tensor"].pop("terms"),
+                     'tensor has no "terms" field'),
+        "no_coeff": (lambda doc: doc["h"][0]["tensor"]["terms"][0].pop(
+            "coeff"), 'a tensor term has no "coeff" field'),
     }
     path = tmp_path / "algebra.json"
     for name, (edit, words) in edits.items():
@@ -306,7 +322,21 @@ def test_input_errors_exit_2(capsys, tmp_path):
                         (("kontsevich", "--order", "2"), "3 letters"),
                         (("triangle", "--order", "2"), "3 letters"),
                         (("d2", "--workers", "0"), "--workers 0"),
-                        (("d2", "--workers", "-3"), "--workers -3")):
+                        (("d2", "--workers", "-3"), "--workers -3"),
+                        # options the named suite never reads
+                        (("d2", "--edges", "3", "--algebra",
+                          "/nonexistent.json"),
+                         "verify d2 does not read --algebra"),
+                        (("d2", "--edges", "3", "--order", "1"),
+                         "verify d2 does not read --order"),
+                        (("d2", "--edges", "3", "--vertices", "3"),
+                         "verify d2 does not read --vertices"),
+                        (("kontsevich", "--vertices", "2"),
+                         "verify kontsevich does not read --vertices"),
+                        (("roundtrip", "--algebra", ALGEBRA),
+                         "verify roundtrip does not read --algebra"),
+                        (("tcft", "--order", "4"),
+                         "verify tcft does not read --order")):
         start = time.perf_counter()
         code, _, err = run(capsys, "verify", *argv)
         assert time.perf_counter() - start < 5, argv
@@ -332,13 +362,18 @@ def test_input_errors_exit_2(capsys, tmp_path):
                              (("kontsevich", "--edges", "1"), "edges=1"),
                              (("triangle", "--edges", "0"), "edges=0"),
                              (("equivalence", "--order", "0"), "order=0"),
-                             (("all", "--edges", "2"), "edges=2")):
+                             (("all", "--edges", "2"), "edges=2"),
+                             # all reads every option some suite reads
+                             (("all", "--edges", "2", "--vertices", "2",
+                               "--order", "4", "--algebra", ALGEBRA),
+                              "edges=2")):
             code, out, err = run(capsys, "verify", *argv)
             suite = "adjointness" if argv[0] == "all" else argv[0]
             assert code == 2 and not out and err.startswith(
                 f"error: verify {suite} made no check") and window in err, \
                 (argv, err)
-    # reversed ranges and negative counts are refused by the parser
+    # reversed ranges, negative counts and a range where verify takes one
+    # count are refused by the parser
     for argv, words in (
             (("homology", "--vertices", "4:1"), "'4:1': 4 is above 1"),
             (("enumerate", "--vertices", "1", "--edges", "3:2"),
@@ -348,7 +383,11 @@ def test_input_errors_exit_2(capsys, tmp_path):
             (("characteristic", "--algebra", ALGEBRA, "--exterior", "-1"),
              "--exterior: -1 is below 0"),
             (("verify", "equivalence", "--order", "-1"),
-             "--order: -1 is below 0")):
+             "--order: -1 is below 0"),
+            (("verify", "d2", "--edges", "2:3"),
+             "--edges: invalid count value: '2:3'"),
+            (("verify", "exp", "--vertices", "1:2"),
+             "--vertices: invalid count value: '1:2'")):
         with pytest.raises(SystemExit) as exc:
             cli.main(list(argv))
         err = capsys.readouterr().err

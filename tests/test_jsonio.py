@@ -17,7 +17,6 @@ from ribbonhom.jsonio import (algebra_from_json, algebra_to_json,
                               tensor_to_json)
 from ribbonhom.lie import CEChain
 from ribbonhom.superspace import SuperDim, SuperTensor, contract
-from ribbonhom.tcft import canonicalize_legged
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -74,7 +73,7 @@ def test_vertices_out_of_valency_order():
 
 
 def test_legged_graph_roundtrip():
-    g = canonicalize_legged(((3, 3), (0,), (1,), ((2, 3), (4, 5))))[0]
+    g = canonicalize(((3, 3), (0,), (1,), ((2, 3), (4, 5))))[0]
     blob = graph_to_json(g)
     assert blob["legs_in"] == list(g.legs_in)
     back, sign = graph_from_json(blob)

@@ -9,10 +9,12 @@ import pytest
 
 import oracles as O
 from ribbonhom.ainfinity import partition_function
+from ribbonhom.complexes import GraphChain
 from ribbonhom.fixtures import frobenius_pair, twisted_11
+from ribbonhom.graphs import EMPTY_GRAPH, canonicalize, enumerate_graphs
+from ribbonhom.jsonio import graph_from_json, graph_to_json
 from ribbonhom.superspace import koszul_apply
-from ribbonhom.tcft import (EMPTY_LEGGED, MorphismChain, canonicalize_legged,
-                            compose, compose_tensors,
+from ribbonhom.tcft import (MorphismChain, compose, compose_tensors,
                             composition_compatibility, correlation,
                             enumerate_legged_graphs, glue, glue_diagram)
 
@@ -70,7 +72,7 @@ def test_legged_scan_matches_oracle():
                             rest = [s for s in range(size) if s not in legs]
                             for mat in O.perfect_matchings(rest):
                                 d = (vtype, legs[:nin], legs[nin:], mat)
-                                g, s = canonicalize_legged(d)
+                                g, s = canonicalize(d)
                                 if d[1:] in known:
                                     assert _class_of(g) == known[d[1:]], d
                                     continue
@@ -80,7 +82,7 @@ def test_legged_scan_matches_oracle():
                                 classes.add(cls)
                 got = [_class_of(g)
                        for g in enumerate_legged_graphs(nin, nout, e)
-                       if g is not EMPTY_LEGGED]
+                       if g is not EMPTY_GRAPH]
                 assert len(got) == len(set(got)) == len(classes)
                 assert set(got) == classes, (nin, nout, e)
     # random raw diagrams up to the 16-slot cap, legs included
@@ -90,7 +92,7 @@ def test_legged_scan_matches_oracle():
         nin = rng.randrange(nlegs + 1)
         e = rng.randrange(max(0, (9 - nlegs) // 2), (16 - nlegs) // 2 + 1)
         d = random_diagram(rng, nin, nlegs - nin, e)
-        g, s = canonicalize_legged(d)
+        g, s = canonicalize(d)
         assert (_class_of(g), s) == _oracle_class(d)[:2], d
 
 
@@ -98,9 +100,9 @@ def test_legged_diagrams_capped_at_16_slots():
     vtype = (3, 3, 3, 4, 4)
     chords = tuple((1 + 2 * i, 2 + 2 * i) for i in range(8))
     with pytest.raises(NotImplementedError):
-        canonicalize_legged((vtype, (0,), (), chords))
+        canonicalize((vtype, (0,), (), chords))
     chords = tuple((2 * i, 2 * i + 1) for i in range(8))
-    g, _ = canonicalize_legged(((3, 3, 3, 3, 4), (), (), chords))
+    g, _ = canonicalize(((3, 3, 3, 3, 4), (), (), chords))
     assert g.nedges == 8
 
 
@@ -133,12 +135,12 @@ def test_enumerate_legged_refuses_before_any_work():
 
 
 def test_canonical_forms_rotation_and_flip():
-    g, s = canonicalize_legged(((3,), (), (0, 1, 2), ()))
+    g, s = canonicalize(((3,), (), (0, 1, 2), ()))
     assert s == 1 and g.vtype == (3,)
-    g2, s2 = canonicalize_legged(((3,), (), (1, 2, 0), ()))
+    g2, s2 = canonicalize(((3,), (), (1, 2, 0), ()))
     assert (g2, s2) == (g, 1)
-    ga, sa = canonicalize_legged(((3, 3), (0,), (1,), ((2, 3), (4, 5))))
-    gb, sb = canonicalize_legged(((3, 3), (0,), (1,), ((3, 2), (4, 5))))
+    ga, sa = canonicalize(((3, 3), (0,), (1,), ((2, 3), (4, 5))))
+    gb, sb = canonicalize(((3, 3), (0,), (1,), ((3, 2), (4, 5))))
     assert ga is gb and sb == -sa
 
 
@@ -150,10 +152,10 @@ def test_random_flips_negate():
         vt, li, lo, ch = d
         if not ch:
             continue
-        g, s = canonicalize_legged(d)
+        g, s = canonicalize(d)
         i = rng.randrange(len(ch))
         flipped = ch[:i] + ((ch[i][1], ch[i][0]),) + ch[i + 1:]
-        g2, s2 = canonicalize_legged((vt, li, lo, flipped))
+        g2, s2 = canonicalize((vt, li, lo, flipped))
         assert g2 is g and (g.zero or s2 == -s)
 
 
@@ -164,7 +166,7 @@ def test_correlation_respects_orientation_classes():
         for _ in range(80):
             d = random_diagram(rng, rng.randrange(3), rng.randrange(3),
                                rng.randrange(3))
-            g, s = canonicalize_legged(d)
+            g, s = canonicalize(d)
             raw = correlation(algebra, d)
             if g.zero:
                 assert not raw.terms
@@ -210,23 +212,26 @@ def test_legless_correlator_is_aut_times_partition_value():
 
 
 def test_glue_bookkeeping():
-    gout = canonicalize_legged(((3,), (), (0, 1, 2), ()))[0]
-    g_in3 = canonicalize_legged(((3,), (0, 1, 2), (), ()))[0]
+    gout = canonicalize(((3,), (), (0, 1, 2), ()))[0]
+    g_in3 = canonicalize(((3,), (0, 1, 2), (), ()))[0]
     with pytest.raises(ValueError):
         glue(gout, gout)
     gg, _ = glue(gout, g_in3)
     assert gg.nedges == 3 and gg.nin == 0 and gg.nout == 0
-    assert glue(EMPTY_LEGGED, EMPTY_LEGGED) == (EMPTY_LEGGED, 1)
+    assert glue(EMPTY_GRAPH, EMPTY_GRAPH) == (EMPTY_GRAPH, 1)
 
 
 def test_compose_chains():
-    gout = canonicalize_legged(((3,), (), (0, 1, 2), ()))[0]
-    g_in3 = canonicalize_legged(((3,), (0, 1, 2), (), ()))[0]
+    gout = canonicalize(((3,), (), (0, 1, 2), ()))[0]
+    g_in3 = canonicalize(((3,), (0, 1, 2), (), ()))[0]
     zero_chain = MorphismChain(0, 3)
     assert not compose(zero_chain, MorphismChain.of(g_in3)).terms
     x = MorphismChain.of(gout) + MorphismChain.of(gout, Fraction(2))
     y = MorphismChain.of(g_in3, Fraction(1, 3))
     assert compose(x, y) == compose(MorphismChain.of(gout), y).scale(3)
+    # a legged class is no term of the closed complex
+    with pytest.raises(ValueError, match="legged graph"):
+        GraphChain.of(gout)
 
 
 def test_compose_associative_on_single_vertex_classes():
@@ -309,9 +314,30 @@ def test_composition_compatibility_when_a_valency_has_no_tensor():
 
 
 def test_enumeration_sanity():
-    assert enumerate_legged_graphs(0, 0, 0) == (EMPTY_LEGGED,)
+    assert enumerate_legged_graphs(0, 0, 0) == (EMPTY_GRAPH,)
     e03 = enumerate_legged_graphs(0, 3, 0)
     assert e03 and all(g.nin == 0 and g.nout == 3 for g in e03)
     first = len(enumerate_legged_graphs(1, 1, 2))
     again = len(enumerate_legged_graphs(1, 1, 2))
     assert first == again and first > 0
+
+
+def test_legless_slice_is_the_plain_enumeration():
+    # a class without legs is a class with no legs: legs 0:0 give the very
+    # classes, signs and JSON reading of the plain path
+    for e in range(6):
+        plain = sorted((g for v in range(2 * e // 3 + 1)
+                        for g in enumerate_graphs(v, e)),
+                       key=lambda g: g.sort_key)
+        legged = enumerate_legged_graphs(0, 0, e)
+        assert len(legged) == len(plain), e
+        assert all(a is b for a, b in zip(legged, plain)), e
+    rng = random.Random(59)
+    for _ in range(40):
+        vt, _, _, chords = random_diagram(rng, 0, 0, rng.randrange(2, 9))
+        g, s = canonicalize((vt, chords))
+        g2, s2 = canonicalize((vt, (), (), chords))
+        assert g2 is g and s2 == s, (vt, chords)
+        doc = dict(graph_to_json(g), legs_in=[], legs_out=[])
+        back, sign = graph_from_json(doc)
+        assert back is g and sign == 1

@@ -491,7 +491,8 @@ def canonicalize(obj):
     if isinstance(obj, RibbonGraph):
         return obj, 1
     if len(obj) == 2:
-        (vtype, chords), legs_in, legs_out = obj, (), ()
+        vtype, chords = obj
+        legs_in = legs_out = ()
     else:
         vtype, legs_in, legs_out, chords = obj
     check_diagram(vtype, legs_in, legs_out, chords)

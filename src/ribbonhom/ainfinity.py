@@ -161,7 +161,12 @@ def validate(algebra: AInfinityAlgebra) -> ValidationReport:
     k, l contributes at k + l - 2, so orders beyond that could involve
     truncated-away tensors).  To certify a finite Hamiltonian completely
     choose a truncation of at least 2 k_max - 2.  Report-valued; the
-    first bad monomial is named."""
+    first bad monomial is named.
+
+    The bracket skips every pair of words above truncation + 1 rather than
+    building those orders and dropping them: a pair of lengths k, l makes
+    words of length k + l - 2 only, so the orders it keeps are exactly the
+    full bracket's."""
     report = ValidationReport()
     dim = algebra.dim
     mat = algebra.form.matrix
@@ -191,15 +196,13 @@ def validate(algebra: AInfinityAlgebra) -> ValidationReport:
     if not report.valid:
         return report
     h = algebra.word_hamiltonian()
-    square = bracket(h, h, algebra.dual_pairing())
-    determined = {w: c for w, c in square.terms.items()
-                  if len(w) <= algebra.truncation + 1}
-    if determined:
-        w = min(determined, key=lambda w: (len(w), w))
+    square = bracket(h, h, algebra.dual_pairing(), algebra.truncation + 1)
+    if square:
+        w = min(square.terms, key=lambda w: (len(w), w))
         report.fail("structure-equation",
                     "{h,h} has monomial "
                     + ".".join(dim.letter_name(a) for a in w)
-                    + " with coefficient " + format_scalar(determined[w]))
+                    + " with coefficient " + format_scalar(square.terms[w]))
     return report
 
 
@@ -345,7 +348,9 @@ def twist(algebra: AInfinityAlgebra, gamma: CyclicWord,
     Hamiltonian is pushed through exp of bracketing with gamma, truncated.
 
     Order-two (or shorter) twist data never closes under truncation and is
-    rejected.
+    rejected.  Each bracket skips the pairs of words above the truncation:
+    a pair of lengths k, l makes words of length k + l - 2 only, so what
+    is skipped is exactly what truncating the bracket would drop.
     """
     if gamma.dim != algebra.dim:
         raise ValueError("twist data over a different space")
@@ -364,9 +369,7 @@ def twist(algebra: AInfinityAlgebra, gamma: CyclicWord,
     j = 0
     while cur:
         j += 1
-        cur = bracket(gamma, cur, pairing).scale(Fraction(1, j))
-        cur = CyclicWord(algebra.dim, {w: c for w, c in cur.terms.items()
-                                       if len(w) <= k_max})
+        cur = bracket(gamma, cur, pairing, k_max).scale(Fraction(1, j))
         total = total + cur
     return AInfinityAlgebra(algebra.form, _word_to_tensors(total), k_max)
 

@@ -99,10 +99,18 @@ def amplitude(graph, x: CEChain, pairing=None):
 def pair_chain_graph(x: CEChain, graph, pairing=None):
     """Pairing of a wedge chain with a graph (or graph chain): amplitude
     through `pairing` divided by the automorphism count, extended
-    linearly."""
+    linearly.
+
+    On a graph chain only the classes whose valency type is the sorted
+    factor lengths of some term of x are visited.  Every other class has
+    no rank-compatible assignment of factors to vertices, so its amplitude
+    is 0 and skipping it leaves the sum as it is."""
     if isinstance(graph, GraphChain):
+        ranks = x.by_ranks()
         total = Fraction(0)
         for g, c in graph.terms.items():
+            if g.vtype not in ranks:
+                continue
             amp = amplitude(g, x, pairing)
             if amp:
                 total = total + c * amp / g.aut
@@ -114,10 +122,30 @@ def pair_chain_graph(x: CEChain, graph, pairing=None):
     return gsign * amp / g.aut if amp else amp
 
 
+def _balanced(dim: SuperDim, factors) -> bool:
+    """Whether the canonical pairing can pair off the letters of a term:
+    as many p_i as q_i for each i, and each x_j an even number of times.
+
+    The canonical form pairs p_i only with q_i and x_j only with x_j, and
+    the rotation sums of the factors keep each factor's letters.  So for a
+    term that is not balanced every chord diagram has a chord on two
+    letters that do not pair, and every state sum is 0."""
+    counts = [0] * dim.total
+    for w in factors:
+        for a in w:
+            counts[a] += 1
+    n = dim.n
+    return (counts[:n] == counts[n:2 * n]
+            and not any(c % 2 for c in counts[2 * n:]))
+
+
 def integral_I(x: CEChain) -> GraphChain:
     """Integrate a wedge chain to a graph chain: sum each term's amplitude
     against every chord diagram on its slots, the diagram oriented by
-    increasing pairs."""
+    increasing pairs.
+
+    A term whose letters the canonical pairing cannot pair off (see
+    `_balanced`) is skipped: each of its chord diagrams reads 0."""
     dim = x.dim
     mat = canonical_form_matrix(dim)
     acc: dict = {}
@@ -126,11 +154,10 @@ def integral_I(x: CEChain) -> GraphChain:
         if any(k < 3 for k in ranks):
             raise ValueError("wedge factors shorter than three letters "
                              "do not define graph vertices")
-        order = sum(ranks)
-        if order % 2:
+        if not _balanced(dim, factors):
             continue
         blocks = _norm_blocks(dim, factors, project=True)
-        for matching in perfect_matchings(range(order)):
+        for matching in perfect_matchings(range(sum(ranks))):
             val = contract(blocks, matching, mat).scalar()
             if not val:
                 continue

@@ -98,7 +98,8 @@ class CyclicWord(LinearCombination):
         return " + ".join(bits)
 
 
-def bracket(a: CyclicWord, b: CyclicWord, form=None) -> CyclicWord:
+def bracket(a: CyclicWord, b: CyclicWord, form=None,
+            max_order=None) -> CyclicWord:
     """Bracket of cyclic-word chains: contract one letter of each factor
     through the pairing and splice the rotated remainders.  `form` is the
     pairing matrix, the canonical one when None.
@@ -106,6 +107,11 @@ def bracket(a: CyclicWord, b: CyclicWord, form=None) -> CyclicWord:
     With the default canonical pairing, {p1, q1} = 1 and
     {p1.p1, q1.q1} = 4 p1.q1; the bracket is super-skew and satisfies the
     super Jacobi identity (checked exhaustively in the tests).
+
+    With `max_order`, a pair of words of lengths k and l is skipped when
+    k + l - 2 exceeds it.  Every word such a pair makes has length exactly
+    k + l - 2, so the result is the full bracket with its words longer than
+    `max_order` dropped, and nothing else changes.
     """
     if a.dim != b.dim:
         raise ValueError("bracket of words over different spaces")
@@ -119,8 +125,10 @@ def bracket(a: CyclicWord, b: CyclicWord, form=None) -> CyclicWord:
         for t in range(k):
             pre_a[t + 1] = pre_a[t] + pa[t]
         for bw, bc in b.terms.items():
-            pb = dim.parities(bw)
             l = len(bw)
+            if max_order is not None and k + l - 2 > max_order:
+                continue
+            pb = dim.parities(bw)
             pre_b = [0] * (l + 1)
             for t in range(l):
                 pre_b[t + 1] = pre_b[t] + pb[t]

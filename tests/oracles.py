@@ -481,6 +481,22 @@ def cyclic_rotation_sign(word, r, parities):
     return sign
 
 
+def twist_oracle(h_terms, gamma_terms, parities, pairing, truncation):
+    """Word Hamiltonian of a twist: h pushed through exp of bracketing with
+    gamma, each bracket taken in full by `bracket_oracle` and only then cut
+    to words of length <= truncation.  Terms are {word tuple: Fraction}."""
+    cur = {w: c for w, c in h_terms.items() if len(w) <= truncation}
+    total = dict(cur)
+    j = 0
+    while cur:
+        j += 1
+        full = bracket_oracle(gamma_terms, cur, parities, pairing)
+        cur = {w: c / j for w, c in full.items() if len(w) <= truncation}
+        for w, c in cur.items():
+            total[w] = total.get(w, Fraction(0)) + c
+    return {w: c for w, c in total.items() if c}
+
+
 # -------------------------------------------------------------- exact rank
 
 def rank_bareiss(rows):

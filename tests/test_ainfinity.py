@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ribbonhom import ainfinity
+from ribbonhom import ainfinity, lie
 from ribbonhom.ainfinity import (AInfinityAlgebra, characteristic_class,
                                  connected_partition_function, direct_sum,
                                  exp_chain, hamiltonian_from_products,
@@ -17,7 +17,7 @@ from ribbonhom.graphs import canonicalize, enumerate_graphs
 from ribbonhom.lie import CEChain, CyclicWord, ce_differential
 from ribbonhom.superspace import SuperDim, SuperTensor, SymplecticForm
 
-from oracles import z_value_oracle
+from oracles import twist_oracle, z_value_oracle
 
 DUMBBELL = canonicalize(((3, 3), ((0, 1), (2, 3), (4, 5))))[0]
 THETA_TWISTED = canonicalize(((3, 3), ((0, 3), (1, 4), (2, 5))))[0]
@@ -45,6 +45,65 @@ def test_validate_catches_structure_failure():
     rep = validate(AInfinityAlgebra(SymplecticForm.canonical(d02), {3: s1}, 5))
     assert not rep.valid
     assert rep.failures[0][0] == "structure-equation"
+
+
+def test_validate_catches_a_failure_first_at_truncation_plus_one():
+    # twisted_11 carries h3, h5 and h7, and its {h,h} first fails at order
+    # 10 = 5 + 7 - 2.  At truncation 9 that order is truncation + 1, the
+    # last one checked; at truncation 8 nothing is checked above order 9
+    A = twisted_11()
+    at = {t: validate(AInfinityAlgebra(A.form, A.hamiltonians, t))
+          for t in (8, 9, 1000)}
+    assert at[8].valid
+    assert at[9].failures == at[1000].failures == [(
+        "structure-equation",
+        "{h,h} has monomial p1.p1.p1.x1.q1.q1.x1.q1.x1.x1 with coefficient 1")]
+
+
+def test_validate_brackets_only_the_orders_it_keeps(monkeypatch):
+    # every word the bracket makes is reduced once; at truncation 7 none
+    # may be longer than 8.  Bracketing every pair of twisted_11's words
+    # and cutting afterwards made words up to length 12
+    A = twisted_11()
+    reduce = lie.cyclic_reduce
+    lengths = set()
+
+    def spy(word, dim):
+        lengths.add(len(word))
+        return reduce(word, dim)
+
+    monkeypatch.setattr(lie, "cyclic_reduce", spy)
+    assert validate(A).valid
+    assert max(lengths) == 8
+
+
+def test_twist_matches_the_unbounded_reference():
+    # the reference brackets in full and cuts afterwards; twist skips the
+    # pairs above the truncation.  Gammas mix even words of lengths 3-5
+    A = twisted_11()
+    pars = [A.dim.parity(a) for a in range(A.dim.total)]
+    h = A.word_hamiltonian().terms
+    rng = random.Random(5)
+    seen = set()
+    moved = 0
+    for _ in range(6):
+        terms = {}
+        while len(terms) < 3:
+            word = tuple(rng.randrange(A.dim.total)
+                         for _ in range(rng.randint(3, 5)))
+            if sum(pars[a] for a in word) % 2 == 0:
+                terms[word] = Fraction(rng.choice([-2, -1, 1, 2]))
+        gamma = CyclicWord(A.dim, terms)
+        seen.add(tuple(sorted({len(w) for w in gamma.terms})))
+        for truncation in (5, 7):
+            B = twist(A, gamma, truncation)
+            want = twist_oracle(h, gamma.terms, pars, A.dual_pairing(),
+                                truncation)
+            assert B.truncation == truncation
+            assert B.word_hamiltonian().terms == want, (gamma, truncation)
+            moved += want != {w: c for w, c in h.items()
+                              if len(w) <= truncation}
+    assert any(len(lens) > 1 for lens in seen) and moved >= 4
 
 
 def test_hamiltonian_from_products():

@@ -158,6 +158,40 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert rep["result"]["status"] == "fail"
 
 
+def test_triangle_runs_the_state_sums_of_pairable_terms(capsys, monkeypatch):
+    # integral_I skips the chain terms that the canonical pairing cannot
+    # pair off; each of their chord diagrams reads 0, and running them all
+    # took 18,877 state sums at --seed 0
+    from ribbonhom import feynman
+    contract = feynman.contract
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return contract(*args)
+
+    monkeypatch.setattr(feynman, "contract", counted)
+    code, _, _ = run(capsys, "verify", "triangle", "--seed", "0")
+    assert code == 0
+    assert 1000 < len(calls) <= 5000
+
+
+def test_a_long_truncation_is_refused_at_its_first_failure(capsys, tmp_path):
+    # at truncation 1000 validate checks every order of {h,h}; twisted_11
+    # first fails at order 10
+    from ribbonhom import jsonio
+    from ribbonhom.fixtures import twisted_11
+    doc = jsonio.algebra_to_json(twisted_11())
+    doc["truncation"] = 1000
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "partition", "--algebra", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: invalid algebra: structure-equation: {h,h} has "
+                   "monomial p1.p1.p1.x1.q1.q1.x1.q1.x1.x1 with coefficient "
+                   "1\n")
+
+
 def test_input_errors_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "correlate", "{not json", "--algebra", ALGEBRA)
     assert code == 2 and err.startswith("error:")

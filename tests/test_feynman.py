@@ -30,6 +30,24 @@ def rand_wedge(rng, dim, ranks):
     return CEChain.wedge(parts)
 
 
+def balanced_wedge(rng, dim, ranks):
+    """A one-term wedge whose letters the canonical pairing can pair off:
+    they are drawn as pairs p_i, q_i and x_j, x_j, shuffled and cut into
+    words of the given ranks; None when a word cancels itself."""
+    letters = []
+    while len(letters) < sum(ranks):
+        i = rng.randrange(dim.n + dim.m)
+        letters += [i, dim.n + i] if i < dim.n else [dim.n + i] * 2
+    rng.shuffle(letters)
+    parts = []
+    for k in ranks:
+        parts.append(CyclicWord.word(dim, letters[:k]))
+        letters = letters[k:]
+    if not all(parts):
+        return None
+    return CEChain.wedge(parts, Fraction(rng.choice([-2, -1, 1, 2])))
+
+
 def test_kappa_pinned_values():
     assert kappa(SuperTensor.word(D11, (P1, Q1))) == 1
     assert kappa(SuperTensor.word(D11, (P1, P1))) == 0
@@ -117,20 +135,52 @@ def test_integration_roundtrip_small():
 
 
 def test_triangle_identity_sampled():
+    # uniform words can rarely be paired off, so their comparisons are
+    # mostly 0 = 0; balanced draws make the pairing side nonzero, so a
+    # term integral_I skipped wrongly would show up as a mismatch
     rng = random.Random(21)
     cases = [(D11, (3, 3), 3), (SuperDim(2, 0), (4,), 2),
              (SuperDim(1, 2), (3, 5), 3)]
+    nonzero = 0
     for _ in range(6):
         for dim, ranks, emax in cases:
-            x = rand_wedge(rng, dim, ranks)
-            if x is None:
-                continue
-            ix = integral_I(x)
-            for v in range(1, emax + 1):
-                for g in enumerate_graphs(v, emax):
-                    if g.zero:
-                        continue
-                    assert pair_chain_graph(x, g) == pairing(ix, GraphChain.of(g))
+            for draw in (rand_wedge, balanced_wedge):
+                x = draw(rng, dim, ranks)
+                if x is None:
+                    continue
+                ix = integral_I(x)
+                for v in range(1, emax + 1):
+                    for g in enumerate_graphs(v, emax):
+                        if g.zero:
+                            continue
+                        lhs = pair_chain_graph(x, g)
+                        assert lhs == pairing(ix, GraphChain.of(g))
+                        nonzero += lhs != 0
+    assert nonzero >= 12  # 18 balanced comparisons read nonzero
+
+
+def test_pair_chain_graph_is_linear_over_mixed_valency_types():
+    # the chain pairing visits only the classes whose valency type some
+    # term of x has; it must equal the sum of the pairings class by class
+    rng = random.Random(29)
+    graphs = [g for v in range(1, 4) for e in range(2, 5)
+              for g in enumerate_graphs(v, e) if not g.zero]
+    assert len({g.vtype for g in graphs}) > 5
+    hits = 0
+    for dim in (D11, SuperDim(1, 2)):
+        for _ in range(6):
+            x = sum(filter(None, (balanced_wedge(rng, dim, ranks)
+                                  for ranks in ((3, 3), (4,), (3, 5)))),
+                    CEChain(dim))
+            chain = GraphChain({g: Fraction(rng.randint(1, 3))
+                                for g in rng.sample(graphs, 20)})
+            whole = pair_chain_graph(x, chain)
+            assert whole == sum(c * pair_chain_graph(x, g)
+                                for g, c in chain.terms.items())
+            present = {g.vtype for g in chain.terms} & set(x.by_ranks())
+            absent = {g.vtype for g in chain.terms} - set(x.by_ranks())
+            hits += bool(whole and present and absent)
+    assert hits >= 4
 
 
 def test_adjointness_sampled():

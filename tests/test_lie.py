@@ -76,6 +76,34 @@ def test_bracket_matches_oracle():
                 oracles.bracket_oracle(a.terms, b.terms, pars, mat), (a, b)
 
 
+def test_bounded_bracket_is_the_oracle_cut_at_the_bound():
+    # a pair of words of lengths k, l makes words of length k + l - 2 only,
+    # so skipping the pairs above the bound is cutting the full bracket
+    rng = random.Random(9)
+    cut = kept = 0
+    for dim in [D10, D11, D02, SuperDim(2, 1)]:
+        pars = [dim.parity(a) for a in range(dim.total)]
+        mat = canonical_form_matrix(dim)
+        for _ in range(40):
+            a, b = (CyclicWord(dim, {
+                tuple(rng.randrange(dim.total)
+                      for _ in range(rng.randint(1, 5))):
+                Fraction(rng.randint(-3, 3))
+                for _ in range(rng.randint(2, 4))}) for _ in range(2))
+            if not a or not b:
+                continue
+            full = oracles.bracket_oracle(a.terms, b.terms, pars, mat)
+            assert bracket(a, b).terms == full, (a, b)
+            top = max(len(w) for w in a.terms) + max(len(w) for w in b.terms)
+            for bound in range(1, top - 1):
+                want = {w: c for w, c in full.items() if len(w) <= bound}
+                assert bracket(a, b, mat, bound).terms == want, (a, b, bound)
+                cut += want != full
+                kept += any(len(w) == bound for w in want)
+    # the cut drops words, and words at the bound itself are kept
+    assert cut > 100 and kept > 100
+
+
 def test_cyclic_reduce_kills_odd_symmetric_orbits():
     # a single odd letter squared has an orbit-parity obstruction
     assert cyclic_reduce((0, 0), SuperDim(0, 1)) is None

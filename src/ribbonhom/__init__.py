@@ -13,14 +13,11 @@ from .complexes import (GraphChain, basis, boundary, coboundary,
                         homology_dims, is_boundary, pairing)
 from .feynman import (amplitude, integral_I, integral_I_inverse,
                       pair_chain_graph)
-from .graphs import (EMPTY_GRAPH, RibbonGraph, canonicalize,
-                     connected_components, contract_edge, disjoint_union,
-                     enumerate_graphs, expand_ideal_edge, ideal_edges)
-from .lie import (CEChain, CoinvariantCoordinates, CyclicWord, bracket,
-                  ce_differential, coinvariant_reduce, osp_act, osp_basis)
+from .graphs import (EMPTY_GRAPH, RibbonGraph, canonicalize, disjoint_union,
+                     enumerate_graphs)
+from .lie import CEChain, CyclicWord, bracket, ce_differential
 from .scalars import format_scalar, json_scalar, parse_scalar
-from .superspace import (SuperDim, SuperTensor, SymplecticForm, contract,
-                         koszul_apply)
+from .superspace import SuperDim, SuperTensor, SymplecticForm, contract
 from .tcft import (MorphismChain, compose, compose_tensors,
                    composition_compatibility, correlation,
                    enumerate_legged_graphs, glue)

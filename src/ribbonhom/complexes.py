@@ -6,18 +6,20 @@ signed one-edge contractions (bidegree (-1,-1)); the coboundary sums ideal
 edge expansions weighted by automorphism-count ratios (bidegree (+1,+1)),
 making it the exact adjoint of the boundary for this pairing.
 
-The moves of one graph come from the cached move templates of `graphs`,
-and each move is canonicalized by one call of `_scan`, the canonical
-search.  The coboundary of g is the expansion pass of `graphs`: s * aut(h)
-summed over the expansions landing in each class h as integers, over the
-denominator aut(g), with an entry n = 0 for the ZERO classes and the sums
-that cancel, which the enumeration needs and every reader here skips.  The
-coboundary of a chain puts its coefficients over one common denominator
-and also sums integers.  The boundary rows that homology ranks and that
-`is_boundary` solves against are read from the passes of the targets by
-adjointness, n / aut(g) for g in the boundary of h, so no contraction is
-searched there; the boundary of a chain contracts.  The move sums of one graph are cached as flat tuples
-(h1, c1, h2, c2, ...), with no tuple per term, and read back by `_terms`.
+The moves of one graph are its chords read through the cached move
+templates of `graphs` (`_contractions` for the boundary, the expansion
+pass for the coboundary), and each move is canonicalized by one call of
+`_scan`, the canonical search.  The coboundary of g is the expansion pass
+of `graphs`: s * aut(h) summed over the expansions landing in each class h
+as integers, over the denominator aut(g), with an entry n = 0 for the ZERO
+classes and the sums that cancel, which the enumeration needs and every
+reader here skips.  The coboundary of a chain puts its coefficients over
+one common denominator and also sums integers.  The boundary rows that
+homology ranks and that `is_boundary` solves against are read from the
+passes of the targets by adjointness, n / aut(g) for g in the boundary of
+h, so no contraction is searched there; the boundary of a chain contracts.
+The move sums of one graph are cached as flat tuples (h1, c1, h2, c2, ...),
+with no tuple per term, and read back by `_terms`.
 """
 
 from __future__ import annotations

@@ -1,16 +1,16 @@
 """Amplitudes pairing wedge chains of cyclic words with ribbon graphs.
 
-The basic amplitude beta of an oriented chord diagram on 2k tensor slots
-pairs the letters at each chord's two ends through the canonical inner
-product, with the Koszul sign of gathering them; it is the state sum
-`superspace.contract`, which every amplitude below calls with the
-per-vertex tensors and a pairing matrix.  Distributing the wedge factors
-of a chain over the vertices of a graph (all assignments, graded signs)
-turns beta into a pairing between chains and graphs, and summing
-graphs against all chord diagrams turns a chain into a graph chain -- a
-combinatorial shadow of Gaussian integration.  Both directions are exact
-and are checked against each other: the two differentials are adjoint and
-the triangle chain-pairing = graph-pairing after integration commutes.
+The amplitude of an oriented chord diagram on tensor slots pairs the
+letters at each chord's two ends through an inner product, with the
+Koszul sign of gathering them; it is the state sum `superspace.contract`,
+which every amplitude below calls with the per-vertex tensors and a
+pairing matrix.  Distributing the wedge factors of a chain over the
+vertices of a graph (all assignments, graded signs) turns it into a
+pairing between chains and graphs, and summing graphs against all chord
+diagrams turns a chain into a graph chain -- a combinatorial shadow of
+Gaussian integration.  Both directions are exact and are checked against
+each other: the two differentials are adjoint and the triangle
+chain-pairing = graph-pairing after integration commutes.
 The graph pairing (`amplitude`, `pair_chain_graph`) takes any pairing
 matrix, the canonical one by default: an algebra's characteristic class
 is paired through the algebra's own dual pairing.
@@ -27,21 +27,6 @@ from .graphs import EMPTY_GRAPH, canonicalize, perfect_matchings
 from .lie import CEChain
 from .superspace import (SuperDim, SuperTensor, canonical_form_matrix,
                          contract, koszul_sign, norm, perm_parity)
-
-
-def kappa(t: SuperTensor):
-    """Pair consecutive slots (0,1), (2,3), ... through the canonical
-    inner product and multiply."""
-    if t.rank % 2:
-        raise ValueError("kappa needs an even-rank tensor")
-    return beta([(r, r + 1) for r in range(0, t.rank, 2)], t)
-
-
-def beta(chords, t: SuperTensor):
-    """Amplitude of an oriented chord diagram on a tensor: the state sum
-    pairing each chord's slots through the canonical inner product, with
-    the Koszul sign of gathering them."""
-    return contract([t], chords, canonical_form_matrix(t.dim)).scalar()
 
 
 @lru_cache(maxsize=None)

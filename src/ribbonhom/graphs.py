@@ -46,8 +46,10 @@ The moves of the complex, contracting an edge and expanding an ideal
 edge, relabel half-edges in a way that depends only on the valency type
 and the half-edges involved, not on the other chords.  Each such
 relabeling, composed with the standardization and its sign, is built once
-and cached as a tuple of labels (a move template).  A move of one graph
-is then its chords read through the template, and each move is
+and cached as a tuple of labels (a move template): one per edge of a
+type (`_contraction_template`), and one tuple per type for its ideal
+edges (`_expansion_moves`).  The moves of one graph are its chords read
+through the templates (`_contractions`, `_expansions`), and each move is
 canonicalized by one call of `_scan`.  The expansions of a class are
 canonicalized once, in one cached pass (`_expansion_pass`) that lists
 every class they land in with its integer coefficient: it is the
@@ -66,7 +68,6 @@ connected classes.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
 from functools import lru_cache
 
 from .superspace import perm_parity
@@ -414,10 +415,6 @@ class RibbonGraph:
         return [tuple(range(offs[v], offs[v] + self.vtype[v]))
                 for v in range(self.nverts)]
 
-    def is_loop(self, edge_index):
-        a, b = self.chords[edge_index]
-        return vertex_of(self.vtype, a) == vertex_of(self.vtype, b)
-
     @property
     def connected(self):
         return self.nverts > 0 and len(set(_vertex_roots(self))) == 1
@@ -553,37 +550,26 @@ def _contraction_template(vtype, a, b):
 
 def _contractions(g: RibbonGraph):
     """All non-loop contractions of g, before canonicalization, in edge
-    order: a list of (vtype, chords, sign)."""
-    return [contract_edge_raw(g, j) for j in range(g.nedges)
-            if not g.is_loop(j)]
-
-
-def contract_edge_raw(g: RibbonGraph, edge_index: int):
-    """Edge contraction in standard labels, before canonicalization:
-    (vtype, oriented chords, sign); see `_contraction_template`."""
-    t = _contraction_template(g.vtype, *g.chords[edge_index])
-    if t is None:
-        raise ValueError("cannot contract a loop")
-    vtype, R, sign = t
-    rest = g.chords[:edge_index] + g.chords[edge_index + 1:]
-    return vtype, _relabel(R, rest), sign
-
-
-def contract_edge(g: RibbonGraph, edge_index: int):
-    """Contract one non-loop edge: (RibbonGraph, sign)."""
-    vt, ch, sign = contract_edge_raw(g, edge_index)
-    rg, s2 = canonicalize((vt, ch))
-    return rg, sign * s2
-
-
-IdealEdge = namedtuple("IdealEdge", ["vertex", "arc_a", "arc_b"])
+    order: a list of (vtype, chords, sign), the other chords read through
+    the edge's `_contraction_template`."""
+    out = []
+    for j, chord in enumerate(g.chords):
+        t = _contraction_template(g.vtype, *chord)
+        if t is not None:
+            vtype, R, sign = t
+            out.append((vtype, _relabel(R, g.chords[:j] + g.chords[j + 1:]),
+                        sign))
+    return out
 
 
 @lru_cache(maxsize=None)
 def _expansion_moves(vtype):
-    """{IdealEdge: (vtype', R, sign)} for every ideal edge of the type,
-    sorted; R maps the labels 0 .. 2e+1 to standard labels, the new edge
-    being (2e, 2e+1).
+    """Templates of expanding the ideal edges of the type: a tuple of
+    (vtype', R, sign), sorted by the ideal edge (vertex, arc_a, arc_b).  An
+    ideal edge is an unordered splitting of one vertex's cyclic order into
+    two arcs arc_a < arc_b of length >= 2; a vertex of valency k has
+    k(k-3)/2 of them.  R maps the labels 0 .. 2e+1 to standard labels, the
+    new edge being (2e, 2e+1).
 
     The split vertex moves to the front of the vertex order (sign); the two
     new vertices (arc_a + 2e) and (arc_b + 2e+1) take its place in
@@ -598,50 +584,24 @@ def _expansion_moves(vtype):
         for start in range(k):
             rot = block[start:] + block[:start]
             for cut in range(2, k - 1):
-                arc_a, arc_b = sorted((rot[:cut], rot[cut:]))
-                edges.add(IdealEdge(v, arc_a, arc_b))
-    out = {}
-    for ie in sorted(edges):
-        rest = [i for i in range(len(vtype)) if i != ie.vertex]
-        vertices = [ie.arc_a + (size,), ie.arc_b + (size + 1,)]
-        out[ie] = _move_relabeling(vertices + [blocks[i] for i in rest],
-                                   size + 2, [ie.vertex] + rest)
-    return out
+                edges.add((v, *sorted((rot[:cut], rot[cut:]))))
+    moves = []
+    for v, arc_a, arc_b in sorted(edges):
+        rest = [i for i in range(len(vtype)) if i != v]
+        vertices = [arc_a + (size,), arc_b + (size + 1,)]
+        moves.append(_move_relabeling(vertices + [blocks[i] for i in rest],
+                                      size + 2, [v] + rest))
+    return tuple(moves)
 
 
 def _expansions(g: RibbonGraph):
     """All ideal-edge expansions of g, before canonicalization, in
-    `ideal_edges` order: a list of (vtype, chords, sign)."""
-    return [expand_ideal_edge_raw(g, ie) for ie in ideal_edges(g)]
-
-
-def ideal_edges(g: RibbonGraph):
-    """Unordered splittings of one vertex's cyclic order into two arcs of
-    length >= 2; a vertex of valency k contributes k(k-3)/2 of them."""
-    return list(_expansion_moves(g.vtype))
-
-
-def expand_ideal_edge_raw(g: RibbonGraph, ie: IdealEdge):
-    """Ideal-edge expansion in standard labels, before canonicalization:
-    (vtype, oriented chords, sign); see `_expansion_moves`."""
-    move = _expansion_moves(g.vtype).get(ie)
-    if move is None:
-        raise ValueError("malformed ideal edge")
-    vtype, R, sign = move
+    `_expansion_moves` order: a list of (vtype, chords, sign), the chords
+    and the new edge read through each template."""
     size = 2 * g.nedges
-    return vtype, _relabel(R, g.chords + ((size, size + 1),)), sign
-
-
-def expand_ideal_edge(g: RibbonGraph, ie: IdealEdge):
-    """Blow one vertex up into two joined by a new edge: (RibbonGraph, sign).
-
-    The new edge is directed (a, b) from the vertex of arc_a to that of
-    arc_b.  Contracting the new edge of the result returns the original
-    graph.
-    """
-    vt, ch, sign = expand_ideal_edge_raw(g, ie)
-    rg, s2 = canonicalize((vt, ch))
-    return rg, sign * s2
+    chords = g.chords + ((size, size + 1),)
+    return [(vtype, _relabel(R, chords), sign)
+            for vtype, R, sign in _expansion_moves(g.vtype)]
 
 
 @lru_cache(maxsize=None)
@@ -696,31 +656,6 @@ def _vertex_roots(g: RibbonGraph):
         if ra != rb:
             parent[ra] = rb
     return [find(v) for v in range(g.nverts)]
-
-
-def connected_components(g: RibbonGraph):
-    """Split into connected components: (components, sign) such that the
-    disjoint union of the components, folded left to right in the returned
-    order, equals sign * g."""
-    if g.nverts == 0:
-        return [], 1
-    roots = _vertex_roots(g)
-    blocks = g.vertex_blocks()
-    comps = []
-    grouping = []
-    total_sign = 1
-    for r in dict.fromkeys(roots):
-        verts = [v for v in range(g.nverts) if roots[v] == r]
-        grouping.extend(verts)
-        slot = {h: n for n, h in enumerate(h for v in verts
-                                           for h in blocks[v])}
-        chords = [(slot[a], slot[b]) for a, b in g.chords if a in slot]
-        comp, s = canonicalize((tuple(g.vtype[v] for v in verts), chords))
-        comps.append(comp)
-        total_sign *= s
-    # sign of regrouping the vertex order component by component
-    total_sign *= perm_parity(tuple(grouping))
-    return comps, total_sign
 
 
 # ------------------------------------------------------------ enumeration

@@ -9,15 +9,18 @@ integers and exact rational strings.  Schemas:
             "legs_in": [..], "legs_out": [..]}  (+ "aut"/"zero" on output;
             the leg keys only for a class with a leg, and empty leg lists
             read as the class without legs)
-  chain    [{"graph": {..}, "coeff": ".."}]
+  chain    [{"graph": {..}, "coeff": ".."}]  (written only)
   cechain  {"signature": {..}, "terms": [{"factors": [[letter..]..],
-            "coeff": ".."}]}
+            "coeff": ".."}]}  (written only)
   algebra  {"signature": {..}, "omega": [[".."..]..],
             "h": [{"k", "tensor": {..}}..], "truncation"}
 
-Readers canonicalize graphs and fold the resulting signs into chain
-coefficients; a reader returns the same object its writer came from, and
-refuses an object that lacks a field with a ValueError naming both.
+The verbs read graphs and algebras.  The graph reader canonicalizes the
+diagram and returns the sign of its canonical form; the algebra reader
+refuses an order that "h" lists twice, and leaves the checks of the form
+and of each tensor's signature and rank to `SymplecticForm` and
+`AInfinityAlgebra`.  A reader refuses an object that lacks a field with a
+ValueError naming both.
 """
 
 from __future__ import annotations
@@ -167,16 +170,6 @@ def chain_to_json(x: GraphChain) -> list:
             for g, c in sorted(x.terms.items(), key=lambda t: t[0].sort_key)]
 
 
-def chain_from_json(items) -> GraphChain:
-    acc: dict = {}
-    for item in _expect_list(items, "chain"):
-        _expect_object(item, "a chain term")
-        g, sign = graph_from_json(_field(item, "graph", "a chain term"))
-        c = parse_scalar(_field(item, "coeff", "a chain term")) * sign
-        acc[g] = acc.get(g, 0) + c
-    return GraphChain(acc)
-
-
 # --------------------------------------------------------------- CE chains
 
 def ce_chain_to_json(x: CEChain) -> dict:
@@ -184,19 +177,6 @@ def ce_chain_to_json(x: CEChain) -> dict:
             "terms": [{"factors": [list(w) for w in fs],
                        "coeff": json_scalar(c)}
                       for fs, c in sorted(x.terms.items())]}
-
-
-def ce_chain_from_json(obj) -> CEChain:
-    _expect_object(obj, "CE chain")
-    dim = _dim_of(_field(obj, "signature", "CE chain"))
-    terms: dict = {}
-    for item in _expect_list(_field(obj, "terms", "CE chain"), "terms"):
-        _expect_object(item, "a CE chain term")
-        fs = tuple(tuple(w) for w in _field(item, "factors",
-                                            "a CE chain term"))
-        terms[fs] = terms.get(fs, 0) + parse_scalar(
-            _field(item, "coeff", "a CE chain term"))
-    return CEChain(dim, terms)
 
 
 # ---------------------------------------------------------------- algebras
@@ -218,12 +198,9 @@ def algebra_from_json(obj) -> AInfinityAlgebra:
     for item in _expect_list(_field(obj, "h", "algebra"), "h"):
         _expect_object(item, "an h item")
         k = _expect_int(_field(item, "k", "an h item"), "k")
-        t = tensor_from_json(_field(item, "tensor", "an h item"))
-        if t.dim != dim:
-            raise ValueError("Hamiltonian signature differs from the algebra")
-        if t.rank != k:
-            raise ValueError(f"tensor of rank {t.rank} filed under k={k}")
-        hams[k] = t
+        if k in hams:
+            raise ValueError(f"h lists k={k} twice")
+        hams[k] = tensor_from_json(_field(item, "tensor", "an h item"))
     return AInfinityAlgebra(form, hams, _expect_int(
         _field(obj, "truncation", "algebra"), "truncation"))
 

@@ -7,20 +7,18 @@ power of an odd letter is zero.  Chains of cyclic words form a Lie
 (super)algebra: the bracket contracts one letter of each word through the
 inner product and splices the remainders into one cyclic word.  Wedge
 words of these chains form a complex whose differential replaces a pair of
-factors by their bracket; quadratic cyclic words act on everything by the
-bracket, and dividing by that action is implemented as an explicit exact
-reduction.  The bracket and the differential take the inner product of the
-space as an argument, the canonical one by default, so an algebra's words
-are bracketed in its own coordinates.
+factors by their bracket; the wedge exponential of an algebra's word
+Hamiltonian in it is the characteristic class (`ainfinity`).  The bracket
+and the differential take the inner product of the space as an argument,
+the canonical one by default, so an algebra's words are bracketed in its
+own coordinates.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from functools import lru_cache
 
-from .scalars import LinearCombination, _echelon, format_scalar
+from .scalars import LinearCombination, format_scalar
 from .superspace import SuperDim, SuperTensor, canonical_form_matrix
 
 
@@ -244,9 +242,6 @@ class CEChain(LinearCombination):
                 out[key] = out.get(key, 0) + c1 * c2
         return CEChain(self.dim, out)
 
-    def exterior_degrees(self):
-        return sorted({len(fs) for fs in self.terms})
-
     def degree_part(self, degree: int) -> "CEChain":
         return self._new({fs: c for fs, c in self.terms.items()
                           if len(fs) == degree})
@@ -287,138 +282,3 @@ def ce_differential(x: CEChain, form=None) -> CEChain:
                 out = out + CEChain(dim, {
                     (w,) + rest: coeff * c * sign for w, c in br.terms.items()})
     return out
-
-
-# ----------------------------------------------------------- osp and more
-
-@lru_cache(maxsize=None)
-def osp_basis(dim: SuperDim):
-    """Quadratic cyclic words u.v with u <= v; odd squares cancel and are
-    omitted.  These span the infinitesimal symmetries of the canonical
-    inner product."""
-    out = []
-    for u in range(dim.total):
-        for v in range(u, dim.total):
-            w = CyclicWord.word(dim, (u, v))
-            if w:
-                out.append(w)
-    return tuple(out)
-
-
-def osp_act(xi: CyclicWord, x: CEChain, form=None) -> CEChain:
-    """Action of a quadratic word on a wedge chain by the bracket,
-    extended as a graded derivation."""
-    dim = x.dim
-    xi_par = {sum(dim.parities(w)) % 2 for w in xi.terms}
-    if len(xi_par) > 1:
-        raise ValueError("inhomogeneous quadratic word")
-    xp = xi_par.pop() if xi_par else 0
-    out = CEChain(dim)
-    for factors, coeff in x.terms.items():
-        pars = [sum(dim.parities(w)) % 2 for w in factors]
-        run = 0
-        for i in range(len(factors)):
-            br = bracket(xi, CyclicWord.word(dim, factors[i]), form)
-            if br:
-                sign = -1 if (xp * run) % 2 else 1
-                rest_pre = factors[:i]
-                rest_post = factors[i + 1:]
-                out = out + CEChain(dim, {
-                    rest_pre + (w,) + rest_post: coeff * c * sign
-                    for w, c in br.terms.items()})
-            run += pars[i]
-    return out
-
-
-@lru_cache(maxsize=None)
-def _cyclic_monomials(dim: SuperDim, rank: int):
-    out = []
-    for word in itertools.product(range(dim.total), repeat=rank):
-        red = cyclic_reduce(word, dim)
-        if red is not None and red == (word, 1):
-            out.append(word)
-    return tuple(out)
-
-
-def _wedge_monomial_basis(dim: SuperDim, degree: int, order: int):
-    """All sorted wedge monomials with `degree` factors of total length
-    `order` (no factor shorter than 1)."""
-    monos = []
-    for rank in range(1, order + 1):
-        monos.extend(_cyclic_monomials(dim, rank))
-    monos.sort(key=_word_key)
-    out = []
-
-    def rec(start, left_deg, left_order, acc):
-        if left_deg == 0:
-            if left_order == 0:
-                out.append(tuple(acc))
-            return
-        for t in range(start, len(monos)):
-            w = monos[t]
-            if len(w) > left_order:
-                continue
-            # equal even factors annihilate
-            if acc and acc[-1] == w and sum(dim.parities(w)) % 2 == 0:
-                continue
-            acc.append(w)
-            rec(t, left_deg - 1, left_order - len(w), acc)
-            acc.pop()
-
-    rec(0, degree, order, [])
-    return out
-
-
-class CoinvariantCoordinates:
-    """Result of reducing a wedge chain modulo the quadratic-word action:
-    exact coordinates over an explicit complement basis."""
-
-    __slots__ = ("basis", "coords", "residue")
-
-    def __init__(self, basis, coords, residue):
-        self.basis = basis
-        self.coords = coords
-        self.residue = residue
-
-    def __repr__(self):
-        nz = sum(1 for c in self.coords if c)
-        return f"CoinvariantCoordinates<{nz} of {len(self.basis)} coordinates>"
-
-
-def coinvariant_reduce(x: CEChain) -> CoinvariantCoordinates:
-    """Reduce a bihomogeneous wedge chain modulo the image of the
-    quadratic-word action, by exact elimination.
-
-    The chain must have a single exterior degree and total order.  The
-    complement basis is the set of non-pivot wedge monomials of the echelon
-    form of all quadratic-action images; both it and the coordinates
-    depend only on the span of those images.
-    """
-    degrees = x.exterior_degrees()
-    orders = sorted({sum(len(w) for w in fs) for fs in x.terms})
-    if len(degrees) != 1 or len(orders) != 1:
-        raise ValueError("chain is not bihomogeneous")
-    dim = x.dim
-    degree, order = degrees[0], orders[0]
-    basis = _wedge_monomial_basis(dim, degree, order)
-    index = {fs: i for i, fs in enumerate(basis)}
-
-    rows = []
-    for xi in osp_basis(dim):
-        for fs in basis:
-            img = osp_act(xi, CEChain(dim, {fs: Fraction(1)}))
-            if img:
-                rows.append({index[t]: c for t, c in img.terms.items()})
-    # a pivot row is zero left of its pivot, so clearing the pivots of x
-    # leftmost first never refills one already cleared
-    pivots = _echelon(rows)
-    vec = {index[fs]: c for fs, c in x.terms.items()}
-    for col in sorted(pivots):
-        f = vec.get(col)
-        if f:
-            for c, v in pivots[col].items():
-                vec[c] = vec.get(c, 0) - f * v
-    complement = [fs for i, fs in enumerate(basis) if i not in pivots]
-    coords = tuple(vec.get(index[fs], Fraction(0)) for fs in complement)
-    residue = CEChain(dim, {fs: c for fs, c in zip(complement, coords) if c})
-    return CoinvariantCoordinates(tuple(complement), coords, residue)

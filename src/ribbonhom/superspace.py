@@ -18,7 +18,6 @@ letter currently in slot i.
 from __future__ import annotations
 
 import functools
-import itertools
 from fractions import Fraction
 from math import lcm
 
@@ -54,13 +53,6 @@ class SuperDim:
         if letter < 2 * self.n:
             return f"q{letter - self.n + 1}"
         return f"x{letter - 2 * self.n + 1}"
-
-    def letter_index(self, name: str) -> int:
-        kind, num = name[0], int(name[1:])
-        if kind not in "pqx" or num < 1 or num > (self.m if kind == "x" else self.n):
-            raise ValueError(f"no letter {name!r} in C^(2*{self.n}|{self.m})")
-        base = {"p": 0, "q": self.n, "x": 2 * self.n}[kind]
-        return base + num - 1
 
     def __eq__(self, other):
         return isinstance(other, SuperDim) and (self.n, self.m) == (other.n, other.m)
@@ -167,49 +159,6 @@ def koszul_sign(parities, perm) -> int:
     return sign
 
 
-def invert_perm(perm):
-    out = [0] * len(perm)
-    for i, p in enumerate(perm):
-        out[p] = i
-    return tuple(out)
-
-
-def compose_perms(outer, inner):
-    """Permutation doing `inner` first, then `outer`."""
-    return tuple(outer[inner[i]] for i in range(len(inner)))
-
-
-def cycle_perm(k: int):
-    """The rotation z_k sending slot 0 to the end: z.(v0 ... v_{k-1}) =
-    +-(v1 ... v_{k-1} v0)."""
-    return tuple(k - 1 if i == 0 else i - 1 for i in range(k))
-
-
-def block_perm_embed(sigma, sizes):
-    """Inflate a permutation of blocks to a permutation of slots.
-
-    `sizes[i]` is the length of block i; block i is sent, in one piece, to
-    block position sigma[i].
-
-    >>> block_perm_embed((1, 0), (2, 1))
-    (1, 2, 0)
-    """
-    nb = len(sizes)
-    new_sizes = [0] * nb
-    for i in range(nb):
-        new_sizes[sigma[i]] = sizes[i]
-    new_offsets = [0] * nb
-    run = 0
-    for b in range(nb):
-        new_offsets[b] = run
-        run += new_sizes[b]
-    perm = []
-    for i in range(nb):
-        base = new_offsets[sigma[i]]
-        perm.extend(base + s for s in range(sizes[i]))
-    return tuple(perm)
-
-
 # ---------------------------------------------------------------- tensors
 
 def _clearing_denominator(values) -> int:
@@ -274,28 +223,6 @@ class SuperTensor(LinearCombination):
         return " + ".join(bits)
 
 
-def koszul_apply(perm, t: SuperTensor) -> SuperTensor:
-    """Rearrange tensor slots by `perm` with Koszul signs.
-
-    >>> d = SuperDim(0, 2)
-    >>> t = SuperTensor.word(d, (0, 1))
-    >>> koszul_apply((1, 0), t).terms
-    {(1, 0): Fraction(-1, 1)}
-    """
-    if len(perm) != t.rank:
-        raise ValueError("permutation length != tensor rank")
-    out = {}
-    for word, coeff in t.terms.items():
-        parities = t.dim.parities(word)
-        sign = koszul_sign(parities, perm)
-        new = [0] * t.rank
-        for i, a in enumerate(word):
-            new[perm[i]] = a
-        w = tuple(new)
-        out[w] = out.get(w, 0) + sign * coeff
-    return SuperTensor(t.dim, t.rank, out)
-
-
 # cleared forms of pairings given as tuples of row tuples, which cannot
 # change: id -> (pairing, d, rows); holding the pairing keeps its id unique
 _CLEARED_PAIRINGS: dict = {}
@@ -328,8 +255,9 @@ def contract(tensors, chords, pairing, legs=()) -> SuperTensor:
     order, spell the words of the result, a tensor of rank len(legs).  The
     sign is the Koszul sign of the shuffle sending chord r's slots to
     positions 2r, 2r+1 and leg i to position 2 len(chords) + i: the result
-    is koszul_apply of that shuffle on the tensor product, with the
-    leading slot pairs then paired off.
+    is the tensor product with its slots rearranged by that shuffle, each
+    word with its Koszul sign, and the leading slot pairs then paired
+    off.
 
     The product itself is never formed.  Words are placed one tensor at a
     time, a chord's pairing entry is multiplied in as soon as both of its
@@ -431,21 +359,4 @@ def norm(t: SuperTensor) -> SuperTensor:
     for _ in range(t.rank - 1):
         cur = cyclic_shift(cur)
         total = total + cur
-    return total
-
-
-def antisymmetrize(t: SuperTensor, sizes) -> SuperTensor:
-    """Alternating sum over block permutations of a concatenated tensor.
-
-    `sizes` partitions the slots into consecutive blocks; each block
-    permutation sigma acts with ordinary sign sgn(sigma) times the Koszul
-    sign of the induced slot rearrangement.
-    """
-    if sum(sizes) != t.rank:
-        raise ValueError("block sizes do not sum to the rank")
-    total = SuperTensor.zero(t.dim, t.rank)
-    for sigma in itertools.permutations(range(len(sizes))):
-        sgn = perm_parity(sigma)
-        moved = koszul_apply(block_perm_embed(sigma, sizes), t)
-        total = total + moved.scale(sgn)
     return total

@@ -327,6 +327,35 @@ def koszul_sort_sign(targets, parities):
     return sign
 
 
+def invert_perm(perm):
+    """The inverse of a permutation tuple."""
+    out = [0] * len(perm)
+    for i, p in enumerate(perm):
+        out[p] = i
+    return tuple(out)
+
+
+def compose_perms(outer, inner):
+    """Permutation doing `inner` first, then `outer`."""
+    return tuple(outer[inner[i]] for i in range(len(inner)))
+
+
+def koszul_apply(perm, terms, parity):
+    """Rearrange the slots of a tensor given as {word: coeff} by `perm`,
+    perm[i] the new position of the letter in slot i, each word with the
+    bubble-sort Koszul sign of moving its letters there; `parity` maps a
+    letter to 0 or 1.  Returns {word: coeff} without zero coefficients."""
+    out = {}
+    for word, coeff in terms.items():
+        sign = koszul_sort_sign(list(perm), [parity(a) for a in word])
+        new = [None] * len(word)
+        for i, a in enumerate(word):
+            new[perm[i]] = a
+        key = tuple(new)
+        out[key] = out.get(key, 0) + sign * coeff
+    return {w: c for w, c in out.items() if c}
+
+
 # ------------------------------------------------- partition-function term
 
 def z_value_oracle(vtype, chords, h_by_k, parities, pairing, aut):
@@ -531,32 +560,6 @@ def rank_bareiss(rows):
         if row == nrows:
             break
     return rank
-
-
-def gauss_jordan_reduce(rows, vec):
-    """(pivot columns, vec reduced) by the dense Gauss-Jordan loop that
-    `lie.coinvariant_reduce` used to run: each row is cleared at the
-    pivots found so far, in the order they were found, and enters at its
-    leftmost nonzero, scaled to 1 there; `vec` is then cleared the same
-    way."""
-    pivots = {}
-    for row in rows:
-        row = list(row)
-        for col, prow in pivots.items():
-            if row[col]:
-                f = row[col]
-                row = [a - f * b for a, b in zip(row, prow)]
-        lead = next((c for c, v in enumerate(row) if v), None)
-        if lead is None:
-            continue
-        inv = 1 / row[lead]
-        pivots[lead] = [v * inv for v in row]
-    vec = list(vec)
-    for col, prow in pivots.items():
-        if vec[col]:
-            f = vec[col]
-            vec = [a - f * b for a, b in zip(vec, prow)]
-    return set(pivots), vec
 
 
 def sparse_rows(rows):

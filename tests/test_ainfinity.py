@@ -278,7 +278,7 @@ def test_characteristic_class_matches_partition_function():
             for e in range(1, 4):
                 for g in enumerate_graphs(v, e):
                     assert cc.pairing_value(g) == pf.value(g)
-        assert len(cc.chain.exterior_degrees()) == 5
+        assert len({len(fs) for fs in cc.chain.terms}) == 5
         assert not ce_differential(cc.chain, A.dual_pairing())
 
 

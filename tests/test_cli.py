@@ -10,7 +10,8 @@ import tracemalloc
 
 import pytest
 
-from ribbonhom import cli
+from ribbonhom import cli, jsonio
+from ribbonhom.fixtures import twisted_11
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 ALGEBRA = os.path.join(DATA, "frobenius_02.json")
@@ -338,6 +339,46 @@ def test_input_errors_exit_2(capsys, tmp_path):
     path = tmp_path / "algebra.json"
     for name, (edit, words) in edits.items():
         doc = json.loads(json.dumps(good))
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "characteristic", "--algebra", str(path))
+        assert code == 2 and err.startswith("error:") and words in err, \
+            (name, err)
+    # each condition of a file is checked once: the form by SymplecticForm,
+    # a tensor's signature and rank by AInfinityAlgebra, and an order that
+    # "h" lists twice by the reader (it used to keep the last item)
+    twisted = jsonio.algebra_to_json(twisted_11())
+
+    def p_x_entry(doc):
+        doc["omega"][0][2] = "1"
+
+    def repeated_k(doc):
+        doc["h"].append(json.loads(json.dumps(doc["h"][0])))
+
+    def repeated_k_empty(doc):
+        doc["h"].append({"k": 3, "tensor": dict(doc["h"][0]["tensor"],
+                                                terms=[])})
+
+    def other_signature(doc):
+        doc["h"][0]["tensor"]["signature"] = {"n": 0, "m": 3}
+
+    file_checks = {
+        "zero_omega": (lambda doc: doc.update(omega=[["0"] * 3] * 3),
+                       "form is degenerate"),
+        "symmetric_omega": (lambda doc: doc.update(omega=[
+            ["0", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]]),
+            "not super-skew-symmetric"),
+        "p_x_entry": (p_x_entry, "not even"),
+        "two_row_omega": (lambda doc: doc["omega"].pop(), "wrong shape"),
+        "repeated_k": (repeated_k, "h lists k=3 twice"),
+        "repeated_k_empty": (repeated_k_empty, "h lists k=3 twice"),
+        "wrong_rank": (lambda doc: doc["h"][0].update(k=4),
+                       "tensor of rank 3 filed under k=4"),
+        "other_signature": (other_signature,
+                            "Hamiltonian signature differs from the algebra"),
+    }
+    for name, (edit, words) in file_checks.items():
+        doc = json.loads(json.dumps(twisted))
         edit(doc)
         path.write_text(json.dumps(doc))
         code, _, err = run(capsys, "characteristic", "--algebra", str(path))

@@ -4,13 +4,14 @@ import random
 from fractions import Fraction
 
 from ribbonhom.complexes import GraphChain, coboundary, pairing
-from ribbonhom.feynman import (amplitude, beta, integral_I,
-                               integral_I_inverse, kappa, pair_chain_graph)
+from ribbonhom.feynman import (amplitude, integral_I, integral_I_inverse,
+                               pair_chain_graph)
 from ribbonhom.graphs import canonicalize, disjoint_union, enumerate_graphs
 from ribbonhom.lie import CEChain, CyclicWord, ce_differential
 from ribbonhom.superspace import (SuperDim, SuperTensor,
-                                  canonical_form_matrix, contract,
-                                  invert_perm, koszul_apply)
+                                  canonical_form_matrix, contract)
+
+import oracles as O
 
 D10 = SuperDim(1, 0)
 D11 = SuperDim(1, 1)
@@ -48,20 +49,34 @@ def balanced_wedge(rng, dim, ranks):
     return CEChain.wedge(parts, Fraction(rng.choice([-2, -1, 1, 2])))
 
 
+def amplitude_of_chords(chords, t):
+    """The state sum of one tensor paired along `chords` through the
+    canonical form."""
+    return contract([t], chords, canonical_form_matrix(t.dim)).scalar()
+
+
 def test_kappa_pinned_values():
-    assert kappa(SuperTensor.word(D11, (P1, Q1))) == 1
-    assert kappa(SuperTensor.word(D11, (P1, P1))) == 0
-    assert kappa(SuperTensor.word(D11, (P1, Q1, X1, X1))) == 1
+    # consecutive slots paired: (0, 1), (2, 3), ...
+    for word, value in (((P1, Q1), 1), ((P1, P1), 0), ((P1, Q1, X1, X1), 1)):
+        t = SuperTensor.word(D11, word)
+        chords = [(r, r + 1) for r in range(0, t.rank, 2)]
+        assert amplitude_of_chords(chords, t) == value, word
 
 
 def test_beta_identity_diagram_is_kappa():
+    # the identity diagram moves no letter, so its state sum is the plain
+    # sum of products of pairing entries
     rng = random.Random(5)
+    form = canonical_form_matrix(D11)
     for _ in range(30):
         t = SuperTensor(D11, 4, {tuple(rng.randrange(3) for _ in range(4)):
                                  Fraction(rng.randint(-3, 3))
                                  for _ in range(3)})
-        assert beta(((0, 1), (2, 3)), t) == kappa(t)
-    assert beta(((0, 2), (1, 3)), SuperTensor.word(D10, (0, 0, 1, 1))) == 1
+        plain = sum((c * form[w[0]][w[1]] * form[w[2]][w[3]]
+                     for w, c in t.terms.items()), Fraction(0))
+        assert amplitude_of_chords(((0, 1), (2, 3)), t) == plain
+    assert amplitude_of_chords(((0, 2), (1, 3)),
+                               SuperTensor.word(D10, (0, 0, 1, 1))) == 1
 
 
 def test_beta_equivariance():
@@ -73,7 +88,10 @@ def test_beta_equivariance():
                                  for _ in range(3)})
         tau = tuple(rng.sample(range(4), 4))
         tchords = tuple((tau[a], tau[b]) for a, b in chords)
-        assert beta(tchords, t) == beta(chords, koszul_apply(invert_perm(tau), t))
+        moved = SuperTensor(D11, 4, O.koszul_apply(O.invert_perm(tau),
+                                                   t.terms, D11.parity))
+        assert amplitude_of_chords(tchords, t) == \
+            amplitude_of_chords(chords, moved)
 
 
 def test_amplitude_ordered_theta_and_flip():

@@ -5,14 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from ribbonhom import lie
 from ribbonhom.ainfinity import (AInfinityAlgebra, characteristic_class,
                                  partition_function, validate)
 from ribbonhom.fixtures import frobenius_pair, twisted_11
 from ribbonhom.graphs import enumerate_graphs
 from ribbonhom.lie import (CEChain, CyclicWord, bracket, ce_differential,
-                           coinvariant_reduce, cyclic_reduce, osp_act,
-                           osp_basis)
+                           cyclic_reduce)
 from ribbonhom.scalars import rank_exact
 from ribbonhom.superspace import (SuperDim, SuperTensor, SymplecticForm,
                                   canonical_form_matrix)
@@ -194,53 +192,6 @@ def test_wedge_graded_commutative():
     assert word_parity(odd) == 1 and CEChain.wedge([odd, odd])
 
 
-def test_osp_acts_by_bracket_derivations():
-    rng = random.Random(23)
-    for dim in [D10, D02]:
-        basis = osp_basis(dim)
-        assert basis
-        for _ in range(40):
-            xi = basis[rng.randrange(len(basis))]
-            a, b = rand_word(rng, dim), rand_word(rng, dim)
-            if not a or not b:
-                continue
-            xp, pa = word_parity(xi), word_parity(a)
-            lhs = bracket(xi, bracket(a, b))
-            rhs = (bracket(bracket(xi, a), b)
-                   + bracket(a, bracket(xi, b)).scale((-1) ** (xp * pa)))
-            assert lhs == rhs
-
-
-def test_osp_images_reduce_to_zero():
-    for dim, probe in [
-            (D10, CEChain(D10, {((0, 0, 1), (1, 1, 0)): Fraction(1)})),
-            (D02, CEChain(D02, {((0, 0, 1), (1, 1, 0)): Fraction(1)})),
-    ]:
-        for xi in osp_basis(dim):
-            img = osp_act(xi, probe)
-            if img:
-                assert not coinvariant_reduce(img).residue
-        red = coinvariant_reduce(probe)
-        if red.residue:
-            assert coinvariant_reduce(red.residue).residue == red.residue
-
-
-def test_coinvariant_coordinates_recombine():
-    probe = CEChain(D10, {((0, 0, 1), (1, 1, 0)): Fraction(2),
-                          ((0, 1, 1), (0, 0, 1)): Fraction(-3)})
-    red = coinvariant_reduce(probe)
-    assert len(red.basis) == len(red.coords)
-    recon = CEChain(D10, {fs: c for fs, c in zip(red.basis, red.coords)})
-    assert recon == red.residue
-    # what was dropped lies in the image: reducing it leaves nothing
-    dropped = probe - red.residue
-    if dropped:
-        back = coinvariant_reduce(dropped)
-        assert not back.residue and not any(back.coords)
-    with pytest.raises(ValueError):
-        coinvariant_reduce(probe + CEChain(D10, {((0, 1),): Fraction(1)}))
-
-
 def rand_even_form(rng, form):
     """A random invertible parity-preserving basis change psi with small
     integer entries, and the even form s psi^T omega psi for a random
@@ -321,44 +272,6 @@ def test_characteristic_class_in_the_algebras_own_form():
             assert all(any(len(w) > A.truncation + 1 for w in fs)
                        for fs in d.terms)
     assert kinds == {"positive", "negative", "indefinite"}
-
-
-def test_coinvariant_reduce_matches_gauss_jordan():
-    # one sparse elimination against the dense loop it replaced: the same
-    # complement basis and the same coordinates
-    rng = random.Random(31)
-    probes = [CEChain(D10, {((0, 0, 1), (1, 1, 0)): Fraction(1)}),
-              CEChain(D02, {((0, 0, 1), (1, 1, 0)): Fraction(1)}),
-              CEChain(D10, {((0, 0, 1), (1, 1, 0)): Fraction(2),
-                            ((0, 1, 1), (0, 0, 1)): Fraction(-3)})]
-    for dim, degree, order in ((D10, 2, 6), (D02, 2, 6), (D11, 2, 4),
-                               (D11, 1, 4)):
-        monomials = lie._wedge_monomial_basis(dim, degree, order)
-        for _ in range(3):
-            probes.append(CEChain(dim, {
-                rng.choice(monomials): Fraction(rng.randint(-3, 3),
-                                                rng.randint(1, 3))
-                for _ in range(rng.randint(1, 6))}))
-    for x in probes:
-        if not x:
-            continue
-        degree, = x.exterior_degrees()
-        order = sum(len(w) for w in next(iter(x.terms)))
-        basis = lie._wedge_monomial_basis(x.dim, degree, order)
-        index = {fs: i for i, fs in enumerate(basis)}
-        rows = []
-        for xi in osp_basis(x.dim):
-            for fs in basis:
-                row = [Fraction(0)] * len(basis)
-                for t, c in osp_act(xi, CEChain(x.dim, {fs: 1})).terms.items():
-                    row[index[t]] = c
-                rows.append(row)
-        vec = [x.coefficient(fs) for fs in basis]
-        pivots, reduced = oracles.gauss_jordan_reduce(rows, vec)
-        red = coinvariant_reduce(x)
-        assert red.basis == tuple(fs for i, fs in enumerate(basis)
-                                  if i not in pivots)
-        assert red.coords == tuple(reduced[index[fs]] for fs in red.basis)
 
 
 def test_chain_arithmetic_and_errors():

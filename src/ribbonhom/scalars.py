@@ -13,12 +13,16 @@ The exact linear algebra used across the package (inverse, rank, solve)
 lives here as well, all of it on one sparse row echelon routine.  A matrix
 enters it as sparse rows: one {col: value} dict per row holding the row's
 nonzero entries, which callers build directly from their own sparse data.
+Elimination runs on integer rows: each row is scaled to coprime integers
+first, and only the back-substitution of a solve divides, so ranking an
+integer matrix makes no `Fraction` at all.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd, lcm
 
 
 # ---------------------------------------------------- linear combinations
@@ -131,32 +135,63 @@ def parse_scalar(s) -> Fraction:
 
 # ---------------------------------------------------- exact linear algebra
 
-def _echelon(rows) -> dict:
-    """Sparse row echelon form of an iterable of sparse {col: value} rows.
+def _integer_row(row) -> dict:
+    """A sparse row of exact scalars scaled to coprime integers: its
+    denominators cleared, divided by the gcd of its entries, zeros
+    dropped.  Scaling a row keeps the row space."""
+    row = {c: v for c, v in row.items() if v}
+    den = lcm(*(v.denominator for v in row.values()))
+    row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+    g = gcd(*row.values())
+    if g > 1:
+        row = {c: v // g for c, v in row.items()}
+    return row
 
-    Each row is copied without its zero values and reduced against the
-    table {pivot_col: row scaled to 1 at pivot_col, zero left of it}; what
-    is left nonzero enters the table at its leftmost column.  Sparsest rows
-    go first, in a stable order, to limit fill-in: the set of pivot
-    columns does not depend on the row order.
+
+def _echelon(rows) -> dict:
+    """Sparse row echelon form of an iterable of sparse {col: value} rows,
+    over the integers.
+
+    Each row is scaled to coprime integers and reduced against the table
+    {pivot_col: coprime integer row, zero left of it, positive at
+    pivot_col}: with a the pivot entry, f the row's entry and g = gcd(a, f),
+    the row becomes (a/g)·row − (f/g)·pivot, so no division ever leaves the
+    integers.  When a/g is 1 that is the plain subtraction; otherwise the
+    row is then divided by the gcd of its entries, which keeps the entries
+    small.  What is left nonzero enters the table at its leftmost column,
+    divided by its gcd and with the sign that makes its pivot positive.
+
+    Sparsest rows go first, in a stable order, to limit fill-in: the set of
+    pivot columns does not depend on the row order.  Each table row is a
+    multiple of the one that elimination over Q, scaling every pivot to 1,
+    would give, so both have the same pivot columns.
     """
     table: dict = {}
-    rows = sorted(({c: v for c, v in r.items() if v} for r in rows), key=len)
-    for row in rows:
+    for row in sorted(map(_integer_row, rows), key=len):
         while row:
             col = min(row)
             pivot = table.get(col)
             if pivot is None:
-                inv = Fraction(1) / row[col]
-                table[col] = {c: v * inv for c, v in row.items()}
+                g = gcd(*row.values())
+                if row[col] < 0:
+                    g = -g
+                table[col] = row if g == 1 else {c: v // g
+                                                 for c, v in row.items()}
                 break
-            f = row[col]
+            g = gcd(pivot[col], row[col])
+            a, f = pivot[col] // g, row[col] // g
+            if a != 1:
+                row = {c: a * v for c, v in row.items()}
             for c, v in pivot.items():
                 x = row.get(c, 0) - f * v
                 if x:
                     row[c] = x
                 else:
                     del row[c]
+            if a != 1:
+                g = gcd(*row.values())
+                if g > 1:
+                    row = {c: v // g for c, v in row.items()}
     return table
 
 
@@ -164,24 +199,28 @@ def _solve(rows, n):
     """One X with A X = B, free variables set to 0, or None when a pivot of
     the echelon form falls in B.  `rows` are the sparse rows of [A | B],
     B in the columns n + k; X comes back as {pivot col: {k: nonzero
-    value}}, by back-substitution from the rightmost pivot."""
+    Fraction}}, by back-substitution from the rightmost pivot: with a the
+    pivot entry, X[col] = (B part − Σ v·X[c]) / a, the one division of the
+    elimination."""
     x: dict = {}
     table = _echelon(rows)
     for col in sorted(table, reverse=True):
         if col >= n:
             return None
-        acc = {c - n: v for c, v in table[col].items() if c >= n}
-        for c, v in table[col].items():
+        row = table[col]
+        acc = {c - n: v for c, v in row.items() if c >= n}
+        for c, v in row.items():
             if col < c < n:
                 for k, t in x.get(c, {}).items():
                     acc[k] = acc.get(k, 0) - v * t
-        x[col] = {k: s for k, s in acc.items() if s}
+        a = row[col]
+        x[col] = {k: Fraction(s, a) for k, s in acc.items() if s}
     return x
 
 
 def mat_inverse(a):
     """Inverse of a dense square matrix over exact scalars, as a dense
-    matrix; ValueError if singular."""
+    matrix of Fractions; ValueError if singular."""
     n = len(a)
     x = _solve([{**dict(enumerate(row)), n + i: 1}
                 for i, row in enumerate(a)], n)
@@ -190,17 +229,34 @@ def mat_inverse(a):
     return [[x[i].get(j, Fraction(0)) for j in range(n)] for i in range(n)]
 
 
-def rank_exact(rows) -> int:
-    """Rank of a matrix given as a list of sparse {col: value} rows."""
-    return len(_echelon(rows))
+def rank_exact(rows: list) -> int:
+    """Rank of a matrix given as a list of sparse {col: value} rows, which
+    are read twice and left unchanged.
+
+    Rank does not depend on the column order, so the columns are first
+    renumbered by ascending nonzero count (ties by index): elimination at
+    the leftmost column then pivots on the sparsest columns first, which
+    limits fill-in.
+    """
+    nnz: dict = {}
+    for row in rows:
+        for c, v in row.items():
+            if v:
+                nnz[c] = nnz.get(c, 0) + 1
+    order = {c: i for i, c in enumerate(sorted(nnz,
+                                               key=lambda c: (nnz[c], c)))}
+    return len(_echelon({order[c]: v for c, v in row.items() if v}
+                        for row in rows))
 
 
 def solve_exact(rows, rhs):
     """One exact solution x of A x = b, or None if inconsistent.
 
     `rows` is A as a list of sparse {col: value} rows and `rhs` is b as
-    {row index: value}; x comes back as {col: nonzero value}, with the
-    free variables set to zero.
+    {row index: value}; x comes back as {col: nonzero Fraction}, with the
+    free variables set to zero.  The columns keep their natural order, so
+    the pivot columns, and with them x, are those of elimination at the
+    leftmost column over Q.
     """
     n = 1 + max((c for row in rows for c in row), default=-1)
     x = _solve([{**row, n: rhs[i]} if rhs.get(i) else row

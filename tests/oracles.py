@@ -562,6 +562,48 @@ def rank_bareiss(rows):
     return rank
 
 
+def echelon_fraction(rows):
+    """Sparse row echelon form over Q, every pivot row scaled to 1: the
+    table {pivot col: row with 1 at pivot col, zero left of it}.  Rows go
+    sparsest first in a stable order and pivot at their leftmost column,
+    the rule of `scalars._echelon`, which keeps its rows integer."""
+    table = {}
+    rows = sorted(({c: v for c, v in r.items() if v} for r in rows), key=len)
+    for row in rows:
+        while row:
+            col = min(row)
+            pivot = table.get(col)
+            if pivot is None:
+                inv = Fraction(1) / row[col]
+                table[col] = {c: v * inv for c, v in row.items()}
+                break
+            f = row[col]
+            for c, v in pivot.items():
+                x = row.get(c, 0) - f * v
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+    return table
+
+
+def solve_fraction(rows, rhs):
+    """The solution of A x = b that `scalars.solve_exact` must return, from
+    `echelon_fraction` of [A | b]: x as {col: nonzero Fraction} with the
+    free variables 0, or None if inconsistent."""
+    n = 1 + max((c for row in rows for c in row), default=-1)
+    table = echelon_fraction([{**row, n: rhs[i]} if rhs.get(i) else row
+                              for i, row in enumerate(rows)])
+    x = {}
+    for col in sorted(table, reverse=True):
+        if col == n:
+            return None
+        row = table[col]
+        x[col] = row.get(n, 0) - sum(v * x.get(c, 0) for c, v in row.items()
+                                     if col < c < n)
+    return {c: Fraction(t) for c, t in sorted(x.items()) if t}
+
+
 def sparse_rows(rows):
     """A dense matrix as the package's sparse rows: one {col: value} dict
     of the nonzero entries per row."""

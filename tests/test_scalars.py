@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles as O
-from ribbonhom.complexes import GraphChain
+from ribbonhom.complexes import GraphChain, _boundary_rows
 from ribbonhom.graphs import enumerate_graphs
 from ribbonhom.lie import CEChain, CyclicWord
-from ribbonhom.scalars import (format_scalar, json_scalar, mat_inverse,
-                               parse_scalar, rank_exact, solve_exact)
+from ribbonhom.scalars import (_echelon, format_scalar, json_scalar,
+                               mat_inverse, parse_scalar, rank_exact,
+                               solve_exact)
 from ribbonhom.superspace import SuperDim, SuperTensor
 from ribbonhom.tcft import MorphismChain, enumerate_legged_graphs
 
@@ -64,14 +65,19 @@ def test_rank_exact_detects_dependence():
     assert rank_exact(rows) == 1
 
 
+# "non-unit" draws no entry ±1, so most pivots of integer elimination are
+# not units and the rows they clear must be scaled
 ENTRIES = {"int": st.integers(-3, 3),
-           "fraction": st.fractions(-3, 3, max_denominator=4)}
+           "fraction": st.fractions(-3, 3, max_denominator=4),
+           "non-unit": st.sampled_from([2, -2, 3, -3, 4, -6])}
 
 
 @st.composite
 def sparse_matrices(draw, entry, max_cols=7):
     """Mostly-zero matrices with zero columns, then repeated, combined and
-    zero rows inserted among the drawn ones."""
+    zero rows inserted among the drawn ones, and rows multiplied by common
+    factors, so elimination meets non-unit and negative pivots, rows with
+    a content and denominators to clear."""
     ncols = draw(st.integers(0, max_cols))
     zero_cols = draw(st.sets(st.integers(0, max_cols)))
     cell = st.one_of(st.just(0), st.just(0), entry)
@@ -89,14 +95,28 @@ def sparse_matrices(draw, entry, max_cols=7):
             s, t = draw(entry), draw(entry)
             new = [s * x + t * y for x, y in zip(a, b)]
         rows.insert(draw(st.integers(0, len(rows))), new)
-    return rows
+    factors = draw(st.lists(st.sampled_from([1, -1, 2, -3, 6,
+                                             Fraction(-4, 3)]),
+                            min_size=len(rows), max_size=len(rows)))
+    return [[k * v for v in row] for k, row in zip(factors, rows)]
+
+
+@st.composite
+def sparse_form(draw, rows):
+    """The package's sparse rows of a dense matrix, some of them keeping
+    explicit zero values."""
+    ncols = len(rows[0]) if rows else 0
+    kept = draw(st.lists(st.sets(st.integers(0, max(ncols - 1, 0))),
+                         min_size=len(rows), max_size=len(rows)))
+    return [{c: v for c, v in enumerate(row) if v or c in zeros}
+            for row, zeros in zip(rows, kept)]
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRIES))
 @given(data=st.data())
 def test_rank_exact_matches_bareiss(entry, data):
     rows = data.draw(sparse_matrices(ENTRIES[entry]))
-    sparse = O.sparse_rows(rows)
+    sparse = data.draw(sparse_form(rows))
     before = [dict(row) for row in sparse]
     assert rank_exact(sparse) == O.rank_bareiss(rows)
     assert sparse == before  # the caller may read rows afterwards
@@ -107,7 +127,8 @@ def test_rank_of_empty_matrices():
     assert rank_exact([{}]) == O.rank_bareiss([[]]) == 0
 
 
-@given(sparse_matrices(ENTRIES["fraction"]), st.data())
+@given(st.sampled_from(sorted(ENTRIES)).flatmap(
+    lambda kind: sparse_matrices(ENTRIES[kind])), st.data())
 def test_solve_exact_solves_or_reports_inconsistency(a, data):
     ncols = len(a[0]) if a else 0
     entry = ENTRIES["fraction"]
@@ -116,14 +137,51 @@ def test_solve_exact_solves_or_reports_inconsistency(a, data):
         b = [sum(v * t for v, t in zip(row, x0)) for row in a]
     else:
         b = data.draw(st.lists(entry, min_size=len(a), max_size=len(a)))
-    x = solve_exact(O.sparse_rows(a), dict(enumerate(b)))
+    sparse, rhs = data.draw(sparse_form(a)), dict(enumerate(b))
+    x = solve_exact(sparse, rhs)
+    # elimination over Q with every pivot scaled to 1 has the same pivots,
+    # so it gives the very same x: the witnesses of is_boundary do not
+    # depend on the arithmetic
+    assert x == O.solve_fraction(sparse, rhs)
     augmented = O.rank_bareiss([row + [rhs] for row, rhs in zip(a, b)])
     if x is None:
         assert augmented > O.rank_bareiss(a)
     else:
-        assert all(0 <= j < ncols and t for j, t in x.items())
+        assert all(0 <= j < ncols and type(t) is Fraction and t
+                   for j, t in x.items())
         x = [x.get(j, 0) for j in range(ncols)]
         assert [sum(v * t for v, t in zip(row, x)) for row in a] == b
+
+
+@pytest.mark.parametrize("v, e", [(3, 6), (2, 6)])
+def test_boundary_elimination_stays_in_the_integers(v, e):
+    # the rows of the boundary are integers, so elimination makes no
+    # Fraction; each table row is a multiple of the row that elimination
+    # over Q scales to 1 at the same pivot
+    rows = _boundary_rows(v, e)
+    table = _echelon(rows)
+    assert all(type(x) is int for row in table.values()
+               for x in row.values())
+    reference = O.echelon_fraction(rows)
+    assert table.keys() == reference.keys()
+    for col, row in table.items():
+        assert row[col] > 0
+        assert {c: Fraction(x, row[col]) for c, x in row.items()} \
+            == reference[col]
+
+
+@pytest.mark.parametrize("v, e", [(3, 6), (2, 6)])
+def test_rank_ignores_the_order_of_rows_and_columns(v, e):
+    rows = _boundary_rows(v, e)
+    rank = rank_exact(rows)
+    ncols = 1 + max(c for row in rows for c in row)
+    rng = random.Random(v * 10 + e)
+    for _ in range(3):
+        perm = list(range(ncols))
+        rng.shuffle(perm)
+        shuffled = [{perm[c]: x for c, x in row.items()} for row in rows]
+        rng.shuffle(shuffled)
+        assert rank_exact(shuffled) == rank
 
 
 RATIONALS = st.builds(lambda p, q, r: p + Fraction(q, 2) + Fraction(r, 3),
@@ -143,6 +201,8 @@ def test_mat_inverse_on_surd_matrices(n, data):
     inv = mat_inverse(a)
     assert O.mat_mul(a, inv) == O.identity(n)
     assert O.mat_mul(inv, a) == O.identity(n)
+    assert inv == [[O.solve_fraction(O.sparse_rows(a), {i: 1}).get(j, 0)
+                    for i in range(n)] for j in range(n)]
     # a last row combined from the others makes it singular
     s, t = data.draw(RATIONALS), data.draw(RATIONALS)
     singular = a + [[s * x + t * y for x, y in zip(a[0], a[-1])]]

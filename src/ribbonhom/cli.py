@@ -20,7 +20,6 @@ first row, so a run that exits 2 writes nothing on stdout.
 
 import argparse
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -39,14 +38,11 @@ from .superspace import SuperDim
 from .tcft import (composition_compatibility, correlation,
                    enumerate_legged_graphs)
 
-SUITES = ("d2", "delta2", "adjointness", "kontsevich", "triangle",
-          "roundtrip", "exp", "equivalence", "invariance", "tcft")
-
 # ambient signatures used for random Chevalley-Eilenberg chains
 CHAIN_SIGNATURES = (SuperDim(1, 1), SuperDim(2, 0), SuperDim(1, 2))
 
-# the options each suite reads, besides --seed and --workers, with their
-# defaults (no --algebra is the built-in fixture); verify refuses any other
+# the options each suite reads, besides --seed, with their defaults (no
+# --algebra is the built-in fixture); verify refuses any other
 SUITE_OPTIONS = {
     "d2": {"edges": 6},
     "delta2": {"edges": 6},
@@ -59,6 +55,8 @@ SUITE_OPTIONS = {
     "invariance": {"edges": 4, "algebra": None},
     "tcft": {"edges": 2, "algebra": None},
 }
+
+SUITES = tuple(SUITE_OPTIONS)
 
 # edges past --edges that a suite's diagrams reach: the coboundary of the
 # top bidegree (kontsevich), the coboundary twice (delta2) and the
@@ -299,26 +297,6 @@ def _grid(emax):
             for v in range(1, (2 * e) // 3 + 1)]
 
 
-def _run_cells(fn, cells, workers):
-    """fn over the cells, in a pool of at most `workers` processes, one
-    per cell and one per CPU; in this process when that is one.  The pool
-    is imported only here, so a one-worker run never loads
-    multiprocessing."""
-    size = min(workers, len(cells), os.cpu_count() or 1)
-    if size <= 1:
-        return [fn(cell) for cell in cells]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        return list(pool.map(fn, cells))
-
-
-def _strips(emax, workers):
-    """Work items (v, e, part, nparts) slicing each bidegree into strips,
-    so one heavy bidegree still spreads across workers."""
-    return [(v, e, part, workers) for (v, e) in _grid(emax)
-            for part in range(workers)]
-
-
 def _sorted_fails(fails):
     return sorted(fails, key=lambda row: json.dumps(row, sort_keys=True))
 
@@ -415,110 +393,58 @@ def cmd_correlate(args):
             "entries": len(tensor.terms)}, 0
 
 
-# ------------------------------------------------------------ verify cells
-# Cell workers live at module scope so a process pool can pickle them;
-# they take primitive arguments and return JSON-ready rows.
-
-def _square_cell(item, operator, suite):
-    v, e, part, nparts = item
-    checks = 0
-    fails = []
-    for g in basis(v, e)[part::nparts]:
-        checks += 1
-        residue = operator(operator(GraphChain.of(g)))
-        if residue:
-            h = min(residue.terms, key=lambda t: t.sort_key)
-            fails.append({"kind": "fail", "suite": suite, "v": v, "e": e,
-                          "graph": jsonio.graph_to_json(g),
-                          "residue": jsonio.graph_to_json(h),
-                          "coeff": json_scalar(residue.terms[h])})
-    return checks, fails
-
-
-def _d2_cell(item):
-    return _square_cell(item, boundary, "d2")
-
-
-def _delta2_cell(item):
-    return _square_cell(item, coboundary, "delta2")
-
-
-def _adjoint_cell(item):
-    v, e, part, nparts = item
-    if v < 2 or e < 2:
-        return 0, []
-    upper = basis(v, e)[part::nparts]
-    lower = basis(v - 1, e - 1)
-    checks = 0
-    fails = []
-    cob = {h: coboundary(GraphChain.of(h)) for h in lower}
-    for g in upper:
-        bg = boundary(GraphChain.of(g))
-        for h in lower:
-            checks += 1
-            lhs = pairing(bg, GraphChain.of(h))
-            rhs = pairing(GraphChain.of(g), cob[h])
-            if lhs != rhs:
-                fails.append({"kind": "fail", "suite": "adjointness",
-                              "v": v, "e": e,
-                              "graph": jsonio.graph_to_json(g),
-                              "other": jsonio.graph_to_json(h),
-                              "lhs": json_scalar(lhs),
-                              "rhs": json_scalar(rhs)})
-    return checks, fails
-
-
-def _live(algebra, g):
-    return all(bool(algebra.hamiltonian(k)) for k in g.vtype)
-
-
-def _tcft_block(block):
-    path, m, n, k, e1, e2 = block
-    algebra = jsonio.read_algebra(path) if path else frobenius_pair()
-    side1 = enumerate_legged_graphs(m, n, e1)
-    side2 = enumerate_legged_graphs(n, k, e2)
-    live1 = [g for g in side1 if _live(algebra, g)]
-    live2 = [g for g in side2 if _live(algebra, g)]
-    checks = 0
-    fails = []
-    correlators = {}
-    for g1 in live1:
-        for g2 in live2:
-            checks += 1
-            rep = composition_compatibility(algebra, g1, g2, correlators)
-            if not rep.valid:
-                fails.append(_tcft_failure(g1, g2, rep))
-    had_dead = bool(side1 and side2 and (len(live1) < len(side1)
-                                         or len(live2) < len(side2)))
-    return checks, had_dead, fails
-
-
-def _tcft_failure(g1, g2, rep):
-    return {"kind": "fail", "suite": "tcft",
-            "g1": jsonio.graph_to_json(g1), "g2": jsonio.graph_to_json(g2),
-            "detail": "; ".join(f"{c}: {d}" for c, d in rep.failures)}
-
-
 # ---------------------------------------------------------- verify suites
+# Each suite takes the parsed arguments and its random stream and returns
+# (bounds, checks, fail rows).
 
-def _striped_suite(args, suite, cell_fn):
+def _square_suite(args, suite, operator):
     emax = _bound(args, suite, "edges")
-    results = _run_cells(cell_fn, _strips(emax, args.workers), args.workers)
-    checks = sum(r[0] for r in results)
-    fails = _sorted_fails(row for r in results for row in r[1])
-    return {"edges": emax}, checks, fails
+    checks = 0
+    fails = []
+    for v, e in _grid(emax):
+        for g in basis(v, e):
+            checks += 1
+            residue = operator(operator(GraphChain.of(g)))
+            if residue:
+                h = min(residue.terms, key=lambda t: t.sort_key)
+                fails.append({"kind": "fail", "suite": suite, "v": v, "e": e,
+                              "graph": jsonio.graph_to_json(g),
+                              "residue": jsonio.graph_to_json(h),
+                              "coeff": json_scalar(residue.terms[h])})
+    return {"edges": emax}, checks, _sorted_fails(fails)
 
 
 def _suite_d2(args, rng):
-    return _striped_suite(args, "d2", _d2_cell)
+    return _square_suite(args, "d2", boundary)
 
 
 def _suite_delta2(args, rng):
-    return _striped_suite(args, "delta2", _delta2_cell)
+    return _square_suite(args, "delta2", coboundary)
 
 
 def _suite_adjointness(args, rng):
-    return _striped_suite(args, "adjointness", _adjoint_cell)
+    emax = _bound(args, "adjointness", "edges")
+    checks = 0
+    fails = []
+    for v, e in _grid(emax):
+        if v < 2:
+            continue
+        lower = basis(v - 1, e - 1)
+        cob = {h: coboundary(GraphChain.of(h)) for h in lower}
+        for g in basis(v, e):
+            bg = boundary(GraphChain.of(g))
+            for h in lower:
+                checks += 1
+                lhs = pairing(bg, GraphChain.of(h))
+                rhs = pairing(GraphChain.of(g), cob[h])
+                if lhs != rhs:
+                    fails.append({"kind": "fail", "suite": "adjointness",
+                                  "v": v, "e": e,
+                                  "graph": jsonio.graph_to_json(g),
+                                  "other": jsonio.graph_to_json(h),
+                                  "lhs": json_scalar(lhs),
+                                  "rhs": json_scalar(rhs)})
+    return {"edges": emax}, checks, _sorted_fails(fails)
 
 
 def _rank_menus(order):
@@ -696,32 +622,54 @@ def _suite_invariance(args, rng):
     return {"edges": emax, "twists": TWIST_COUNT}, checks, fails
 
 
+def _live(algebra, g):
+    return all(bool(algebra.hamiltonian(k)) for k in g.vtype)
+
+
+def _tcft_failure(g1, g2, rep):
+    return {"kind": "fail", "suite": "tcft",
+            "g1": jsonio.graph_to_json(g1), "g2": jsonio.graph_to_json(g2),
+            "detail": "; ".join(f"{c}: {d}" for c, d in rep.failures)}
+
+
 def _suite_tcft(args, rng):
     emax = _bound(args, "tcft", "edges")
-    path = getattr(args, "algebra", None)
     algebra = _algebra(args)
     legs = range(TCFT_LEGS + 1)
-    combos = [(m, n, k) for m in legs for n in legs for k in legs
-              if m + n <= TCFT_LEGS and n + k <= TCFT_LEGS]
-    blocks = [(path, m, n, k, e1, e2) for (m, n, k) in combos
+    blocks = [(m, n, k, e1, e2) for m in legs for n in legs for k in legs
+              if m + n <= TCFT_LEGS and n + k <= TCFT_LEGS
               for e1 in range(emax + 1) for e2 in range(emax + 1)]
-    results = _run_cells(_tcft_block, blocks, args.workers)
-    checks = sum(r[0] for r in results)
-    fails = _sorted_fails(row for r in results for row in r[2])
-    dead_blocks = [b for b, r in zip(blocks, results) if r[1]]
+    # one correlator per canonical graph, shared by every pair of the suite
+    correlators = {}
+    checks = 0
+    fails = []
+    dead_blocks = []
+    for m, n, k, e1, e2 in blocks:
+        side1 = enumerate_legged_graphs(m, n, e1)
+        side2 = enumerate_legged_graphs(n, k, e2)
+        live1 = [g for g in side1 if _live(algebra, g)]
+        live2 = [g for g in side2 if _live(algebra, g)]
+        for g1 in live1:
+            for g2 in live2:
+                checks += 1
+                rep = composition_compatibility(algebra, g1, g2, correlators)
+                if not rep.valid:
+                    fails.append(_tcft_failure(g1, g2, rep))
+        if side1 and side2 and (len(live1) < len(side1)
+                                or len(live2) < len(side2)):
+            dead_blocks.append((side1, side2))
+    fails = _sorted_fails(fails)
     # vertices whose valency carries no Hamiltonian make both sides of the
     # compatibility identity vanish (gluing preserves internal valencies),
     # so those pairs are spot-checked rather than swept.
     sampled = 0
     if dead_blocks:
         for _ in range(DEAD_PAIR_SAMPLES):
-            _, m, n, k, e1, e2 = dead_blocks[rng.randrange(len(dead_blocks))]
-            side1 = enumerate_legged_graphs(m, n, e1)
-            side2 = enumerate_legged_graphs(n, k, e2)
+            side1, side2 = dead_blocks[rng.randrange(len(dead_blocks))]
             g1 = side1[rng.randrange(len(side1))]
             g2 = side2[rng.randrange(len(side2))]
             sampled += 1
-            rep = composition_compatibility(algebra, g1, g2)
+            rep = composition_compatibility(algebra, g1, g2, correlators)
             if not rep.valid:
                 fails.append(_tcft_failure(g1, g2, rep))
     return {"edges": emax, "legs": TCFT_LEGS, "sampled": sampled}, \
@@ -747,8 +695,6 @@ def cmd_verify(args):
     on the algebra (exp, tcft) may still be refused after an earlier
     suite has run."""
     names = SUITES if args.suite == "all" else (args.suite,)
-    if args.workers < 1:
-        raise ValueError(f"--workers {args.workers} is below 1")
     for key in ("vertices", "edges", "order", "algebra"):
         if getattr(args, key) is not None and \
                 not any(key in SUITE_OPTIONS[name] for name in names):
@@ -823,7 +769,6 @@ def build_parser():
                        help="run a named identity suite")
     p.add_argument("suite", choices=SUITES + ("all",))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--vertices", type=_count, default=None, metavar="N")
     p.add_argument("--edges", type=_count, default=None, metavar="N")
     p.add_argument("--order", type=_count, default=None)

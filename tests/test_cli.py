@@ -1,6 +1,5 @@
 """Command-line entry points, exit codes, and report determinism."""
 
-import concurrent.futures
 import json
 import os
 import subprocess
@@ -10,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from ribbonhom import cli, jsonio
+from ribbonhom import cli, jsonio, tcft
 from ribbonhom.fixtures import twisted_11
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -396,8 +395,6 @@ def test_input_errors_exit_2(capsys, tmp_path):
                          "18 half-edge slots"),
                         (("kontsevich", "--order", "2"), "3 letters"),
                         (("triangle", "--order", "2"), "3 letters"),
-                        (("d2", "--workers", "0"), "--workers 0"),
-                        (("d2", "--workers", "-3"), "--workers -3"),
                         # options the named suite never reads
                         (("d2", "--edges", "3", "--algebra",
                           "/nonexistent.json"),
@@ -545,39 +542,38 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["enumerate", "--vertices", "banana", "--edges", "1"])
     assert exc.value.code == 2
+    # verify runs in one process and has no --workers option
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "d2", "--workers", "2"])
+    assert exc.value.code == 2
 
 
-def test_pool_starts_at_most_one_process_per_cell_and_cpu(capsys,
-                                                         monkeypatch):
-    # a stub executor records the pool size and runs the cells in process
-    sizes = []
+def test_tcft_reads_the_algebra_once_and_shares_correlators(
+        capsys, monkeypatch, tmp_path):
+    path = tmp_path / "twisted_11.json"
+    path.write_text(json.dumps(jsonio.algebra_to_json(twisted_11())))
+    reads = []
+    read_algebra = jsonio.read_algebra
 
-    class Stub:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def spied(name):
+        reads.append(name)
+        return read_algebra(name)
 
-        def __enter__(self):
-            return self
+    monkeypatch.setattr(jsonio, "read_algebra", spied)
+    code, _, _ = run(capsys, "verify", "tcft", "--algebra", str(path),
+                     "--edges", "1")
+    assert code == 0 and reads == [str(path)]
+    # one correlator per canonical graph across the suite's 270 blocks
+    calls = []
+    correlation = tcft.correlation
 
-        def __exit__(self, *exc):
-            return False
+    def counted(algebra, graph):
+        calls.append(graph)
+        return correlation(algebra, graph)
 
-        def map(self, fn, cells):
-            return map(fn, cells)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Stub)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
-    assert cli._run_cells(abs, [-1, -2, -3], 1000) == [1, 2, 3]
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    assert cli._run_cells(abs, list(range(-9, 0)), 1000) == \
-        list(range(9, 0, -1))
-    assert cli._run_cells(abs, [-5], 1000) == [5]
-    assert sizes == [3, 4]
-    # the striped suites give the same report through the pool
-    code, pooled, _ = run(capsys, "verify", "d2", "--edges", "4",
-                          "--workers", "6")
-    assert sizes == [3, 4, 4]
-    assert (code, pooled) == run(capsys, "verify", "d2", "--edges", "4")[:2]
+    monkeypatch.setattr(tcft, "correlation", counted)
+    code, _, _ = run(capsys, "verify", "tcft")
+    assert code == 0 and len(calls) <= 697
 
 
 def test_import_loads_neither_numpy_nor_multiprocessing():

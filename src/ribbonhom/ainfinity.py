@@ -12,10 +12,11 @@ coefficient at a graph is the state sum `superspace.contract` of one
 h-tensor per vertex along the edges with the dual pairing, divided by the
 automorphism count), its connected part and the exponential identity
 between them, direct sums, twists by even Hamiltonian flows, and the
-characteristic class (the wedge exponential of the word chain), which
-pairs against graphs through the same dual pairing to the same numbers as
-the partition function.  Everything is computed in the algebra's own
-coordinates: no basis change normalizes the inner product first.
+characteristic class (the wedge exponential of the word chain, a
+`lie.CEChain`), which `feynman.pair_chain_graph` pairs against graphs
+through the same dual pairing to the same numbers as the partition
+function.  Everything is computed in the algebra's own coordinates: no
+basis change normalizes the inner product first.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .complexes import GraphChain
-from .feynman import pair_chain_graph
 from .graphs import EMPTY_GRAPH, disjoint_union, enumerate_graphs
 from .lie import CEChain, CyclicWord, bracket
 from .scalars import format_scalar
@@ -204,30 +204,25 @@ def _graph_value(algebra: AInfinityAlgebra, g, pairing):
     return contract(tensors, g.chords, pairing).scalar() / g.aut
 
 
+# These names stay, as perfbench/tracing.py wraps `value`, reads `window` and
+# rebinds `_graph_value` and the partition and characteristic functions.
 class PartitionFunction:
-    """Graph chain of an algebra over a (vertices, edges) window.
+    """Graph chain of an algebra over a (vertices, edges) window."""
 
-    `value` reads a class inside the window from the chain, where a class
-    the chain does not hold reads 0, and runs the state sum only for a
-    class outside the window.
-    """
+    __slots__ = ("window", "chain")
 
-    __slots__ = ("algebra", "window", "chain")
-
-    def __init__(self, algebra: AInfinityAlgebra, window, chain: GraphChain):
-        self.algebra = algebra
+    def __init__(self, window, chain: GraphChain):
         self.window = window
         self.chain = chain
 
-    def value(self, graph):
-        from .graphs import canonicalize
-        g, sign = canonicalize(graph)
-        if g.zero:
-            return Fraction(0)
+    def value(self, g):
+        """The coefficient of the canonical class g (0 if the chain does
+        not hold it); ValueError for a class outside the window."""
         vmax, emax = self.window
-        if g.nverts <= vmax and g.nedges <= emax:
-            return sign * self.chain.coefficient(g)
-        return sign * _graph_value(self.algebra, g, self.algebra.dual_pairing())
+        if g.nverts > vmax or g.nedges > emax:
+            raise ValueError(f"class at ({g.nverts},{g.nedges}) is outside "
+                             f"the window v<={vmax} e<={emax}")
+        return self.chain.coefficient(g)
 
     def __repr__(self):
         v, e = self.window
@@ -249,12 +244,12 @@ def partition_function(algebra: AInfinityAlgebra, window) -> PartitionFunction:
                 z = _graph_value(algebra, g, pairing)
                 if z:
                     acc[g] = z
-    return PartitionFunction(algebra, (vmax, emax), GraphChain(acc))
+    return PartitionFunction((vmax, emax), GraphChain(acc))
 
 
-def connected_partition_function(algebra: AInfinityAlgebra, window) -> GraphChain:
-    full = partition_function(algebra, window).chain
-    return GraphChain({g: c for g, c in full.terms.items()
+def connected_partition_function(pf: PartitionFunction) -> GraphChain:
+    """The connected classes of a partition function's chain."""
+    return GraphChain({g: c for g, c in pf.chain.terms.items()
                        if g is not EMPTY_GRAPH and g.connected})
 
 
@@ -363,28 +358,8 @@ def twist(algebra: AInfinityAlgebra, gamma: CyclicWord,
 
 # ----------------------------------------------------- characteristic class
 
-class CharacteristicClass:
-    """Wedge exponential of an algebra's word Hamiltonian, truncated by
-    exterior degree, with the algebra's dual pairing that it is read
-    through."""
-
-    __slots__ = ("chain", "pairing")
-
-    def __init__(self, chain: CEChain, pairing):
-        self.chain = chain
-        self.pairing = pairing
-
-    def pairing_value(self, graph):
-        """Pairing of the class with a graph (or graph chain); it equals
-        the partition function's value there."""
-        return pair_chain_graph(self.chain, graph, self.pairing)
-
-    def __repr__(self):
-        return f"CharacteristicClass({len(self.chain.terms)} terms)"
-
-
 def characteristic_class(algebra: AInfinityAlgebra,
-                         degree_bound: int) -> CharacteristicClass:
+                         degree_bound: int) -> CEChain:
     """exp of the algebra's word Hamiltonian up to the given exterior
     degree, in the algebra's own coordinates."""
     dim = algebra.dim
@@ -397,4 +372,4 @@ def characteristic_class(algebra: AInfinityAlgebra,
         if not power:
             break
         total = total + power
-    return CharacteristicClass(total, algebra.dual_pairing())
+    return total

@@ -367,8 +367,7 @@ def cmd_partition(args):
 
 
 def cmd_characteristic(args):
-    cc = characteristic_class(_algebra(args), args.order)
-    chain = cc.chain
+    chain = characteristic_class(_algebra(args), args.order)
     if args.exterior is not None:
         chain = chain.degree_part(args.exterior)
     obj = jsonio.ce_chain_to_json(chain)
@@ -542,9 +541,9 @@ def _suite_exp(args, rng):
     vmax = _bound(args, "exp", "vertices")
     emax = _bound(args, "exp", "edges")
     window = (vmax, emax)
-    full = partition_function(algebra, window).chain
-    connected = connected_partition_function(algebra, window)
-    lhs = exp_chain(connected, window)
+    pf = partition_function(algebra, window)
+    full = pf.chain
+    lhs = exp_chain(connected_partition_function(pf), window)
     checks = len(set(lhs.terms) | set(full.terms))
     fails = []
     diff = lhs - full
@@ -569,7 +568,7 @@ def _suite_equivalence(args, rng):
         for e in range(1, emax + 1):
             for g in enumerate_graphs(v, e):
                 checks += 1
-                lhs = cc.pairing_value(g)
+                lhs = pair_chain_graph(cc, g, algebra.dual_pairing())
                 rhs = pf.value(g)
                 if lhs != rhs:
                     fails.append({"kind": "fail", "suite": "equivalence",
@@ -581,6 +580,11 @@ def _suite_equivalence(args, rng):
 
 def _suite_invariance(args, rng):
     algebra = _algebra(args)
+    dim = algebra.dim
+    if dim.n < 1 and dim.m < 2:  # p1^4 or x1.x1.x2.x2; x1^4 cancels
+        raise ValueError(f"verify invariance twists by even cyclic words "
+                         f"of 4 letters, and signature {dim.n}|{dim.m} has "
+                         f"none: it needs n >= 1 or m >= 2")
     emax = _bound(args, "invariance", "edges")
     vmax = max(1, (2 * emax) // 3)
     base = partition_function(algebra, (vmax, emax))

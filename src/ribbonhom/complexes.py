@@ -1,10 +1,11 @@
 """The oriented ribbon graph chain complex, with exact coefficients.
 
-Chains are finite linear combinations of nonzero canonical graph classes;
-the classes form an orthonormal basis for the pairing.  The boundary sums
-signed one-edge contractions (bidegree (-1,-1)); the coboundary sums ideal
-edge expansions weighted by automorphism-count ratios (bidegree (+1,+1)),
-making it the exact adjoint of the boundary for this pairing.
+Chains are finite linear combinations of nonzero canonical graph classes
+of one arity (legs in and out); the classes form an orthonormal basis for
+the pairing.  The complex is the closed chains, with no legs.  The
+boundary sums signed one-edge contractions (bidegree (-1,-1)); the
+coboundary sums ideal edge expansions weighted by automorphism-count
+ratios (bidegree (+1,+1)), making it the exact adjoint of the boundary.
 
 The moves of one graph are its chords read through the cached move
 templates of `graphs` (`_contractions` for the boundary, the expansion
@@ -34,26 +35,29 @@ from .scalars import LinearCombination, format_scalar, rank_exact, solve_exact
 
 
 class GraphChain(LinearCombination):
-    """Finite linear combination of oriented ribbon graph classes without
-    legs (legged classes form the chains of `tcft.MorphismChain`).
+    """Finite linear combination of oriented ribbon graph classes with
+    `nin` incoming and `nout` outgoing legs, none by default.
 
     ZERO classes and zero coefficients are dropped on construction, so the
     zero chain is the one with no terms.
     """
 
-    __slots__ = _SPACE = ()
+    __slots__ = _SPACE = ("nin", "nout")
 
-    def __init__(self, terms=None):
+    def __init__(self, terms=None, nin=0, nout=0):
+        self.nin = nin
+        self.nout = nout
         self.terms = self._collect(terms)
 
     def _reduce(self, g):
-        if g.legs_in or g.legs_out:
-            raise ValueError("legged graph inside a plain graph chain")
+        if g.nin != self.nin or g.nout != self.nout:
+            raise ValueError(f"graph of arity ({g.nin},{g.nout}) "
+                             f"in a ({self.nin},{self.nout}) chain")
         return None if g.zero else (g, 1)
 
     @classmethod
     def of(cls, graph: RibbonGraph, coeff=Fraction(1)) -> "GraphChain":
-        return cls({graph: coeff})
+        return cls({graph: coeff}, graph.nin, graph.nout)
 
     def bidegree(self):
         """(vertices, edges) common to all terms; None for the zero chain;
@@ -76,6 +80,15 @@ class GraphChain(LinearCombination):
 def _as_chain(x) -> GraphChain:
     if isinstance(x, RibbonGraph):
         return GraphChain.of(x)
+    return x
+
+
+def _closed(x) -> GraphChain:
+    """x as a chain, refused if it has legs."""
+    x = _as_chain(x)
+    if x.nin or x.nout:
+        raise ValueError(f"the boundary and coboundary act on closed chains "
+                         f"only, not on arity ({x.nin},{x.nout})")
     return x
 
 
@@ -109,7 +122,7 @@ _coboundary_graph = _expansion_pass
 def boundary(x) -> GraphChain:
     """Sum of signed non-loop edge contractions, extended linearly."""
     out: dict = {}
-    for g, c in _as_chain(x).terms.items():
+    for g, c in _closed(x).terms.items():
         for rg, s in _terms(_boundary_graph(g)):
             out[rg] = out.get(rg, 0) + c * s
     return GraphChain(out)
@@ -120,7 +133,7 @@ def coboundary(x) -> GraphChain:
     extended linearly; the adjoint of `boundary`.  The coefficients of x
     over the automorphism counts are put over one denominator, the sum
     runs over the integers, and each output class is divided once."""
-    terms = _as_chain(x).terms
+    terms = _closed(x).terms
     den = math.lcm(*(c.denominator * g.aut for g, c in terms.items()))
     out: dict = {}
     for g, c in terms.items():
@@ -218,7 +231,7 @@ def is_boundary(x: GraphChain):
     The witness is found by exact elimination over the one-higher
     bidegree's basis; x must be bihomogeneous and nonzero.
     """
-    x = _as_chain(x)
+    x = _closed(x)
     deg = x.bidegree()
     if deg is None:
         return GraphChain()

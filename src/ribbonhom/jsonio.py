@@ -16,11 +16,11 @@ integers and exact rational strings.  Schemas:
             "h": [{"k", "tensor": {..}}..], "truncation"}
 
 The verbs read graphs and algebras.  The graph reader canonicalizes the
-diagram and returns the sign of its canonical form; the algebra reader
-refuses an order that "h" lists twice, and leaves the checks of the form
-and of each tensor's signature and rank to `SymplecticForm` and
-`AInfinityAlgebra`.  A reader refuses an object that lacks a field with a
-ValueError naming both.
+diagram and returns the sign of its canonical form.  The readers refuse an
+order that "h" lists twice and a word that "terms" lists twice, and leave
+the checks of the form and of each tensor's signature and rank to
+`SymplecticForm` and `AInfinityAlgebra`.  A reader refuses an object that
+lacks a field with a ValueError naming both.
 """
 
 from __future__ import annotations
@@ -86,6 +86,8 @@ def tensor_from_json(obj) -> SuperTensor:
         _expect_object(item, "a tensor term")
         word = tuple(_expect_int(a, "letter") for a in _expect_list(
             _field(item, "word", "a tensor term"), "word"))
+        if word in terms:
+            raise ValueError(f"tensor lists the word {list(word)} twice")
         terms[word] = parse_scalar(_field(item, "coeff", "a tensor term"))
     rank = obj.get("rank")
     if rank is None:

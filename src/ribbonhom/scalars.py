@@ -5,7 +5,7 @@ and pairing value is a `Fraction` (or an int); scalars are written as
 "num/den" strings and read back only from integers and such strings.
 
 `LinearCombination` is the one sparse linear-combination type behind graph
-chains, legged-graph morphisms, cyclic words, wedge chains and tensors:
+chains (closed or legged), cyclic words, wedge chains and tensors:
 canonical keys mapped to nonzero exact coefficients, in a space named by a
 few attributes, with the vector-space arithmetic written once.
 

@@ -17,7 +17,8 @@ that the search's leg rule leaves in place, each with every matching of
 the other slots.
 
 Gluing joins outgoing leg j of the first graph to incoming leg j of the
-second by a new internal edge directed first-to-second.  The correlator
+second by a new internal edge directed first-to-second; `compose` extends
+it bilinearly to `complexes.GraphChain`s of legged classes.  The correlator
 of an algebra over a legged graph is the partition-function state sum
 `superspace.contract` -- one Hamiltonian tensor per vertex, internal
 edges contracted with the dual inner product -- with the leg slots left
@@ -35,10 +36,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .ainfinity import AInfinityAlgebra, ValidationReport
+from .complexes import GraphChain
 from .graphs import (EMPTY_GRAPH, RibbonGraph, _check_size, _make_graph,
                      _place_legs, _scan, _standardize_diagram,
                      _valency_partitions, canonicalize, perfect_matchings)
-from .scalars import LinearCombination, format_scalar
+from .scalars import format_scalar
 from .superspace import SuperTensor, contract
 
 
@@ -82,36 +84,9 @@ def glue(g1, g2):
 
 # ----------------------------------------------------------------- chains
 
-class MorphismChain(LinearCombination):
-    """Finite linear combination of legged graph classes of one arity
-    (nin incoming, nout outgoing legs); zero classes and zero
-    coefficients are dropped."""
-
-    __slots__ = _SPACE = ("nin", "nout")
-
-    def __init__(self, nin, nout, terms=None):
-        self.nin = nin
-        self.nout = nout
-        self.terms = self._collect(terms)
-
-    def _reduce(self, g):
-        if g.nin != self.nin or g.nout != self.nout:
-            raise ValueError(f"graph of arity ({g.nin},{g.nout}) "
-                             f"in a ({self.nin},{self.nout}) chain")
-        return None if g.zero else (g, 1)
-
-    @classmethod
-    def of(cls, graph: RibbonGraph, coeff=Fraction(1)) -> "MorphismChain":
-        return cls(graph.nin, graph.nout, {graph: coeff})
-
-    def __repr__(self):
-        return (f"MorphismChain({self.nin},{self.nout}; "
-                f"{len(self.terms)} terms)")
-
-
-def compose(x: MorphismChain, y: MorphismChain) -> MorphismChain:
-    """Bilinear extension of gluing: an (m,n) chain with an (n,k) chain
-    gives an (m,k) chain."""
+def compose(x: GraphChain, y: GraphChain) -> GraphChain:
+    """Bilinear extension of gluing: an (m,n) graph chain with an (n,k)
+    one gives an (m,k) one."""
     if x.nout != y.nin:
         raise ValueError(f"cannot compose ({x.nin},{x.nout}) "
                          f"with ({y.nin},{y.nout})")
@@ -121,7 +96,7 @@ def compose(x: MorphismChain, y: MorphismChain) -> MorphismChain:
             g, s = glue(g1, g2)
             if not g.zero:
                 acc[g] = acc.get(g, 0) + c1 * c2 * s
-    return MorphismChain(x.nin, y.nout, acc)
+    return GraphChain(acc, x.nin, y.nout)
 
 
 # ------------------------------------------------------------ correlators

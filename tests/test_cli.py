@@ -345,7 +345,8 @@ def test_input_errors_exit_2(capsys, tmp_path):
             (name, err)
     # each condition of a file is checked once: the form by SymplecticForm,
     # a tensor's signature and rank by AInfinityAlgebra, and an order that
-    # "h" lists twice by the reader (it used to keep the last item)
+    # "h" lists twice or a word that "terms" lists twice by the reader (it
+    # used to keep the last item)
     twisted = jsonio.algebra_to_json(twisted_11())
 
     def p_x_entry(doc):
@@ -361,6 +362,10 @@ def test_input_errors_exit_2(capsys, tmp_path):
     def other_signature(doc):
         doc["h"][0]["tensor"]["signature"] = {"n": 0, "m": 3}
 
+    def repeated_word(doc):
+        terms = doc["h"][0]["tensor"]["terms"]
+        terms.append(dict(terms[0], coeff="5/1"))
+
     file_checks = {
         "zero_omega": (lambda doc: doc.update(omega=[["0"] * 3] * 3),
                        "form is degenerate"),
@@ -375,6 +380,7 @@ def test_input_errors_exit_2(capsys, tmp_path):
                        "tensor of rank 3 filed under k=4"),
         "other_signature": (other_signature,
                             "Hamiltonian signature differs from the algebra"),
+        "repeated_word": (repeated_word, "tensor lists the word"),
     }
     for name, (edit, words) in file_checks.items():
         doc = json.loads(json.dumps(twisted))
@@ -574,6 +580,43 @@ def test_tcft_reads_the_algebra_once_and_shares_correlators(
     monkeypatch.setattr(tcft, "correlation", counted)
     code, _, _ = run(capsys, "verify", "tcft")
     assert code == 0 and len(calls) <= 697
+
+
+def test_exp_computes_one_partition_function(capsys, monkeypatch):
+    # the connected part is read from the partition function the suite
+    # already holds: 1,396 state sums at default bounds, where computing
+    # the partition function twice made 2,792
+    from ribbonhom import ainfinity
+    calls = []
+    graph_value = ainfinity._graph_value
+
+    def counted(*args):
+        calls.append(1)
+        return graph_value(*args)
+
+    monkeypatch.setattr(ainfinity, "_graph_value", counted)
+    code, _, _ = run(capsys, "verify", "exp")
+    assert code == 0 and len(calls) == 1396
+
+
+def test_invariance_refuses_a_signature_without_twists(capsys, tmp_path):
+    # the suite twists by even cyclic words of 4 letters, which need n >= 1
+    # or m >= 2: on 0|1 the one candidate, x1^4, cancels itself and the
+    # draw never ended, and on 0|0 there is no letter to draw
+    h3 = {"k": 3, "tensor": {"signature": {"n": 0, "m": 1}, "rank": 3,
+                             "terms": [{"word": [0, 0, 0], "coeff": "1"}]}}
+    for n, m, omega, h in ((0, 1, [["1"]], [h3]), (0, 0, [], [])):
+        path = tmp_path / f"algebra_{n}{m}.json"
+        path.write_text(json.dumps({"signature": {"n": n, "m": m},
+                                    "omega": omega, "h": h,
+                                    "truncation": 5}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "invariance", "--algebra",
+                             str(path))
+        assert time.perf_counter() - start < 10
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and \
+            f"signature {n}|{m} has none" in err, err
 
 
 def test_import_loads_neither_numpy_nor_multiprocessing():

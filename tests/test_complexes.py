@@ -17,7 +17,7 @@ from ribbonhom.complexes import (GraphChain, _boundary_graph, _boundary_rank,
                                  basis, boundary, coboundary, homology_dims,
                                  is_boundary, pairing)
 from ribbonhom.graphs import canonicalize, enumerate_graphs
-from ribbonhom.tcft import MorphismChain, enumerate_legged_graphs
+from ribbonhom.tcft import enumerate_legged_graphs
 
 PINNED = json.loads(
     (Path(__file__).parent / "data" / "pinned.json").read_text())
@@ -79,13 +79,26 @@ def test_chain_arithmetic_drops_zero_classes():
     x = GraphChain.of(g, Fraction(2)) - GraphChain.of(g, Fraction(2))
     assert not x and x.bidegree() is None
     legged = next(lg for lg in enumerate_legged_graphs(1, 1, 1) if not lg.zero)
-    y = MorphismChain.of(legged, Fraction(3))
-    with pytest.raises(TypeError):
+    y = GraphChain.of(legged, Fraction(3))
+    assert (y.nin, y.nout) == (1, 1)
+    # chains of two arities lie in different spaces
+    with pytest.raises(ValueError, match="different spaces"):
         GraphChain.of(g) + y
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="different spaces"):
         y + GraphChain.of(g)
+    assert GraphChain(nin=1, nout=1) != GraphChain()
     for z in (GraphChain.of(g, Fraction(3)), y):
         assert sum([z, z]) == z.scale(2)
+
+
+def test_boundary_operators_refuse_legged_chains():
+    # the complex is the closed chains: a legged chain, or a legged class
+    # read as a chain, has no boundary or coboundary here
+    legged = next(lg for lg in enumerate_legged_graphs(1, 1, 1) if not lg.zero)
+    for x in (GraphChain.of(legged), legged, GraphChain(nin=0, nout=2)):
+        for op in (boundary, coboundary, is_boundary):
+            with pytest.raises(ValueError, match="closed chains only"):
+                op(x)
 
 
 def test_mixed_bidegree_rejected():

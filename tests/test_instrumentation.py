@@ -3,6 +3,10 @@ package, so a refactor cannot silently break a traced run."""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -51,3 +55,27 @@ def test_tracer_sees_the_rank_layer(monkeypatch):
     assert inputs and all(isinstance(rows, list) for rows in inputs)
     assert all(isinstance(row, dict) for rows in inputs for row in rows)
     assert max(len(rows) for rows in inputs) == 1146
+
+
+def test_traced_run_prints_the_untraced_report(tmp_path):
+    # besides its tables the tracer wraps `PartitionFunction.value`, reads
+    # its `window`, rebinds `_graph_value` and reads `RibbonGraph`,
+    # `valency_types` and `cli._SUITE_FNS`; a traced run must start and
+    # print the report of the untraced one
+    root = TRACING.parents[1]
+    args = ["partition", "--algebra",
+            str(root / "perfbench" / "twisted_11.json"), "--vertices", "2",
+            "--edges", "1:3", "--format", "structured"]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    summary = tmp_path / "t.json"
+    traced, plain = (
+        subprocess.run([sys.executable, *argv, *args], env=env, cwd=root,
+                       capture_output=True, text=True)
+        for argv in ([str(TRACING), str(summary), "--"],
+                     ["-m", "ribbonhom.cli"]))
+    assert traced.returncode == 0, traced.stderr
+    assert plain.returncode == 0, plain.stderr
+    assert traced.stdout == plain.stdout
+    layers = json.loads(summary.read_text())
+    assert layers["counts"]["ainfinity.state_sums"] > 0
+    assert layers["calls"]["ainfinity.PartitionFunction.value"] > 0

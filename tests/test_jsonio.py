@@ -38,6 +38,15 @@ def test_tensor_roundtrip_and_surd_coeff():
         tensor_from_json({"signature": {"n": 1, "m": 0}, "terms": []})
 
 
+def test_a_word_listed_twice_is_refused():
+    # the reader used to keep the last entry of a word
+    doc = tensor_to_json(SuperTensor(SuperDim(0, 1), 3,
+                                     {(0, 0, 0): Fraction(1)}))
+    doc["terms"].append({"word": [0, 0, 0], "coeff": "5/1"})
+    with pytest.raises(ValueError, match=r"word \[0, 0, 0\] twice"):
+        tensor_from_json(doc)
+
+
 def test_graph_roundtrip_with_arbitrary_ids():
     g = canonicalize(((3, 3), ((0, 3), (1, 5), (2, 4))))[0]
     back, sign = graph_from_json(graph_to_json(g))

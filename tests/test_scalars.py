@@ -3,6 +3,7 @@ linear algebra and the linear-combination base."""
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from ribbonhom.scalars import (_echelon, format_scalar, json_scalar,
                                mat_inverse, parse_scalar, rank_exact,
                                solve_exact)
 from ribbonhom.superspace import SuperDim, SuperTensor
-from ribbonhom.tcft import MorphismChain, enumerate_legged_graphs
+from ribbonhom.tcft import enumerate_legged_graphs
 
 
 def test_format_and_parse_are_inverse_on_samples():
@@ -214,12 +215,12 @@ def test_mat_inverse_on_surd_matrices(n, data):
 
 LETTERS = st.integers(0, 2)  # p1, q1 even and x1 odd in C^(2|1)
 WORDS = st.lists(LETTERS, min_size=1, max_size=3).map(tuple)
-# (type, space, raw keys): zero classes, self-cancelling words and
+# (constructor, space, raw keys): zero classes, self-cancelling words and
 # annihilating wedge words all occur among the keys
 CHAIN_TYPES = [
     (GraphChain, (),
      st.sampled_from(enumerate_graphs(1, 2) + enumerate_graphs(2, 3))),
-    (MorphismChain, (1, 1), st.sampled_from(
+    (partial(GraphChain, nin=1, nout=1), (), st.sampled_from(
         enumerate_legged_graphs(1, 1, 1) + enumerate_legged_graphs(1, 1, 2))),
     (CyclicWord, (SuperDim(1, 1),),
      st.lists(LETTERS, max_size=4).map(tuple)),

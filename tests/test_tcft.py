@@ -13,7 +13,7 @@ from ribbonhom.complexes import GraphChain
 from ribbonhom.fixtures import frobenius_pair, twisted_11
 from ribbonhom.graphs import EMPTY_GRAPH, canonicalize, enumerate_graphs
 from ribbonhom.jsonio import graph_from_json, graph_to_json
-from ribbonhom.tcft import (MorphismChain, compose, compose_tensors,
+from ribbonhom.tcft import (compose, compose_tensors,
                             composition_compatibility, correlation,
                             enumerate_legged_graphs, glue, glue_diagram)
 
@@ -224,20 +224,22 @@ def test_glue_bookkeeping():
 def test_compose_chains():
     gout = canonicalize(((3,), (), (0, 1, 2), ()))[0]
     g_in3 = canonicalize(((3,), (0, 1, 2), (), ()))[0]
-    zero_chain = MorphismChain(0, 3)
-    assert not compose(zero_chain, MorphismChain.of(g_in3)).terms
-    x = MorphismChain.of(gout) + MorphismChain.of(gout, Fraction(2))
-    y = MorphismChain.of(g_in3, Fraction(1, 3))
-    assert compose(x, y) == compose(MorphismChain.of(gout), y).scale(3)
+    zero_chain = GraphChain(nin=0, nout=3)
+    assert not compose(zero_chain, GraphChain.of(g_in3)).terms
+    x = GraphChain.of(gout) + GraphChain.of(gout, Fraction(2))
+    y = GraphChain.of(g_in3, Fraction(1, 3))
+    closed = compose(x, y)
+    assert closed == compose(GraphChain.of(gout), y).scale(3)
+    assert (closed.nin, closed.nout) == (0, 0)
     # a legged class is no term of the closed complex
-    with pytest.raises(ValueError, match="legged graph"):
-        GraphChain.of(gout)
+    with pytest.raises(ValueError, match=r"arity \(0,3\) in a \(0,0\)"):
+        GraphChain({gout: 1})
 
 
 def test_compose_associative_on_single_vertex_classes():
     singles = {}
     for (m, n) in [(0, 3), (3, 0), (1, 2), (2, 1)]:
-        singles[(m, n)] = [MorphismChain.of(g)
+        singles[(m, n)] = [GraphChain.of(g)
                            for g in enumerate_legged_graphs(m, n, 0)
                            if not g.zero and g.nverts == 1]
         assert singles[(m, n)]

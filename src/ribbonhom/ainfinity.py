@@ -241,6 +241,8 @@ def partition_function(algebra: AInfinityAlgebra, window) -> PartitionFunction:
             continue  # a graph with an odd number of odd tensors pairs to 0
         for e in range(1, emax + 1):
             for g in enumerate_graphs(v, e):
+                if g.zero:
+                    continue  # the chain drops a ZERO class whatever its value
                 z = _graph_value(algebra, g, pairing)
                 if z:
                     acc[g] = z

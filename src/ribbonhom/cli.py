@@ -243,8 +243,8 @@ def _cells(args):
 
 def _check_cells(args, cells, boundary=False):
     """Refuse a window past the half-edge cap before any work: its cells
-    are enumerated, and with `boundary` the boundary leaving (v + 1, e + 1)
-    is ranked for each cell that carries graphs (3v <= 2e)."""
+    are enumerated, and with `boundary` the connected boundary leaving
+    (v + 1, e + 1) is ranked for each cell that carries graphs (3v <= 2e)."""
     slots = [2 * e for v, e in cells]
     if boundary:
         slots += [2 * (e + 1) for v, e in cells if 3 * v <= 2 * e]
@@ -324,11 +324,10 @@ def cmd_enumerate(args):
 def cmd_homology(args):
     cells = _cells(args)
     _check_cells(args, cells, boundary=True)
-    ranks = {}
     for v, e in cells:
         # one cell per call, so each Betti number is written when it is
-        # known; `ranks` keeps the boundary ranks neighbouring cells share
-        (dim,) = homology_dims((v, v), (e, e), ranks).values()
+        # known; the connected ranks that cells share are cached
+        (dim,) = homology_dims((v, v), (e, e)).values()
         yield {"kind": "betti", "v": v, "e": e, "dim": dim}
     return {"status": "ok", "cells": len(cells)}, 0
 

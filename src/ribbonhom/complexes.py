@@ -21,6 +21,14 @@ passes of the targets by adjointness, n / aut(g) for g in the boundary of
 h, so no contraction is searched there; the boundary of a chain contracts.
 The move sums of one graph are cached as flat tuples (h1, c1, h2, c2, ...),
 with no tuple per term, and read back by `_terms`.
+
+Homology is computed connected first.  The complex is the free
+graded-commutative algebra on its connected classes, so each Betti number
+is a coefficient of a product over the connected Betti numbers
+(`homology_dims`).  Only connected cells are ranked, and only those whose
+complement in a cell of the window is empty or can hold a graph; the rows
+of each connected rank come from the passes of the cell below, so neither
+a disconnected class nor the cell above the window is enumerated.
 """
 
 from __future__ import annotations
@@ -163,65 +171,115 @@ def basis(nvert, nedge, connected=False):
     return tuple(g for g in classes if not g.zero)
 
 
+def _rows_into(targets) -> dict:
+    """The boundary into the classes `targets`, read by adjointness from
+    their expansion passes, as {source class: {target index: int}}.
+
+    The coefficient of g in the boundary of h is n / aut(g), where n is
+    the entry of h in the pass of g, and that division is exact.  So no
+    contraction is canonicalized, and a source class that no pass reaches
+    has no row.
+    """
+    rows: dict = {}
+    for j, g in enumerate(targets):
+        for h, n in _terms(_coboundary_graph(g)):
+            if n:
+                c, r = divmod(n, g.aut)
+                assert not r, (g, h, n)
+                rows.setdefault(h, {})[j] = c
+    return rows
+
+
 def _boundary_rows(nvert, nedge):
     """The boundary from basis(nvert, nedge) to basis(nvert - 1, nedge - 1)
     as sparse rows, one {target index: int} row per source class; no rows
     when either basis is empty.
 
-    The rows are read by adjointness from the expansion passes of the
-    targets (those of the connected targets made the classes of (nvert,
-    nedge)): the coefficient of g in the boundary of h is n / aut(g),
-    where n is the entry of h in the pass of g, and that division is
-    exact.  So no contraction is canonicalized, and the rows equal the
-    contraction rows of `_boundary_graph` as dicts.
+    The rows come from `_rows_into` (the passes of the connected targets
+    made the classes of (nvert, nedge)), and equal the contraction rows of
+    `_boundary_graph` as dicts.
     """
     tgt = basis(nvert - 1, nedge - 1)
     if not tgt:
         return []
-    src = {h: i for i, h in enumerate(basis(nvert, nedge))}
-    rows = [{} for _ in src]
-    for j, g in enumerate(tgt):
-        for h, n in _terms(_coboundary_graph(g)):
-            if n:
-                c, r = divmod(n, g.aut)
-                assert not r, (g, h, n)
-                rows[src[h]][j] = c
-    return rows
+    rows = _rows_into(tgt)
+    return [rows.get(h, {}) for h in basis(nvert, nedge)]
 
 
-def _boundary_rank(nvert, nedge) -> int:
-    """Rank of the boundary map leaving bidegree (nvert, nedge)."""
-    rows = _boundary_rows(nvert, nedge)
-    return rank_exact(rows) if rows else 0
+@lru_cache(maxsize=None)
+def _connected_rank(nvert, nedge) -> int:
+    """Rank of the boundary from the connected classes at (nvert, nedge)
+    to those at (nvert - 1, nedge - 1).
+
+    A contraction keeps a graph connected and an expansion keeps its
+    components, so the rows are `_rows_into` the connected targets, keyed
+    by the class they land in: the source cell is never enumerated, and
+    its classes that no pass reaches are zero rows, which add nothing to
+    the rank.
+    """
+    rows = _rows_into(basis(nvert - 1, nedge - 1, True))
+    return rank_exact(list(rows.values())) if rows else 0
 
 
-def homology_dims(vrange, erange, ranks=None) -> dict:
+def _sym_coefficient(betti, cell):
+    """The coefficient of x^V y^E, (V, E) = cell, in the product of
+    (1 - x^v y^e)^(-b) over even v and (1 + x^v y^e)^b over odd v, b =
+    betti[v, e]: the dimension at (V, E) of the free graded-commutative
+    algebra on b generators of each bidegree (v, e), symmetric in the
+    even ones and exterior in the odd ones."""
+    V, E = cell
+    poly = {(0, 0): 1}
+    for (v, e), b in betti.items():
+        if not b:
+            continue
+        out = dict(poly)
+        for (a, c), x in poly.items():
+            k = 1
+            while a + k * v <= V and c + k * e <= E:
+                mult = math.comb(b + k - 1, k) if v % 2 == 0 \
+                    else math.comb(b, k)
+                key = (a + k * v, c + k * e)
+                out[key] = out.get(key, 0) + x * mult
+                k += 1
+        poly = out
+    return poly.get((V, E), 0)
+
+
+def homology_dims(vrange, erange) -> dict:
     """Exact homology dimensions of the boundary complex.
 
     `vrange` and `erange` are inclusive (lo, hi) pairs; returns
-    {(v, e): dim} for every bidegree in the window.  `ranks`, a dict of
-    boundary ranks by source bidegree, is filled as they are computed;
-    callers that pass the same dict to calls on neighbouring windows rank
-    each boundary once.
+    {(v, e): dim} for every bidegree in the window.
+
+    The connected part comes first.  The complex is the free
+    graded-commutative algebra, under disjoint union, on its connected
+    classes, a class with v vertices having parity v, and the boundary is
+    a derivation of it (Kontsevich; Conant & Vogtmann 2003).  Over Q the
+    homology is therefore Sym of the connected homology, and each Betti
+    number is a coefficient of `_sym_coefficient` over the connected ones,
+    b_c(v, e) = dim C_c(v, e) - r_c(v, e) - r_c(v + 1, e + 1), with the
+    ranks r_c of `_connected_rank`.  A cell (V, E) reads b_c only at the
+    connected cells (v, e) whose complement (V - v, E - e) is (0, 0) or
+    can hold a graph (v' >= 1, 3v' <= 2e'); the others enter no product
+    that reaches (V, E).  No disconnected class is enumerated, nor the cell
+    above the window.
     """
     vlo, vhi = vrange
     elo, ehi = erange
-    if ranks is None:
-        ranks = {}
-
-    def rank(v, e):
-        if (v, e) not in ranks:
-            ranks[v, e] = _boundary_rank(v, e)
-        return ranks[v, e]
-
     out = {}
-    for v in range(vlo, vhi + 1):
-        for e in range(elo, ehi + 1):
-            dim = len(basis(v, e))
-            if dim == 0:
-                out[(v, e)] = 0
-                continue
-            out[(v, e)] = dim - rank(v, e) - rank(v + 1, e + 1)
+    for V in range(vlo, vhi + 1):
+        for E in range(elo, ehi + 1):
+            betti = {}
+            for v in range(1, V + 1):
+                for e in range((3 * v + 1) // 2, E + 1):
+                    # the complement: (0, 0), or a bidegree with a
+                    # valency type, as a disjoint union of classes has
+                    cv, ce = V - v, E - e
+                    if cv == ce == 0 or cv and 3 * cv <= 2 * ce:
+                        dim = len(basis(v, e, True))
+                        betti[v, e] = dim and (dim - _connected_rank(v, e)
+                                               - _connected_rank(v + 1, e + 1))
+            out[(V, E)] = _sym_coefficient(betti, (V, E))
     return out
 
 

@@ -615,7 +615,7 @@ def _expansion_pass(g: RibbonGraph):
     of g over the denominator aut(g) (`complexes._coboundary_graph`), the
     enumeration's source of the classes one vertex up
     (`_connected_classes`), and, read by adjointness, the boundary into g
-    (`complexes._boundary_rows`).  The entries with n = 0 (ZERO classes,
+    (`complexes._rows_into`).  The entries with n = 0 (ZERO classes,
     and sums that cancel) are kept for the enumeration; every reader of
     coefficients skips them.
     """

@@ -4,7 +4,10 @@ Everything in this module is deliberately independent of the ribbonhom
 package: orbits are enumerated element by element, automorphisms come from
 an exhaustive search over half-edge bijections, and Koszul signs are
 produced by literal bubble sorts.  Slow but transparent on desk-scale
-inputs; the package must agree with these numbers exactly.
+inputs; the package must agree with these numbers exactly.  The one
+exception is `boundary_rank`, the rank of the full complex's boundary,
+which ranks the package's own rows: homology reads only the connected
+ranks, and the full ones check it where the dense oracle is too slow.
 
 Conventions (shared with the package, 0-based):
   * a graph of type ``(k_1 <= ... <= k_m)`` has half-edges ``0 .. 2e-1``,
@@ -560,6 +563,17 @@ def rank_bareiss(rows):
         if row == nrows:
             break
     return rank
+
+
+def boundary_rank(nvert, nedge):
+    """Rank of the full complex's boundary leaving (nvert, nedge),
+    disconnected classes included: `scalars.rank_exact` of
+    `complexes._boundary_rows`, which test_complexes checks entry by entry
+    against `boundary_oracle`."""
+    from ribbonhom.complexes import _boundary_rows
+    from ribbonhom.scalars import rank_exact
+    rows = _boundary_rows(nvert, nedge)
+    return rank_exact(rows) if rows else 0
 
 
 def echelon_fraction(rows):

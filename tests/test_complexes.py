@@ -12,10 +12,11 @@ import pytest
 
 import oracles as O
 from ribbonhom import complexes
-from ribbonhom.complexes import (GraphChain, _boundary_graph, _boundary_rank,
-                                 _boundary_rows, _coboundary_graph, _terms,
-                                 basis, boundary, coboundary, homology_dims,
-                                 is_boundary, pairing)
+from ribbonhom.complexes import (GraphChain, _boundary_graph, _boundary_rows,
+                                 _coboundary_graph, _connected_rank,
+                                 _sym_coefficient, _terms, basis, boundary,
+                                 coboundary, homology_dims, is_boundary,
+                                 pairing)
 from ribbonhom.graphs import canonicalize, enumerate_graphs
 from ribbonhom.tcft import enumerate_legged_graphs
 
@@ -129,15 +130,17 @@ def test_is_boundary_produces_checkable_witness():
     assert is_boundary(GraphChain.of(twisted)) is None
 
 
-def oracle_boundary(v, e):
+def oracle_boundary(v, e, connected=False):
     """The boundary leaving (v, e) as a dense matrix that only the oracles
     build: one row per nonzero class of `oracles.enumerate_classes`, one
     column per nonzero class one bidegree down, entries from
-    `oracles.boundary_oracle`.  Returns (row classes, column classes,
-    rows), a class being its (type, canonical chords)."""
+    `oracles.boundary_oracle`; with `connected`, of the connected classes
+    only.  Returns (row classes, column classes, rows), a class being its
+    (type, canonical chords)."""
     def classes(v, e):
         return [(d["type"], d["canonical"])
-                for d in O.enumerate_classes(v, e) if not d["zero"]]
+                for d in O.enumerate_classes(v, e, connected)
+                if not d["zero"]]
     src, tgt = classes(v, e), classes(v - 1, e - 1)
     col = {key: j for j, key in enumerate(tgt)}
     rows = []
@@ -153,7 +156,9 @@ def test_boundary_ranks_and_witnesses_match_the_oracle():
     for e in range(1, 6):
         for v in range(1, (2 * e) // 3 + 1):
             src, tgt, rows = oracle_boundary(v, e)
-            assert _boundary_rank(v, e) == O.rank_bareiss(rows), (v, e)
+            assert O.boundary_rank(v, e) == O.rank_bareiss(rows), (v, e)
+            _, _, connected = oracle_boundary(v, e, True)
+            assert _connected_rank(v, e) == O.rank_bareiss(connected), (v, e)
             # the rows that were ranked are the oracle's, entry by entry
             if tgt:
                 keys = [(g.vtype, g.chords) for g in basis(v - 1, e - 1)]
@@ -217,6 +222,81 @@ def test_homology_euler_characteristic_on_diagonals():
         assert homology == euler, d
 
 
+def test_homology_dims_equal_the_full_complex():
+    # the Sym formula over the connected ranks gives what dim C minus the
+    # ranks of the full complex, disconnected classes included, gives.
+    # (4, 6) is the first cell with a product in it, 5 = 2 + dim Sym^2 of
+    # the two (2, 3) classes, and its full ranks are small
+    for v, e in [*((v, e) for v in range(1, 5) for e in range(1, 6)),
+                 (4, 6)]:
+        dim = len(basis(v, e))
+        full = dim and (dim - O.boundary_rank(v, e)
+                        - O.boundary_rank(v + 1, e + 1))
+        assert homology_dims((v, v), (e, e)) == {(v, e): full}, (v, e)
+    assert full == 5
+
+
+def test_classes_are_the_graded_sym_of_the_connected_classes():
+    # at the level of chains: the nonzero classes at (v, e) are the
+    # monomials in the nonzero connected classes, symmetric in those with
+    # even v and exterior in those with odd v (two equal components with
+    # an odd number of vertices make a ZERO class)
+    connected = {(v, e): len(basis(v, e, True))
+                 for v in range(1, 6) for e in range(1, 7)}
+    for (v, e) in connected:
+        assert len(basis(v, e)) == _sym_coefficient(connected, (v, e)), \
+            (v, e)
+    # the series itself on a hand count: two odd generators at (1, 2)
+    # span one exterior square at (2, 4), two even ones at (2, 3) three
+    # symmetric squares at (4, 6)
+    assert _sym_coefficient({(1, 2): 2}, (2, 4)) == 1
+    assert _sym_coefficient({(2, 3): 2}, (4, 6)) == 3
+    assert _sym_coefficient({(1, 2): 1, (2, 3): 2}, (3, 5)) == 2
+
+
+HOMOLOGY_PROBE = """
+import json
+from ribbonhom import complexes, graphs
+windows, unions = set(), []
+enumerate_graphs = graphs.enumerate_graphs
+disjoint_union = graphs.disjoint_union
+def spy(nvert, nedge, connected=False):
+    windows.add((nvert, nedge, connected))
+    return enumerate_graphs(nvert, nedge, connected)
+def union_spy(*args):
+    unions.append(1)
+    return disjoint_union(*args)
+for module in (graphs, complexes):
+    module.enumerate_graphs = spy
+graphs.disjoint_union = union_spy
+dims = complexes.homology_dims((4, 4), (1, 7))
+print(json.dumps([sorted(windows), len(unions),
+                  [dims[4, e] for e in range(1, 8)]]))
+"""
+
+
+def test_homology_reads_only_connected_windows_below_the_cap():
+    # a new interpreter, so that no cache hides a window.  The cells of v
+    # 4, e 1:7 read the connected cells whose complement can hold a graph,
+    # and the rows of their ranks from the passes of the cells below: no
+    # disconnected class is built, and nothing is enumerated at (5, 8)
+    src = os.path.dirname(os.path.dirname(complexes.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", HOMOLOGY_PROBE], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    windows, unions, dims = json.loads(out)
+    assert dims == [0, 0, 0, 0, 0, 5, 1]
+    assert unions == 0
+    assert [4, 7, True] in windows
+    assert all(e < 8 for v, e, _ in windows)
+    # (2, 7) and (3, 7) leave (2, 0) and (1, 0) in (4, 7), which hold no
+    # graph, so their Betti numbers and the rank (3, 8) -> (2, 7) are not
+    # read
+    assert [2, 7, True] not in windows and [3, 7, True] not in windows
+    # the (1, e) windows are connected either way
+    assert all(connected or v <= 1 for v, e, connected in windows)
+
+
 def test_boundary_rows_by_adjointness_equal_the_contraction_rows():
     # the rows that homology ranks and `is_boundary` solves against are
     # read from the expansion passes of the targets; the boundary of a
@@ -262,7 +342,8 @@ def test_default_homology_window_searches_each_move_once():
     # the default window.  Every expansion is canonicalized once and serves
     # the enumeration, the coboundary and, by adjointness, the boundary
     # rows; no contraction is searched.  Enumerating and contracting
-    # separately took 10,613 searches, the shared pass about 6,100.
+    # separately took 10,613 searches, the shared pass 6,108, and reading
+    # the connected cells only 5,307.
     src = os.path.dirname(os.path.dirname(complexes.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", SEARCH_PROBE], env=env,
@@ -270,4 +351,4 @@ def test_default_homology_window_searches_each_move_once():
     searches, distinct, contracted = json.loads(out)
     assert searches == distinct
     assert contracted == 0
-    assert searches < 7000
+    assert searches <= 5307

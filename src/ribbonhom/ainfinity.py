@@ -173,7 +173,7 @@ def validate(algebra: AInfinityAlgebra) -> ValidationReport:
     dim = algebra.dim
     for k, t in sorted(algebra.hamiltonians.items()):
         for w in t.terms:
-            if sum(dim.parities(w)) % 2 == 0:
+            if dim.word_parity(w) == 0:
                 report.fail(f"h{k}-odd",
                             "even monomial "
                             + ".".join(dim.letter_name(a) for a in w))

@@ -13,9 +13,11 @@ Reports are deterministic given the inputs and --seed: no timings, stable
 ordering, exact scalars rendered as "num/den" strings.  The structured
 format carries the same rows as the text format, one JSON object per line
 of text.  Each verb is a generator of rows, and `write_report` writes
-every row as it arrives, so no report is held whole.  Exit codes: 0 pass,
-1 identity failure, 2 input error; every input error is raised before the
-first row, so a run that exits 2 writes nothing on stdout.
+every row as it arrives, so no report is held whole; `verify` refuses
+every bad input before its first suite runs, then writes each suite's
+rows as that suite ends.  Exit codes: 0 pass, 1 identity failure, 2 input
+error; every input error is raised before the first row, so a run that
+exits 2 writes nothing on stdout.
 """
 
 import argparse
@@ -269,8 +271,6 @@ def _check_window(args, suite):
             # integrating words of `order` letters gives order // 2 edges
             slots = max(slots, 2 * (order // 2))
     _check_slots(f"verify {suite} --edges {emax}", slots)
-    # exp and tcft count checks that depend on the algebra; cmd_verify
-    # refuses those after the suite has run
     grid = _grid(emax)
     window = f"edges={emax}"
     if suite in ("d2", "delta2", "kontsevich", "triangle", "roundtrip"):
@@ -392,8 +392,9 @@ def cmd_correlate(args):
 
 
 # ---------------------------------------------------------- verify suites
-# Each suite takes the parsed arguments and its random stream and returns
-# (bounds, checks, fail rows).
+# Each suite takes the parsed arguments, its random stream and the algebra
+# that cmd_verify read for it (None when no named suite reads one), and
+# returns (bounds, checks, fail rows).
 
 def _square_suite(args, suite, operator):
     emax = _bound(args, suite, "edges")
@@ -412,15 +413,15 @@ def _square_suite(args, suite, operator):
     return {"edges": emax}, checks, _sorted_fails(fails)
 
 
-def _suite_d2(args, rng):
+def _suite_d2(args, rng, algebra):
     return _square_suite(args, "d2", boundary)
 
 
-def _suite_delta2(args, rng):
+def _suite_delta2(args, rng, algebra):
     return _square_suite(args, "delta2", coboundary)
 
 
-def _suite_adjointness(args, rng):
+def _suite_adjointness(args, rng, algebra):
     emax = _bound(args, "adjointness", "edges")
     checks = 0
     fails = []
@@ -502,7 +503,7 @@ def _chain_graph_suite(args, rng, suite, of_graph, of_chain, sides):
             "chains": CHAINS_PER_SIGNATURE}, checks, fails
 
 
-def _suite_kontsevich(args, rng):
+def _suite_kontsevich(args, rng, algebra):
     # <dx, g> = <x, delta g>
     return _chain_graph_suite(
         args, rng, "kontsevich", lambda g: coboundary(GraphChain.of(g)),
@@ -511,7 +512,7 @@ def _suite_kontsevich(args, rng):
                               pair_chain_graph(x, dg)))
 
 
-def _suite_triangle(args, rng):
+def _suite_triangle(args, rng, algebra):
     # <x, g> = <I(x), g>
     return _chain_graph_suite(
         args, rng, "triangle", GraphChain.of, integral_I,
@@ -519,7 +520,7 @@ def _suite_triangle(args, rng):
                                  pairing(ix, chain)))
 
 
-def _suite_roundtrip(args, rng):
+def _suite_roundtrip(args, rng, algebra):
     emax = _bound(args, "roundtrip", "edges")
     checks = 0
     fails = []
@@ -535,8 +536,7 @@ def _suite_roundtrip(args, rng):
     return {"edges": emax}, checks, fails
 
 
-def _suite_exp(args, rng):
-    algebra = _algebra(args)
+def _suite_exp(args, rng, algebra):
     vmax = _bound(args, "exp", "vertices")
     emax = _bound(args, "exp", "edges")
     window = (vmax, emax)
@@ -555,8 +555,7 @@ def _suite_exp(args, rng):
     return {"vertices": vmax, "edges": emax}, checks, fails
 
 
-def _suite_equivalence(args, rng):
-    algebra = _algebra(args)
+def _suite_equivalence(args, rng, algebra):
     emax = _bound(args, "equivalence", "edges")
     order = _bound(args, "equivalence", "order")
     cc = characteristic_class(algebra, order)
@@ -577,13 +576,7 @@ def _suite_equivalence(args, rng):
     return {"edges": emax, "order": order}, checks, fails
 
 
-def _suite_invariance(args, rng):
-    algebra = _algebra(args)
-    dim = algebra.dim
-    if dim.n < 1 and dim.m < 2:  # p1^4 or x1.x1.x2.x2; x1^4 cancels
-        raise ValueError(f"verify invariance twists by even cyclic words "
-                         f"of 4 letters, and signature {dim.n}|{dim.m} has "
-                         f"none: it needs n >= 1 or m >= 2")
+def _suite_invariance(args, rng, algebra):
     emax = _bound(args, "invariance", "edges")
     vmax = max(1, (2 * emax) // 3)
     base = partition_function(algebra, (vmax, emax))
@@ -598,7 +591,7 @@ def _suite_invariance(args, rng):
         draft = CyclicWord(algebra.dim, terms)
         gamma = CyclicWord(algebra.dim,
                            {w: c for w, c in draft.terms.items()
-                            if draft.word_parity(w) == 0})
+                            if algebra.dim.word_parity(w) == 0})
         if not gamma:
             continue
         produced += 1
@@ -635,9 +628,8 @@ def _tcft_failure(g1, g2, rep):
             "detail": "; ".join(f"{c}: {d}" for c, d in rep.failures)}
 
 
-def _suite_tcft(args, rng):
+def _suite_tcft(args, rng, algebra):
     emax = _bound(args, "tcft", "edges")
-    algebra = _algebra(args)
     legs = range(TCFT_LEGS + 1)
     blocks = [(m, n, k, e1, e2) for m in legs for n in legs for k in legs
               if m + n <= TCFT_LEGS and n + k <= TCFT_LEGS
@@ -694,9 +686,14 @@ _SUITE_FNS = {
 
 
 def cmd_verify(args):
-    """Every suite runs before the first row: a suite whose checks depend
-    on the algebra (exp, tcft) may still be refused after an earlier
-    suite has run."""
+    """Refuse every bad input before any suite runs, then run the named
+    suites in order, writing each one's fail rows and its `suite` row as
+    it ends.
+
+    The pre-flight checks the options, each suite's window, the algebra
+    (read and validated once, when some named suite reads one) and the
+    signature that invariance twists; after it no input is refused.
+    """
     names = SUITES if args.suite == "all" else (args.suite,)
     for key in ("vertices", "edges", "order", "algebra"):
         if getattr(args, key) is not None and \
@@ -704,16 +701,20 @@ def cmd_verify(args):
             raise ValueError(f"verify {args.suite} does not read --{key}")
     for name in names:
         _check_window(args, name)
-    runs = []
+    algebra = None
+    if any("algebra" in SUITE_OPTIONS[name] for name in names):
+        algebra = _algebra(args)
+    if "invariance" in names:
+        dim = algebra.dim
+        if dim.n < 1 and dim.m < 2:  # p1^4 or x1.x1.x2.x2; x1^4 cancels
+            raise ValueError(f"verify invariance twists by even cyclic "
+                             f"words of 4 letters, and signature "
+                             f"{dim.n}|{dim.m} has none: it needs n >= 1 "
+                             f"or m >= 2")
+    checks = failures = 0
     for name in names:
         rng = random.Random(f"{args.seed}:{name}")
-        bounds, n, fails = _SUITE_FNS[name](args, rng)
-        if not n:
-            raise ValueError(f"verify {name} made no check in the window " +
-                             " ".join(f"{k}={v}" for k, v in bounds.items()))
-        runs.append((name, bounds, n, fails))
-    checks = failures = 0
-    for name, bounds, n, fails in runs:
+        bounds, n, fails = _SUITE_FNS[name](args, rng, algebra)
         yield from fails
         yield {"kind": "suite", "name": name, **bounds, "checks": n,
                "failures": len(fails),

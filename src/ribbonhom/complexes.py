@@ -190,22 +190,6 @@ def _rows_into(targets) -> dict:
     return rows
 
 
-def _boundary_rows(nvert, nedge):
-    """The boundary from basis(nvert, nedge) to basis(nvert - 1, nedge - 1)
-    as sparse rows, one {target index: int} row per source class; no rows
-    when either basis is empty.
-
-    The rows come from `_rows_into` (the passes of the connected targets
-    made the classes of (nvert, nedge)), and equal the contraction rows of
-    `_boundary_graph` as dicts.
-    """
-    tgt = basis(nvert - 1, nedge - 1)
-    if not tgt:
-        return []
-    rows = _rows_into(tgt)
-    return [rows.get(h, {}) for h in basis(nvert, nedge)]
-
-
 @lru_cache(maxsize=None)
 def _connected_rank(nvert, nedge) -> int:
     """Rank of the boundary from the connected classes at (nvert, nedge)
@@ -295,13 +279,15 @@ def is_boundary(x: GraphChain):
         return GraphChain()
     v, e = deg
     src = basis(v + 1, e + 1)
-    tgt = {g: i for i, g in enumerate(basis(v, e))}
+    col_of = {h: i for i, h in enumerate(src)}
+    tgt = basis(v, e)
     # the columns of the boundary, one sparse row per target class
     cols = [{} for _ in tgt]
-    for i, row in enumerate(_boundary_rows(v + 1, e + 1)):
+    for h, row in _rows_into(tgt).items():
         for j, c in row.items():
-            cols[j][i] = c
-    sol = solve_exact(cols, {tgt[g]: c for g, c in x.terms.items()})
+            cols[j][col_of[h]] = c
+    row_of = {g: j for j, g in enumerate(tgt)}
+    sol = solve_exact(cols, {row_of[g]: c for g, c in x.terms.items()})
     if sol is None:
         return None
     return GraphChain({src[i]: c for i, c in sol.items()})

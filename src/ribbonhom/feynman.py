@@ -31,13 +31,8 @@ from .superspace import (SuperDim, SuperTensor, canonical_form_matrix,
 
 @lru_cache(maxsize=None)
 def _norm_block(dim: SuperDim, word, project: bool):
-    t = norm(SuperTensor.word(dim, word))
-    return t.scale(Fraction(1, len(word))) if project else t
-
-
-def _norm_blocks(dim: SuperDim, factors, project: bool):
-    """Per-factor rotation sums N(w), optionally divided by the word
-    length (the projector onto invariants); each word's block is built
+    """The rotation sum N(w) of a word, divided by its length when
+    `project` (the projector onto invariants); each word's block is built
     once and shared, as tensors are never changed in place.
 
     The amplitude of a graph uses the plain norm; the integration map uses
@@ -45,7 +40,8 @@ def _norm_blocks(dim: SuperDim, factors, project: bool):
     every rotation of every vertex.  With this split the pairing
     factorizes exactly through integration.
     """
-    return [_norm_block(dim, w, project) for w in factors]
+    t = norm(SuperTensor.word(dim, word))
+    return t.scale(Fraction(1, len(word))) if project else t
 
 
 def amplitude(graph, x: CEChain, pairing=None):
@@ -64,8 +60,8 @@ def amplitude(graph, x: CEChain, pairing=None):
     total = Fraction(0)
     for factors, coeff in terms:
         ranks = tuple(len(w) for w in factors)
-        pars = [sum(dim.parities(w)) % 2 for w in factors]
-        blocks = _norm_blocks(dim, factors, project=False)
+        pars = [dim.word_parity(w) for w in factors]
+        blocks = [_norm_block(dim, w, False) for w in factors]
         for assign in itertools.permutations(range(nv)):
             # vertex v receives factor assign[v]
             if any(ranks[assign[v]] != g.vtype[v] for v in range(nv)):
@@ -141,7 +137,7 @@ def integral_I(x: CEChain) -> GraphChain:
                              "do not define graph vertices")
         if not _balanced(dim, factors):
             continue
-        blocks = _norm_blocks(dim, factors, project=True)
+        blocks = [_norm_block(dim, w, True) for w in factors]
         for matching in perfect_matchings(range(sum(ranks))):
             val = contract(blocks, matching, mat).scalar()
             if not val:

@@ -80,11 +80,8 @@ class CyclicWord(LinearCombination):
         """Class of a tensor in the rotation quotient."""
         return cls(t.dim, dict(t.terms))
 
-    def word_parity(self, word) -> int:
-        return sum(self.dim.parities(word)) % 2
-
     def is_parity_homogeneous(self, parity: int) -> bool:
-        return all(self.word_parity(w) == parity for w in self.terms)
+        return all(self.dim.word_parity(w) == parity for w in self.terms)
 
     def __repr__(self):
         if not self.terms:
@@ -203,7 +200,7 @@ class CEChain(LinearCombination):
         return fs, sign * s
 
     def _sort_factors(self, factors):
-        pars = [sum(self.dim.parities(w)) % 2 for w in factors]
+        pars = [self.dim.word_parity(w) for w in factors]
         items = list(zip(factors, pars))
         sign = 1
         for i in range(1, len(items)):
@@ -265,7 +262,7 @@ def ce_differential(x: CEChain, form=None) -> CEChain:
     dim = x.dim
     out = CEChain(dim)
     for factors, coeff in x.terms.items():
-        pars = [sum(dim.parities(w)) % 2 for w in factors]
+        pars = [dim.word_parity(w) for w in factors]
         prefix = [0]
         for p in pars:
             prefix.append(prefix[-1] + p)

@@ -47,6 +47,10 @@ class SuperDim:
     def parities(self, word) -> tuple[int, ...]:
         return tuple(self.parity(a) for a in word)
 
+    def word_parity(self, word) -> int:
+        """Parity of a word: the sum of its letters' parities, mod 2."""
+        return sum(self.parities(word)) % 2
+
     def letter_name(self, letter: int) -> str:
         if letter < self.n:
             return f"p{letter + 1}"
@@ -198,9 +202,6 @@ class SuperTensor(LinearCombination):
             raise ValueError(f"rank {self.rank} tensor is not a scalar")
         return self.terms.get((), Fraction(0))
 
-    def word_parity(self, word) -> int:
-        return sum(self.dim.parities(word)) % 2
-
     def _cleared_terms(self):
         """(d, [(word, d * coefficient), ...]) for d the lcm of the
         denominators, so the coefficients come out as ints.  Computed on
@@ -346,7 +347,7 @@ def cyclic_shift(t: SuperTensor) -> SuperTensor:
     out = {}
     for word, coeff in t.terms.items():
         head, rest = word[0], word[1:]
-        sign = -1 if t.dim.parity(head) and sum(t.dim.parities(rest)) % 2 else 1
+        sign = -1 if t.dim.parity(head) and t.dim.word_parity(rest) else 1
         w = rest + (head,)
         out[w] = out.get(w, 0) + sign * coeff
     return SuperTensor(t.dim, t.rank, out)

@@ -6,8 +6,9 @@ an exhaustive search over half-edge bijections, and Koszul signs are
 produced by literal bubble sorts.  Slow but transparent on desk-scale
 inputs; the package must agree with these numbers exactly.  The one
 exception is `boundary_rank`, the rank of the full complex's boundary,
-which ranks the package's own rows: homology reads only the connected
-ranks, and the full ones check it where the dense oracle is too slow.
+which ranks the package's own rows (`boundary_rows`): homology reads
+only the connected ranks, and the full ones check it where the dense
+oracle is too slow.
 
 Conventions (shared with the package, 0-based):
   * a graph of type ``(k_1 <= ... <= k_m)`` has half-edges ``0 .. 2e-1``,
@@ -565,14 +566,30 @@ def rank_bareiss(rows):
     return rank
 
 
+def boundary_rows(nvert, nedge):
+    """The package's boundary from basis(nvert, nedge) to
+    basis(nvert - 1, nedge - 1) as sparse rows, one {target index: int}
+    row per source class; no rows when either basis is empty.
+
+    The rows come from `complexes._rows_into` (the passes of the connected
+    targets made the classes of (nvert, nedge)), and equal the contraction
+    rows of `_boundary_graph` as dicts.
+    """
+    from ribbonhom.complexes import _rows_into, basis
+    tgt = basis(nvert - 1, nedge - 1)
+    if not tgt:
+        return []
+    rows = _rows_into(tgt)
+    return [rows.get(h, {}) for h in basis(nvert, nedge)]
+
+
 def boundary_rank(nvert, nedge):
     """Rank of the full complex's boundary leaving (nvert, nedge),
     disconnected classes included: `scalars.rank_exact` of
-    `complexes._boundary_rows`, which test_complexes checks entry by entry
-    against `boundary_oracle`."""
-    from ribbonhom.complexes import _boundary_rows
+    `boundary_rows`, which test_complexes checks entry by entry against
+    `boundary_oracle`."""
     from ribbonhom.scalars import rank_exact
-    rows = _boundary_rows(nvert, nedge)
+    rows = boundary_rows(nvert, nedge)
     return rank_exact(rows) if rows else 0
 
 

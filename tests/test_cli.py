@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -147,7 +148,7 @@ def test_verify_suite_passes_and_is_deterministic(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    def broken(args, rng):
+    def broken(args, rng, algebra):
         return {"edges": 1}, 1, [{"kind": "fail", "suite": "d2",
                                   "detail": "forced"}]
 
@@ -156,6 +157,76 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert code == 1
     assert any(r["kind"] == "fail" for r in rep["rows"])
     assert rep["result"]["status"] == "fail"
+
+
+def test_verify_refuses_every_input_before_any_suite_runs(
+        capsys, monkeypatch, tmp_path):
+    # the algebra and the signature that invariance twists are checked
+    # once, before the first suite: a missing file and a 0|1 algebra used
+    # to be refused only after about 13 s of suites
+    def ran(args, rng, algebra):
+        raise AssertionError("a suite ran")
+
+    for name in cli.SUITES:
+        monkeypatch.setitem(cli._SUITE_FNS, name, ran)
+    invalid = jsonio.algebra_to_json(twisted_11())
+    invalid["truncation"] = 9
+    h3 = {"k": 3, "tensor": {"signature": {"n": 0, "m": 1}, "rank": 3,
+                             "terms": [{"word": [0, 0, 0], "coeff": "1"}]}}
+    odd = {"signature": {"n": 0, "m": 1}, "omega": [["1"]], "h": [h3],
+           "truncation": 5}
+    for name, doc, words in (("missing", None, "missing.json"),
+                             ("invalid", invalid, "invalid algebra"),
+                             ("odd", odd, "signature 0|1 has none")):
+        path = tmp_path / f"{name}.json"
+        if doc is not None:
+            path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "all", "--algebra", str(path))
+        assert (code, out) == (2, "") and err.startswith("error: ") and \
+            words in err, (name, err)
+
+
+def test_verify_all_reads_the_algebra_once(capsys, monkeypatch):
+    # exp, equivalence, invariance and tcft take the algebra that verify
+    # read; each used to read and validate the file itself
+    reads = []
+    read_algebra = jsonio.read_algebra
+
+    def spied(name):
+        reads.append(name)
+        return read_algebra(name)
+
+    monkeypatch.setattr(jsonio, "read_algebra", spied)
+    code, _, _ = run(capsys, "verify", "all", "--edges", "3", "--algebra",
+                     ALGEBRA)
+    assert code == 0 and reads == [ALGEBRA]
+
+
+def test_invariance_writes_a_row_for_each_twist_that_fails_validate(
+        capsys, monkeypatch):
+    # a twist that is not an A-infinity algebra is a failed check, not a
+    # refusal: with an even h4 monomial added to every twist, the ten fail
+    # rows are written and the exit code is 1 (it used to be 2, with the
+    # rows thrown away)
+    from ribbonhom.ainfinity import AInfinityAlgebra
+    from ribbonhom.superspace import SuperTensor
+    twist = cli.twist
+
+    def broken(algebra, gamma):
+        twisted = twist(algebra, gamma)
+        even = SuperTensor(twisted.dim, 4, {(0, 0, 1, 1): Fraction(1)})
+        hs = {**twisted.hamiltonians, 4: twisted.hamiltonian(4) + even}
+        return AInfinityAlgebra(twisted.form, hs, twisted.truncation)
+
+    monkeypatch.setattr(cli, "twist", broken)
+    code, rep, _ = structured(capsys, "verify", "invariance")
+    fails = [r for r in rep["rows"] if r["kind"] == "fail"]
+    assert code == 1
+    assert [r["twist"] for r in fails] == list(range(1, 11))
+    assert all("h4-odd: even monomial" in r["detail"] for r in fails)
+    assert rep["rows"][-1] == {"kind": "suite", "name": "invariance",
+                               "edges": 4, "twists": 10, "checks": 0,
+                               "failures": 10, "status": "fail"}
 
 
 def test_triangle_runs_the_state_sums_of_pairable_terms(capsys, monkeypatch):

@@ -62,25 +62,39 @@ def test_tracer_sees_the_rank_layer(monkeypatch):
     assert max(len(rows) for rows in inputs) == 1018
 
 
-def test_traced_run_prints_the_untraced_report(tmp_path):
-    # besides its tables the tracer wraps `PartitionFunction.value`, reads
-    # its `window`, rebinds `_graph_value` and reads `RibbonGraph`,
-    # `valency_types` and `cli._SUITE_FNS`; a traced run must start and
-    # print the report of the untraced one
+def _traced_layers(tmp_path, args):
+    """Run the CLI with `args` traced and untraced; check that both exit 0
+    and print the same bytes, and return the tracer's layer summary."""
     root = TRACING.parents[1]
-    args = ["partition", "--algebra",
-            str(root / "perfbench" / "twisted_11.json"), "--vertices", "2",
-            "--edges", "1:3", "--format", "structured"]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     summary = tmp_path / "t.json"
     traced, plain = (
         subprocess.run([sys.executable, *argv, *args], env=env, cwd=root,
-                       capture_output=True, text=True)
+                       capture_output=True)
         for argv in ([str(TRACING), str(summary), "--"],
                      ["-m", "ribbonhom.cli"]))
     assert traced.returncode == 0, traced.stderr
     assert plain.returncode == 0, plain.stderr
     assert traced.stdout == plain.stdout
-    layers = json.loads(summary.read_text())
+    return json.loads(summary.read_text())
+
+
+def test_traced_run_prints_the_untraced_report(tmp_path):
+    # besides its tables the tracer wraps `PartitionFunction.value`, reads
+    # its `window`, rebinds `_graph_value` and reads `RibbonGraph` and
+    # `valency_types`; a traced run must start and print the report of the
+    # untraced one
+    algebra = TRACING.parent / "twisted_11.json"
+    layers = _traced_layers(tmp_path, [
+        "partition", "--algebra", str(algebra), "--vertices", "2",
+        "--edges", "1:3", "--format", "structured"])
     assert layers["counts"]["ainfinity.state_sums"] > 0
     assert layers["calls"]["ainfinity.PartitionFunction.value"] > 0
+
+
+def test_traced_verify_prints_the_untraced_report(tmp_path):
+    # the tracer wraps each entry of `cli._SUITE_FNS`, which `cmd_verify`
+    # looks up when it runs the suite
+    layers = _traced_layers(tmp_path, ["verify", "all", "--edges", "3"])
+    suites = importlib.import_module("ribbonhom.cli").SUITES
+    assert all(layers["calls"][f"cli.suite.{name}"] == 1 for name in suites)

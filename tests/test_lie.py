@@ -31,7 +31,7 @@ def rand_word(rng, dim, kmax=3):
 
 
 def word_parity(x):
-    return x.word_parity(next(iter(x.terms)))
+    return x.dim.word_parity(next(iter(x.terms)))
 
 
 def test_cyclic_reduce_is_rotation_invariant():

@@ -10,17 +10,18 @@ ratios (bidegree (+1,+1)), making it the exact adjoint of the boundary.
 The moves of one graph are its chords read through the cached move
 templates of `graphs` (`_contractions` for the boundary, the expansion
 pass for the coboundary), and each move is canonicalized by one call of
-`_scan`, the canonical search.  The coboundary of g is the expansion pass
-of `graphs`: s * aut(h) summed over the expansions landing in each class h
-as integers, over the denominator aut(g), with an entry n = 0 for the ZERO
-classes and the sums that cancel, which the enumeration needs and every
-reader here skips.  The coboundary of a chain puts its coefficients over
-one common denominator and also sums integers.  The boundary rows that
-homology ranks and that `is_boundary` solves against are read from the
-passes of the targets by adjointness, n / aut(g) for g in the boundary of
-h, so no contraction is searched there; the boundary of a chain contracts.
-The move sums of one graph are cached as flat tuples (h1, c1, h2, c2, ...),
-with no tuple per term, and read back by `_terms`.
+`graphs._classify`, the canonical search and its class table.  The
+coboundary of g is the expansion pass of `graphs`: s * aut(h) summed over
+the expansions landing in each class h as integers, over the denominator
+aut(g), with an entry n = 0 for the ZERO classes and the sums that cancel,
+which the enumeration needs and every reader here skips.  The coboundary
+of a chain puts its coefficients over one common denominator and also sums
+integers.  The boundary rows that homology ranks and that `is_boundary`
+solves against are read from the passes of the targets by adjointness,
+n / aut(g) for g in the boundary of h, so no contraction is searched
+there; the boundary of a chain contracts.  The move sums of one graph are cached
+as flat tuples (h1, c1, h2, c2, ...), with no tuple per term, and read
+back by `_terms`.
 
 Homology is computed connected first.  The complex is the free
 graded-commutative algebra on its connected classes, so each Betti number
@@ -37,8 +38,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .graphs import (RibbonGraph, _contractions, _expansion_pass,
-                     _make_graph, _scan, enumerate_graphs)
+from .graphs import (RibbonGraph, _classify, _contractions, _expansion_pass,
+                     enumerate_graphs)
 from .scalars import LinearCombination, format_scalar, rank_exact, solve_exact
 
 
@@ -113,10 +114,9 @@ def _boundary_graph(g: RibbonGraph):
     coefficient; read it with `_terms`."""
     acc: dict = {}
     for vt, chords, s in _contractions(g):
-        canonical, csign, aut, zero = _scan(vt, chords)
-        if not zero:
-            rg = _make_graph(vt, canonical, aut, zero)
-            acc[rg] = acc.get(rg, 0) + s * csign
+        rg, sign = _classify(vt, chords)
+        if not rg.zero:
+            acc[rg] = acc.get(rg, 0) + s * sign
     return tuple([x for rg, c in acc.items() if c for x in (rg, c)])
 
 

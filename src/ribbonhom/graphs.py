@@ -34,13 +34,13 @@ point of the matching (its own partner), and the images of the leg slots,
 incoming then outgoing, are compared first: each leg's vertex is placed,
 in order, before the search of the other slots runs.
 
-The chords of a canonical form are the shared pairs of `_PAIRS`, one
-tuple per (a, b), and the classes are interned in one table per valency
-type whose key every class of the type keeps as its `vtype`; within a
-table a class without legs is keyed by its chords and one with legs by
-(legs_in, legs_out, chords).  So a class holds references to shared
-objects, not copies of its own: the tables of classes are most of the
-memory a large window spends.
+One function, `_classify`, takes a diagram to its class: it runs the
+search and looks its least image up in the class table of the diagram's
+valency type, so every class is made once and a class is equal only to
+itself.  Each class keeps the key of its type's table as its `vtype`, and
+its chords are the shared pairs of `_PAIRS`, one tuple per (a, b).  So a
+class holds references to shared objects, not copies of its own: the
+tables of classes are most of the memory a large window spends.
 
 The moves of the complex, contracting an edge and expanding an ideal
 edge, relabel half-edges in a way that depends only on the valency type
@@ -50,7 +50,7 @@ and cached as a tuple of labels (a move template): one per edge of a
 type (`_contraction_template`), and one tuple per type for its ideal
 edges (`_expansion_moves`).  The moves of one graph are its chords read
 through the templates (`_contractions`, `_expansions`), and each move is
-canonicalized by one call of `_scan`.  The expansions of a class are
+canonicalized by one call of `_classify`.  The expansions of a class are
 canonicalized once, in one cached pass (`_expansion_pass`) that lists
 every class they land in with its integer coefficient: it is the
 coboundary of the class, the boundary into it by adjointness, and the
@@ -191,8 +191,9 @@ def _place_legs(vtype, legs):
 
 
 def _canonical_search(vtype, chords, legs=()):
-    """Least image of one oriented diagram: (image partner array, leg
-    images, net sign, count) over the relabelings that reach it.
+    """Least image of one oriented diagram: (image partner array, leaves),
+    the leaves being the relabelings that reach it, each as the label of
+    every slot.
 
     Labels are filled in order.  At a label whose block holds no vertex
     yet, the search branches over the unplaced vertices of its valency and
@@ -207,18 +208,16 @@ def _canonical_search(vtype, chords, legs=()):
     is then a fixed point of the matching.  `free` counts the labels that
     hold no slot yet.
     """
-    offs, base, val, cyc, spot, blocks, starts = _search_frame(vtype)
+    _, base, val, cyc, spot, blocks, starts = _search_frame(vtype)
     size = len(base)
     if legs:
         partner = list(range(size))
         img, inv, taken = _place_legs(vtype, legs)
         free = inv.count(-1)
-        leg_images = tuple([img[h] for h in legs])
     else:
         partner = [0] * size    # without legs the chords cover every slot
         img, inv, taken = [-1] * size, [-1] * size, [0] * len(blocks)
         free = size
-        leg_images = ()
     for a, b in chords:
         partner[a] = b
         partner[b] = a
@@ -297,48 +296,7 @@ def _canonical_search(vtype, chords, legs=()):
         inv[t:t + k] = cyc[h]
         img[base[h]:base[h] + k] = spot[h][t]
         free -= k
-    # the sign of a relabeling is the vertex-permutation parity times one
-    # factor -1 per reversed edge
-    net = 0
-    for img in leaves:
-        flips = 0
-        for a, b in chords:
-            if img[a] > img[b]:
-                flips += 1
-        heads = [img[o] for o in offs]
-        for i, x in enumerate(heads):
-            for y in heads[i + 1:]:
-                if x > y:
-                    flips += 1
-        net += -1 if flips & 1 else 1
-    return best, leg_images, net, len(leaves)
-
-
-def _scan(vtype, chords, legs=None):
-    """(canonical, sign, aut, zero) of one oriented diagram of type
-    `vtype`, from `_canonical_search`.
-
-    `chords` holds the oriented chords as (a, b) pairs.  The canonical
-    form is the least image partner array, as chords taken from `_PAIRS`;
-    with `legs` (the leg slots, incoming then outgoing, possibly none) it
-    is the least leg images and then the least partner array, and
-    `canonical` is the pair (leg images, chords).  `sign` satisfies
-    [input] = sign * [canonical].  The relabelings onto the canonical form
-    are one coset of its stabilizer, on which the sign is a character:
-    their signs are all equal, or split evenly and sum to zero exactly for
-    ZERO classes.
-    """
-    best, leg_images, net, count = _canonical_search(vtype, chords,
-                                                     legs or ())
-    canonical = tuple([_PAIRS[a][b] for a, b in enumerate(best) if a < b])
-    if legs is not None:
-        canonical = (leg_images, canonical)
-    if not net:
-        return canonical, None, count // 2, True
-    return canonical, 1 if net > 0 else -1, count, False
-
-
-_scan_cached = lru_cache(maxsize=500_000)(_scan)
+    return best, leaves
 
 
 # ------------------------------------------------------------ graph class
@@ -346,10 +304,13 @@ _scan_cached = lru_cache(maxsize=500_000)(_scan)
 class RibbonGraph:
     """Canonical representative of an oriented ribbon graph class.
 
-    Instances are interned in one table per valency type, {vtype: {key:
-    RibbonGraph}}, the key being `chords`, or (legs_in, legs_out, chords)
-    for a class with legs; `vtype` is that table's key, shared by every
-    class of the type, and `chords` holds the shared pairs of `_PAIRS`.
+    Instances are made only by `_classify` and interned in one table per
+    valency type, {vtype: {key: RibbonGraph}}, the key being the least
+    image of the canonical search as bytes, with the incoming leg count
+    and the leg images in front for a class with legs.  So a class is
+    equal, and hashes, only as itself.  `vtype` is its table's key, shared
+    by every class of the type, and `chords` holds the shared pairs of
+    `_PAIRS`.
     `legs_in` and `legs_out` are the slots of the incoming and outgoing leg
     labels, the empty tuple for a class without legs.  `zero` flags classes
     killed by an orientation-reversing automorphism, `aut` counts the
@@ -388,16 +349,6 @@ class RibbonGraph:
         return (self.nedges, self.nverts, self.vtype, self.legs_in,
                 self.legs_out, self.chords)
 
-    def __eq__(self, other):
-        return (isinstance(other, RibbonGraph)
-                and self.vtype == other.vtype and self.chords == other.chords
-                and self.legs_in == other.legs_in
-                and self.legs_out == other.legs_out)
-
-    def __hash__(self):
-        # classes that differ only in their legs share a hash
-        return hash((self.vtype, self.chords))
-
     def __lt__(self, other):
         return self.sort_key < other.sort_key
 
@@ -420,21 +371,62 @@ class RibbonGraph:
         return self.nverts > 0 and len(set(_vertex_roots(self))) == 1
 
 
-def _make_graph(vtype, chords, aut, zero, legs_in=(), legs_out=()):
+def _leaf_sign(offs, chords, img):
+    """The sign of the relabeling `img` of a diagram whose vertex blocks
+    start at `offs`: the parity of its vertex permutation times one factor
+    -1 per reversed edge."""
+    flips = 0
+    for a, b in chords:
+        if img[a] > img[b]:
+            flips += 1
+    heads = [img[o] for o in offs]
+    for i, x in enumerate(heads):
+        for y in heads[i + 1:]:
+            if x > y:
+                flips += 1
+    return -1 if flips & 1 else 1
+
+
+def _classify(vtype, chords, legs_in=(), legs_out=()):
+    """The class of one oriented diagram: (RibbonGraph, sign) with
+    [input] = sign * [class], the sign None for a ZERO class.
+
+    `vtype` is sorted, `chords` holds the oriented chords as (a, b) pairs
+    and `legs_in` and `legs_out` the slots of the legs, possibly none.
+    The class is the entry of its type's table under the least image of
+    `_canonical_search`, as bytes, with the incoming leg count and the leg
+    images in front for a class with legs; its chords, `aut` and `zero`
+    are built only when the table has no such entry.  The relabelings onto
+    the least image are one coset of its stabilizer, on which the sign is
+    a character: their signs are all equal, or split evenly and sum to
+    zero exactly for ZERO classes.  So a new class sums the signs of all
+    of them, and a class already in the table reads its sign off one.
+    """
+    legs = legs_in + legs_out
+    best, leaves = _canonical_search(vtype, chords, legs)
+    offs = _search_frame(vtype)[0]
+    images = tuple([leaves[0][h] for h in legs])
+    key = bytes([len(legs_in), *images, *best]) if legs else bytes(best)
     table = RibbonGraph._intern.get(vtype)
     if table is None:
         table = RibbonGraph._intern[vtype] = {}
-    key = (legs_in, legs_out, chords) if legs_in or legs_out else chords
     g = table.get(key)
-    if g is None:
-        # a new class of a known type keeps the type its table already has
-        first = next(iter(table.values()), None)
-        g = table[key] = RibbonGraph(first.vtype if first else vtype,
-                                     legs_in, legs_out, chords, aut, zero)
-    return g
+    if g is not None:
+        return g, None if g.zero else _leaf_sign(offs, chords, leaves[0])
+    net = sum([_leaf_sign(offs, chords, img) for img in leaves])
+    # a new class of a known type keeps the type its table already has
+    first = next(iter(table.values()), None)
+    g = table[key] = RibbonGraph(
+        first.vtype if first else vtype, images[:len(legs_in)],
+        images[len(legs_in):],
+        tuple([_PAIRS[a][b] for a, b in enumerate(best) if a < b]),
+        len(leaves) if net else len(leaves) // 2, not net)
+    return g, (1 if net > 0 else -1) if net else None
 
 
-EMPTY_GRAPH = _make_graph((), (), 1, False)
+_scan_cached = lru_cache(maxsize=500_000)(_classify)
+
+EMPTY_GRAPH = RibbonGraph((), (), (), (), 1, False)
 
 
 # ----------------------------------------------------------------- moves
@@ -497,13 +489,8 @@ def canonicalize(obj):
         _standardize_diagram(vtype, legs_in, legs_out, chords)
     if not vtype:
         return EMPTY_GRAPH, sign
-    legs = legs_in + legs_out
-    canonical, csign, aut, zero = _scan_cached(vtype, chords, legs or None)
-    if legs:
-        images, canonical = canonical
-        legs_in, legs_out = images[:len(legs_in)], images[len(legs_in):]
-    g = _make_graph(vtype, canonical, aut, zero, legs_in, legs_out)
-    return g, sign * (1 if zero else csign)
+    g, csign = _scan_cached(vtype, chords, legs_in, legs_out)
+    return g, sign * (1 if g.zero else csign)
 
 
 def _move_relabeling(vertices, size, shuffle):
@@ -621,9 +608,8 @@ def _expansion_pass(g: RibbonGraph):
     """
     acc: dict = {}
     for vt, chords, s in _expansions(g):
-        canonical, csign, aut, zero = _scan(vt, chords)
-        h = _make_graph(vt, canonical, aut, zero)
-        acc[h] = acc.get(h, 0) + (0 if zero else s * csign * aut)
+        h, sign = _classify(vt, chords)
+        acc[h] = acc.get(h, 0) + (0 if h.zero else s * sign * h.aut)
     return tuple([x for item in acc.items() for x in item])
 
 
@@ -730,13 +716,8 @@ def _one_vertex_classes(nedge):
     size = 2 * nedge
     parents = ([g.chords for g in enumerate_graphs(1, nedge - 1)]
                if nedge > 2 else [((0, 1),)])
-    found = {}
-    for chords in parents:
-        for child in _shortest_chord_children(chords, size):
-            form, _, aut, zero = _scan((size,), child)
-            found[form] = (aut, zero)
-    return [_make_graph((size,), form, aut, zero)
-            for form, (aut, zero) in found.items()]
+    return {_classify((size,), child)[0] for chords in parents
+            for child in _shortest_chord_children(chords, size)}
 
 
 def _connected_classes(nvert, nedge):

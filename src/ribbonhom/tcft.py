@@ -37,9 +37,9 @@ from functools import lru_cache
 
 from .ainfinity import AInfinityAlgebra, ValidationReport
 from .complexes import GraphChain
-from .graphs import (EMPTY_GRAPH, RibbonGraph, _check_size, _make_graph,
-                     _place_legs, _scan, _standardize_diagram,
-                     _valency_partitions, canonicalize, perfect_matchings)
+from .graphs import (EMPTY_GRAPH, RibbonGraph, _check_size, _classify,
+                     _place_legs, _standardize_diagram, _valency_partitions,
+                     canonicalize, perfect_matchings)
 from .scalars import format_scalar
 from .superspace import SuperTensor, contract
 
@@ -195,14 +195,12 @@ def enumerate_legged_graphs(nin, nout, nedges):
     _check_size(size)
     if size == 0:
         return (EMPTY_GRAPH,)
-    found = {}
+    found = set()
     for nverts in range(1, size // 3 + 1):
         for vtype in _valency_partitions(size, nverts):
             for legs in _fixed_leg_placements(vtype, nin + nout):
                 for mat in perfect_matchings(
                         [s for s in range(size) if s not in legs]):
-                    (images, ch), _, aut, zero = _scan(vtype, mat, legs)
-                    found[vtype, images, ch] = (aut, zero)
-    out = [_make_graph(vt, ch, aut, zero, images[:nin], images[nin:])
-           for (vt, images, ch), (aut, zero) in found.items()]
-    return tuple(sorted(out, key=lambda g: g.sort_key))
+                    found.add(_classify(vtype, mat, legs[:nin],
+                                        legs[nin:])[0])
+    return tuple(sorted(found, key=lambda g: g.sort_key))

@@ -16,12 +16,13 @@ from hypothesis import given, settings, strategies as st
 
 import oracles as O
 from ribbonhom import complexes, graphs
-from ribbonhom.graphs import (EMPTY_GRAPH, _contraction_template,
+from ribbonhom.graphs import (EMPTY_GRAPH, _classify, _contraction_template,
                               _contractions, _expansion_moves, _expansions,
-                              _scan, _shortest_chord_children,
+                              _shortest_chord_children,
                               _valency_partitions, canonicalize,
                               disjoint_union, enumerate_graphs,
                               perfect_matchings, valency_types)
+from ribbonhom.jsonio import graph_from_json, graph_to_json
 from ribbonhom.tcft import enumerate_legged_graphs
 
 PINNED = json.loads(
@@ -87,6 +88,42 @@ def test_relabeling_lands_in_same_class():
         h, _ = canonicalize((g.vtype, tuple((slot[a], slot[b])
                                             for a, b in g.chords)))
         assert h is g, (g, h)
+
+
+def _relabeled(g):
+    """The diagram of g with its vertices listed in reverse order, each
+    cyclic order rotated by one and every edge reversed."""
+    slot = {}
+    for blk in reversed(g.vertex_blocks()):
+        for h in blk[1:] + blk[:1]:
+            slot[h] = len(slot)
+    return (g.vtype[::-1], tuple(slot[h] for h in g.legs_in),
+            tuple(slot[h] for h in g.legs_out),
+            tuple((slot[b], slot[a]) for a, b in g.chords))
+
+
+def _json_round_trip(g):
+    return graph_from_json(json.loads(json.dumps(graph_to_json(g))))[0]
+
+
+def test_each_class_is_one_object():
+    # every class is made once, in its type's table, so a class is equal
+    # only to itself: every way to a class gives the same object
+    assert "__eq__" not in vars(graphs.RibbonGraph)
+    assert "__hash__" not in vars(graphs.RibbonGraph)
+    landed = [h for parent in enumerate_graphs(1, 3)
+              for h in graphs._expansion_pass(parent)[::2]]
+    classes = enumerate_graphs(2, 4, True)
+    assert classes
+    for g in classes:
+        assert any(h is g for h in landed), g
+        assert canonicalize(_relabeled(g))[0] is g, g
+        assert _json_round_trip(g) is g, g
+    legged = enumerate_legged_graphs(1, 1, 2)
+    assert legged
+    for g in legged:
+        assert canonicalize(_relabeled(g))[0] is g, g
+        assert _json_round_trip(g) is g, g
 
 
 def test_zero_class_from_odd_symmetry():
@@ -380,7 +417,8 @@ def test_search_matches_orbit_oracle():
                           [*_contractions(g), *_expansions(g)]]
     for vtype, chords in cases:
         d = O.orbit_scan(vtype, chords)
-        assert _scan(vtype, chords) == \
+        g, sign = _classify(vtype, chords)
+        assert (g.chords, sign, g.aut, g.zero) == \
             (d["canonical"], d["sign"], d["aut"], d["zero"]), (vtype, chords)
 
 
@@ -448,17 +486,20 @@ def raw_diagrams(draw):
 def test_scan_batch_matches_row_reference(diagram):
     # against the exhaustive scan over every relabeling; the legs go in
     # as incoming legs, so the oracle's key (legs, (), matching) compares
-    # as the pair (leg images, chords)
+    # with the class's (legs_in, legs_out, chords).  Each diagram is
+    # classified twice: a class new to its table sums the signs of every
+    # relabeling onto it, a class already there reads the sign off one
     vtype, chord_lists, leg_lists = diagram
     for i, chords in enumerate(chord_lists):
         if leg_lists is None:
             d = O.orbit_scan(vtype, chords)
-            canonical = d["canonical"]
-            scan = _scan(vtype, chords)
+            legs = ()
         else:
             d = O.legged_orbit_scan(vtype, leg_lists[i], (), chords)
-            legs, _, matching = d["canonical"]
-            canonical = (legs, matching)
-            scan = _scan(vtype, chords, leg_lists[i])
-        assert scan == (canonical, d["sign"], d["aut"], d["zero"]), \
-            (vtype, chords)
+            legs = leg_lists[i]
+        for _ in range(2):
+            g, sign = _classify(vtype, chords, legs)
+            form = (g.legs_in, g.legs_out, g.chords) if legs else g.chords
+            assert (form, sign, g.aut, g.zero) == \
+                (d["canonical"], d["sign"], d["aut"], d["zero"]), \
+                (vtype, chords)

@@ -18,6 +18,9 @@ every bad input before its first suite runs, then writes each suite's
 rows as that suite ends.  Exit codes: 0 pass, 1 identity failure, 2 input
 error; every input error is raised before the first row, so a run that
 exits 2 writes nothing on stdout.
+
+A verify suite is one entry of SUITE_TABLE, so a new suite is one new
+entry, and the pre-flight makes every refusal of its input from it.
 """
 
 import argparse
@@ -25,6 +28,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import jsonio
 from .ainfinity import (characteristic_class, connected_partition_function,
@@ -42,28 +46,6 @@ from .tcft import (composition_compatibility, correlation,
 
 # ambient signatures used for random Chevalley-Eilenberg chains
 CHAIN_SIGNATURES = (SuperDim(1, 1), SuperDim(2, 0), SuperDim(1, 2))
-
-# the options each suite reads, besides --seed, with their defaults (no
-# --algebra is the built-in fixture); verify refuses any other
-SUITE_OPTIONS = {
-    "d2": {"edges": 6},
-    "delta2": {"edges": 6},
-    "adjointness": {"edges": 5},
-    "kontsevich": {"edges": 4, "order": 8},
-    "triangle": {"edges": 4, "order": 8},
-    "roundtrip": {"edges": 4},
-    "exp": {"vertices": 4, "edges": 6, "algebra": None},
-    "equivalence": {"edges": 4, "order": 4, "algebra": None},
-    "invariance": {"edges": 4, "algebra": None},
-    "tcft": {"edges": 2, "algebra": None},
-}
-
-SUITES = tuple(SUITE_OPTIONS)
-
-# edges past --edges that a suite's diagrams reach: the coboundary of the
-# top bidegree (kontsevich), the coboundary twice (delta2) and the
-# boundary witness one bidegree up (invariance)
-EXTRA_EDGES = {"delta2": 2, "kontsevich": 1, "invariance": 1}
 
 # legs per side of the tcft pairs: m + n and n + k at most this
 TCFT_LEGS = 3
@@ -218,19 +200,14 @@ def _algebra(args):
     return algebra
 
 
-def _bound(args, suite, key):
-    value = getattr(args, key)
-    return SUITE_OPTIONS[suite][key] if value is None else value
-
-
 def _check_slots(what, slots):
     """Refuse, before any work, a window whose diagrams have more
     half-edge slots than the cap allows."""
     if slots > MAX_HALF_EDGES:
         raise NotImplementedError(
             f"{what} reaches diagrams of {slots} half-edge slots; graphs "
-            f"beyond {MAX_HALF_EDGES} half-edge slots (8 edges) are out of "
-            f"scope")
+            f"beyond {MAX_HALF_EDGES} half-edge slots "
+            f"({MAX_HALF_EDGES // 2} edges) are out of scope")
 
 
 def _cells(args):
@@ -252,42 +229,6 @@ def _check_cells(args, cells, boundary=False):
         slots += [2 * (e + 1) for v, e in cells if 3 * v <= 2 * e]
     _check_slots(f"{args.verb} --vertices {_span_str(args.vertices)} "
                  f"--edges {_span_str(args.edges)}", max(slots, default=0))
-
-
-def _check_window(args, suite):
-    """Refuse a suite's window before any work: an --order too small for
-    a cyclic word, diagrams beyond the half-edge cap, or a window in which
-    the suite can make no check."""
-    emax = _bound(args, suite, "edges")
-    slots = 2 * (emax + EXTRA_EDGES.get(suite, 0))
-    if suite == "tcft":
-        slots += TCFT_LEGS
-    if suite in ("kontsevich", "triangle"):
-        order = _bound(args, suite, "order")
-        if order < 3:
-            raise ValueError(f"--order {order} is below 3: cyclic words "
-                             f"need at least 3 letters")
-        if suite == "triangle":
-            # integrating words of `order` letters gives order // 2 edges
-            slots = max(slots, 2 * (order // 2))
-    _check_slots(f"verify {suite} --edges {emax}", slots)
-    grid = _grid(emax)
-    window = f"edges={emax}"
-    if suite in ("d2", "delta2", "kontsevich", "triangle", "roundtrip"):
-        empty = not grid
-    elif suite == "adjointness":
-        empty = not any(v >= 2 for v, e in grid)
-    elif suite == "invariance":
-        empty = emax < 1
-    elif suite == "equivalence":
-        order = _bound(args, suite, "order")
-        empty = not any(v <= order for v, e in grid)
-        window += f" order={order}"
-    else:
-        empty = False
-    if empty:
-        raise ValueError(f"verify {suite} made no check in the window "
-                         f"{window}")
 
 
 def _grid(emax):
@@ -392,15 +333,16 @@ def cmd_correlate(args):
 
 
 # ---------------------------------------------------------- verify suites
-# Each suite takes the parsed arguments, its random stream and the algebra
-# that cmd_verify read for it (None when no named suite reads one), and
-# returns (bounds, checks, fail rows).
+# Each suite takes its arguments (its SUITE_TABLE options, defaults filled
+# in), its random stream and the algebra that cmd_verify read for it (None
+# when no named suite reads one), and returns (bounds, checks, fail rows).
+# A new suite is one SUITE_TABLE entry, from which the pre-flight makes
+# every refusal of its input.
 
 def _square_suite(args, suite, operator):
-    emax = _bound(args, suite, "edges")
     checks = 0
     fails = []
-    for v, e in _grid(emax):
+    for v, e in _grid(args.edges):
         for g in basis(v, e):
             checks += 1
             residue = operator(operator(GraphChain.of(g)))
@@ -410,7 +352,7 @@ def _square_suite(args, suite, operator):
                               "graph": jsonio.graph_to_json(g),
                               "residue": jsonio.graph_to_json(h),
                               "coeff": json_scalar(residue.terms[h])})
-    return {"edges": emax}, checks, _sorted_fails(fails)
+    return {"edges": args.edges}, checks, _sorted_fails(fails)
 
 
 def _suite_d2(args, rng, algebra):
@@ -422,10 +364,9 @@ def _suite_delta2(args, rng, algebra):
 
 
 def _suite_adjointness(args, rng, algebra):
-    emax = _bound(args, "adjointness", "edges")
     checks = 0
     fails = []
-    for v, e in _grid(emax):
+    for v, e in _grid(args.edges):
         if v < 2:
             continue
         lower = basis(v - 1, e - 1)
@@ -443,7 +384,7 @@ def _suite_adjointness(args, rng, algebra):
                                   "other": jsonio.graph_to_json(h),
                                   "lhs": json_scalar(lhs),
                                   "rhs": json_scalar(rhs)})
-    return {"edges": emax}, checks, _sorted_fails(fails)
+    return {"edges": args.edges}, checks, _sorted_fails(fails)
 
 
 def _rank_menus(order):
@@ -479,11 +420,9 @@ def _random_chain(rng, dim, menus):
 def _chain_graph_suite(args, rng, suite, of_graph, of_chain, sides):
     """Compare two pairings of random CE chains x with the graphs g of the
     suite's window: sides(x, of_chain(x), g, of_graph(g)) is (lhs, rhs)."""
-    emax = _bound(args, suite, "edges")
-    order = _bound(args, suite, "order")
-    graphs = [g for v, e in _grid(emax) for g in basis(v, e)]
+    graphs = [g for v, e in _grid(args.edges) for g in basis(v, e)]
     images = [of_graph(g) for g in graphs]
-    menus = _rank_menus(order)
+    menus = _rank_menus(args.order)
     checks = 0
     fails = []
     for dim in CHAIN_SIGNATURES:
@@ -499,7 +438,7 @@ def _chain_graph_suite(args, rng, suite, of_graph, of_chain, sides):
                                   "graph": jsonio.graph_to_json(g),
                                   "lhs": json_scalar(lhs),
                                   "rhs": json_scalar(rhs)})
-    return {"edges": emax, "order": order,
+    return {"edges": args.edges, "order": args.order,
             "chains": CHAINS_PER_SIGNATURE}, checks, fails
 
 
@@ -521,10 +460,9 @@ def _suite_triangle(args, rng, algebra):
 
 
 def _suite_roundtrip(args, rng, algebra):
-    emax = _bound(args, "roundtrip", "edges")
     checks = 0
     fails = []
-    for v, e in _grid(emax):
+    for v, e in _grid(args.edges):
         for g in basis(v, e, True):
             checks += 1
             back = integral_I(integral_I_inverse(g))
@@ -533,13 +471,11 @@ def _suite_roundtrip(args, rng, algebra):
                               "graph": jsonio.graph_to_json(g),
                               "coeff": json_scalar(back.coefficient(g)),
                               "terms": len(back.terms)})
-    return {"edges": emax}, checks, fails
+    return {"edges": args.edges}, checks, fails
 
 
 def _suite_exp(args, rng, algebra):
-    vmax = _bound(args, "exp", "vertices")
-    emax = _bound(args, "exp", "edges")
-    window = (vmax, emax)
+    window = (args.vertices, args.edges)
     pf = partition_function(algebra, window)
     full = pf.chain
     lhs = exp_chain(connected_partition_function(pf), window)
@@ -552,12 +488,11 @@ def _suite_exp(args, rng, algebra):
                       "graph": jsonio.graph_to_json(g),
                       "exp": json_scalar(lhs.coefficient(g)),
                       "direct": json_scalar(full.coefficient(g))})
-    return {"vertices": vmax, "edges": emax}, checks, fails
+    return {"vertices": args.vertices, "edges": args.edges}, checks, fails
 
 
 def _suite_equivalence(args, rng, algebra):
-    emax = _bound(args, "equivalence", "edges")
-    order = _bound(args, "equivalence", "order")
+    emax, order = args.edges, args.order
     cc = characteristic_class(algebra, order)
     pf = partition_function(algebra, (order, emax))
     checks = 0
@@ -577,8 +512,8 @@ def _suite_equivalence(args, rng, algebra):
 
 
 def _suite_invariance(args, rng, algebra):
-    emax = _bound(args, "invariance", "edges")
-    vmax = max(1, (2 * emax) // 3)
+    emax = args.edges
+    vmax = (2 * emax) // 3
     base = partition_function(algebra, (vmax, emax))
     checks = 0
     fails = []
@@ -629,11 +564,11 @@ def _tcft_failure(g1, g2, rep):
 
 
 def _suite_tcft(args, rng, algebra):
-    emax = _bound(args, "tcft", "edges")
     legs = range(TCFT_LEGS + 1)
+    sizes = range(args.edges + 1)
     blocks = [(m, n, k, e1, e2) for m in legs for n in legs for k in legs
               if m + n <= TCFT_LEGS and n + k <= TCFT_LEGS
-              for e1 in range(emax + 1) for e2 in range(emax + 1)]
+              for e1 in sizes for e2 in sizes]
     # one correlator per canonical graph, shared by every pair of the suite
     correlators = {}
     checks = 0
@@ -667,22 +602,89 @@ def _suite_tcft(args, rng, algebra):
             rep = composition_compatibility(algebra, g1, g2, correlators)
             if not rep.valid:
                 fails.append(_tcft_failure(g1, g2, rep))
-    return {"edges": emax, "legs": TCFT_LEGS, "sampled": sampled}, \
+    return {"edges": args.edges, "legs": TCFT_LEGS, "sampled": sampled}, \
         checks + sampled, fails
 
 
-_SUITE_FNS = {
-    "d2": _suite_d2,
-    "delta2": _suite_delta2,
-    "adjointness": _suite_adjointness,
-    "kontsevich": _suite_kontsevich,
-    "triangle": _suite_triangle,
-    "roundtrip": _suite_roundtrip,
-    "exp": _suite_exp,
-    "equivalence": _suite_equivalence,
-    "invariance": _suite_invariance,
-    "tcft": _suite_tcft,
+def _three_letters(args):
+    if args.order < 3:
+        raise ValueError(f"--order {args.order} is below 3: cyclic words "
+                         f"need at least 3 letters")
+
+
+def _even_twists(algebra):
+    dim = algebra.dim
+    if dim.n < 1 and dim.m < 2:  # p1^4 or x1.x1.x2.x2; x1^4 cancels
+        raise ValueError(f"verify invariance twists by even cyclic words of "
+                         f"4 letters, and signature {dim.n}|{dim.m} has "
+                         f"none: it needs n >= 1 or m >= 2")
+
+
+class Suite(NamedTuple):
+    """One verify suite; the pre-flight refuses its input from it alone."""
+    run: Callable  # (args, rng, algebra) -> (bounds, checks, fail rows)
+    options: dict  # option read besides --seed -> default; no other is read
+    least: dict  # option -> least value at which the suite makes a check
+    slots: Callable = lambda args: 2 * args.edges  # half-edge slots reached
+    check: Callable = lambda args: None  # refuses args before the window
+    check_algebra: Callable = lambda algebra: None  # refuses the algebra
+
+
+SUITE_TABLE = {
+    "d2": Suite(_suite_d2, {"edges": 6}, {"edges": 2}),
+    # the coboundary twice
+    "delta2": Suite(_suite_delta2, {"edges": 6}, {"edges": 2},
+                    lambda args: 2 * args.edges + 4),
+    # pairs of bidegrees (v, e) and (v - 1, e - 1), so v >= 2
+    "adjointness": Suite(_suite_adjointness, {"edges": 5}, {"edges": 3}),
+    # the coboundary of the top bidegree
+    "kontsevich": Suite(_suite_kontsevich, {"edges": 4, "order": 8},
+                        {"edges": 2}, lambda args: 2 * args.edges + 2,
+                        _three_letters),
+    # integrating words of `order` letters gives order // 2 edges
+    "triangle": Suite(_suite_triangle, {"edges": 4, "order": 8},
+                      {"edges": 2},
+                      lambda args: 2 * max(args.edges, args.order // 2),
+                      _three_letters),
+    "roundtrip": Suite(_suite_roundtrip, {"edges": 4}, {"edges": 2}),
+    # below (2, 3) the partition function has only the empty graph
+    "exp": Suite(_suite_exp, {"vertices": 4, "edges": 6, "algebra": None},
+                 {"vertices": 2, "edges": 3}),
+    "equivalence": Suite(_suite_equivalence,
+                         {"edges": 4, "order": 4, "algebra": None},
+                         {"edges": 2, "order": 1}),
+    # the boundary witness one bidegree up; at (1, e) every difference is 0
+    "invariance": Suite(_suite_invariance, {"edges": 4, "algebra": None},
+                        {"edges": 3}, lambda args: 2 * args.edges + 2,
+                        check_algebra=_even_twists),
+    "tcft": Suite(_suite_tcft, {"edges": 2, "algebra": None}, {},
+                  lambda args: 2 * args.edges + TCFT_LEGS),
 }
+
+SUITES = tuple(SUITE_TABLE)
+
+# cmd_verify looks each suite up here as it runs, so a tracer may wrap it
+_SUITE_FNS = {name: suite.run for name, suite in SUITE_TABLE.items()}
+
+
+def _resolve(args, name):
+    """The arguments of one suite, its defaults filled in, refused before
+    any work: by the suite's own check, past the half-edge cap, or where
+    the suite can make no check."""
+    suite = SUITE_TABLE[name]
+    resolved = argparse.Namespace(**{
+        key: default if getattr(args, key) is None else getattr(args, key)
+        for key, default in suite.options.items()})
+    suite.check(resolved)
+    _check_slots(f"verify {name} --edges {resolved.edges}",
+                 suite.slots(resolved))
+    if any(getattr(resolved, key) < least
+           for key, least in suite.least.items()):
+        window = " ".join(f"{key}={getattr(resolved, key)}"
+                          for key in suite.least)
+        raise ValueError(f"verify {name} made no check in the window "
+                         f"{window}")
+    return resolved
 
 
 def cmd_verify(args):
@@ -690,31 +692,27 @@ def cmd_verify(args):
     suites in order, writing each one's fail rows and its `suite` row as
     it ends.
 
-    The pre-flight checks the options, each suite's window, the algebra
-    (read and validated once, when some named suite reads one) and the
-    signature that invariance twists; after it no input is refused.
+    The pre-flight refuses an option no named suite reads, resolves each
+    suite's arguments from its SUITE_TABLE entry, and reads and validates
+    the algebra once, when some named suite reads one; after it no input
+    is refused.
     """
     names = SUITES if args.suite == "all" else (args.suite,)
+    suites = [SUITE_TABLE[name] for name in names]
     for key in ("vertices", "edges", "order", "algebra"):
         if getattr(args, key) is not None and \
-                not any(key in SUITE_OPTIONS[name] for name in names):
+                not any(key in suite.options for suite in suites):
             raise ValueError(f"verify {args.suite} does not read --{key}")
-    for name in names:
-        _check_window(args, name)
+    resolved = [_resolve(args, name) for name in names]
     algebra = None
-    if any("algebra" in SUITE_OPTIONS[name] for name in names):
+    if any("algebra" in suite.options for suite in suites):
         algebra = _algebra(args)
-    if "invariance" in names:
-        dim = algebra.dim
-        if dim.n < 1 and dim.m < 2:  # p1^4 or x1.x1.x2.x2; x1^4 cancels
-            raise ValueError(f"verify invariance twists by even cyclic "
-                             f"words of 4 letters, and signature "
-                             f"{dim.n}|{dim.m} has none: it needs n >= 1 "
-                             f"or m >= 2")
+    for suite in suites:
+        suite.check_algebra(algebra)
     checks = failures = 0
-    for name in names:
+    for name, suite_args in zip(names, resolved):
         rng = random.Random(f"{args.seed}:{name}")
-        bounds, n, fails = _SUITE_FNS[name](args, rng, algebra)
+        bounds, n, fails = _SUITE_FNS[name](suite_args, rng, algebra)
         yield from fails
         yield {"kind": "suite", "name": name, **bounds, "checks": n,
                "failures": len(fails),

@@ -137,7 +137,8 @@ _PAIRS = tuple(tuple((a, b) for b in range(MAX_HALF_EDGES))
 def _check_size(size):
     if size > MAX_HALF_EDGES:
         raise NotImplementedError(f"graphs beyond {MAX_HALF_EDGES} half-edge "
-                                  f"slots (8 edges) are out of scope")
+                                  f"slots ({MAX_HALF_EDGES // 2} edges) are "
+                                  f"out of scope")
 
 
 @lru_cache(maxsize=None)

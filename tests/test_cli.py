@@ -60,7 +60,7 @@ def test_connected_windows_are_asked_for_directly(capsys, monkeypatch):
     code, rep, _ = structured(capsys, "enumerate", "--vertices", "1:3",
                               "--edges", "1:5", "--connected")
     assert code == 0 and asked and all(asked)
-    for argv in (("roundtrip", "--edges", "3"), ("invariance", "--edges", "2")):
+    for argv in (("roundtrip", "--edges", "3"), ("invariance", "--edges", "3")):
         asked.clear()
         code, _, _ = run(capsys, "verify", *argv)
         assert code == 0 and asked and all(asked), argv
@@ -507,6 +507,12 @@ def test_input_errors_exit_2(capsys, tmp_path):
                              (("roundtrip", "--edges", "0"), "edges=0"),
                              (("roundtrip", "--edges", "1"), "edges=1"),
                              (("invariance", "--edges", "0"), "edges=0"),
+                             # one-vertex cells, where the partition
+                             # function is 0, and the empty graph alone
+                             (("invariance", "--edges", "1"), "edges=1"),
+                             (("invariance", "--edges", "2"), "edges=2"),
+                             (("exp", "--edges", "2"), "edges=2"),
+                             (("exp", "--vertices", "1"), "vertices=1"),
                              (("kontsevich", "--edges", "0"), "edges=0"),
                              (("kontsevich", "--edges", "1"), "edges=1"),
                              (("triangle", "--edges", "0"), "edges=0"),
@@ -565,6 +571,40 @@ def test_windows_past_the_cap_are_refused_before_any_work(capsys):
     # the cells of (6:7, 8) are all empty, so nothing reaches (7:8, 9)
     code, out, _ = run(capsys, "homology", "--vertices", "6:7", "--edges", "8")
     assert code == 0 and out.endswith("result status=ok cells=2\n")
+
+
+# lowers the cap to each suite's declared slots, in rising order, and runs
+# the suite under it
+REACH_PROBE = """
+import io, json
+from contextlib import redirect_stdout
+from ribbonhom import cli, graphs
+runs = []
+for name in cli.SUITES:
+    argv = ["verify", name, "--edges", "2" if name == "tcft" else "3"]
+    args = cli._resolve(cli.build_parser().parse_args(argv), name)
+    runs.append((cli.SUITE_TABLE[name].slots(args), argv))
+codes = {}
+for slots, argv in sorted(runs):
+    graphs.MAX_HALF_EDGES = slots
+    with redirect_stdout(io.StringIO()):
+        codes[argv[1]] = cli.main(argv)
+print(json.dumps(codes))
+"""
+
+
+def test_each_suite_builds_within_its_declared_slots():
+    # the pre-flight refuses a window by the slots a suite's entry
+    # declares; a suite that built more would be refused from inside, after
+    # earlier suites' rows were written.  One fresh process, so no cache
+    # from another test hides a search, and the cap only rises.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", REACH_PROBE], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == dict.fromkeys(cli.SUITES, 0), \
+        done.stderr
 
 
 def test_structured_output_is_the_indented_report(capsys, tmp_path):

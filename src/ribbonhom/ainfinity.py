@@ -260,11 +260,6 @@ def exp_chain(x: GraphChain, window) -> GraphChain:
     of 1/n! times n-fold unions.  Identical components are automatically
     weighted by the inverse order of their swap group."""
     vmax, emax = window
-
-    def truncate(chain: GraphChain) -> GraphChain:
-        return GraphChain({g: c for g, c in chain.terms.items()
-                           if g.nverts <= vmax and g.nedges <= emax})
-
     total = GraphChain({EMPTY_GRAPH: Fraction(1)})
     power = total
     n = 0
@@ -277,9 +272,8 @@ def exp_chain(x: GraphChain, window) -> GraphChain:
                         or g1.nedges + g2.nedges > emax):
                     continue
                 gu, s = disjoint_union(g1, g2)
-                if not gu.zero:
-                    terms[gu] = terms.get(gu, 0) + c1 * c2 * s
-        power = truncate(GraphChain(terms)).scale(Fraction(1, n))
+                terms[gu] = terms.get(gu, 0) + c1 * c2 * s
+        power = GraphChain(terms).scale(Fraction(1, n))
         total = total + power
     return total
 

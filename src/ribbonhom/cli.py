@@ -554,7 +554,8 @@ def _suite_invariance(args, rng, algebra):
 
 
 def _live(algebra, g):
-    return all(bool(algebra.hamiltonian(k)) for k in g.vtype)
+    # the algebra stores only its nonzero tensors
+    return all(k in algebra.hamiltonians for k in g.vtype)
 
 
 def _tcft_failure(g1, g2, rep):
@@ -676,8 +677,9 @@ def _resolve(args, name):
         key: default if getattr(args, key) is None else getattr(args, key)
         for key, default in suite.options.items()})
     suite.check(resolved)
-    _check_slots(f"verify {name} --edges {resolved.edges}",
-                 suite.slots(resolved))
+    options = "".join(f" --{key} {value}" for key, value
+                      in vars(resolved).items() if key != "algebra")
+    _check_slots(f"verify {name}{options}", suite.slots(resolved))
     if any(getattr(resolved, key) < least
            for key, least in suite.least.items()):
         window = " ".join(f"{key}={getattr(resolved, key)}"

@@ -270,22 +270,26 @@ def homology_dims(vrange, erange) -> dict:
 def is_boundary(x: GraphChain):
     """A chain y with boundary(y) == x, or None if there is none.
 
-    The witness is found by exact elimination over the one-higher
-    bidegree's basis; x must be bihomogeneous and nonzero.
+    The witness is found by exact elimination over the classes one
+    bidegree up that the expansion passes of x's basis reach
+    (`_rows_into`), so that cell is never enumerated; x must be
+    bihomogeneous and nonzero.
     """
     x = _closed(x)
     deg = x.bidegree()
     if deg is None:
         return GraphChain()
-    v, e = deg
-    src = basis(v + 1, e + 1)
-    col_of = {h: i for i, h in enumerate(src)}
-    tgt = basis(v, e)
-    # the columns of the boundary, one sparse row per target class
+    tgt = basis(*deg)
+    rows = _rows_into(tgt)
+    # the sources that a pass reaches, in basis order; the others are
+    # zero columns, never a pivot
+    src = sorted(rows, key=lambda h: h.sort_key)
+    # the columns of the boundary, one sparse row per target class; each
+    # row is dropped once copied, so none is held through the elimination
     cols = [{} for _ in tgt]
-    for h, row in _rows_into(tgt).items():
-        for j, c in row.items():
-            cols[j][col_of[h]] = c
+    for i, h in enumerate(src):
+        for j, c in rows.pop(h).items():
+            cols[j][i] = c
     row_of = {g: j for j, g in enumerate(tgt)}
     sol = solve_exact(cols, {row_of[g]: c for g, c in x.terms.items()})
     if sol is None:

@@ -13,7 +13,9 @@ each other: the two differentials are adjoint and the triangle
 chain-pairing = graph-pairing after integration commutes.
 The graph pairing (`amplitude`, `pair_chain_graph`) takes any pairing
 matrix, the canonical one by default: an algebra's characteristic class
-is paired through the algebra's own dual pairing.
+is paired through the algebra's own dual pairing.  Every graph read here
+is a canonical class (`graphs.canonicalize` makes one from a raw
+diagram), so no canonicalization sign enters the arithmetic.
 """
 
 from __future__ import annotations
@@ -44,12 +46,11 @@ def _norm_block(dim: SuperDim, word, project: bool):
     return t.scale(Fraction(1, len(word))) if project else t
 
 
-def amplitude(graph, x: CEChain, pairing=None):
-    """Amplitude of an oriented ribbon graph on a wedge chain: distribute
-    the wedge factors over the vertices in all rank-compatible ways, with
-    the graded sign of each redistribution, and contract the edges
-    through `pairing` (the canonical form matrix when None)."""
-    g, gsign = canonicalize(graph)
+def amplitude(g, x: CEChain, pairing=None):
+    """Amplitude of a canonical class on a wedge chain: distribute the
+    wedge factors over the vertices in all rank-compatible ways, with the
+    graded sign of each redistribution, and contract the edges through
+    `pairing` (the canonical form matrix when None)."""
     terms = x.by_ranks().get(g.vtype)
     if g.zero or g is EMPTY_GRAPH or not terms:
         return Fraction(0)
@@ -74,33 +75,29 @@ def amplitude(graph, x: CEChain, pairing=None):
                            pairing).scalar()
             if val:
                 total = total + coeff * val * sign
-    return total * gsign
+    return total
 
 
 def pair_chain_graph(x: CEChain, graph, pairing=None):
-    """Pairing of a wedge chain with a graph (or graph chain): amplitude
-    through `pairing` divided by the automorphism count, extended
-    linearly.
+    """Pairing of a wedge chain with a canonical class (or graph chain):
+    amplitude through `pairing` divided by the automorphism count,
+    extended linearly.
 
-    On a graph chain only the classes whose valency type is the sorted
-    factor lengths of some term of x are visited.  Every other class has
-    no rank-compatible assignment of factors to vertices, so its amplitude
-    is 0 and skipping it leaves the sum as it is."""
-    if isinstance(graph, GraphChain):
-        ranks = x.by_ranks()
-        total = Fraction(0)
-        for g, c in graph.terms.items():
-            if g.vtype not in ranks:
-                continue
-            amp = amplitude(g, x, pairing)
-            if amp:
-                total = total + c * amp / g.aut
-        return total
-    g, gsign = canonicalize(graph)
-    if g.zero or g is EMPTY_GRAPH:
-        return Fraction(0)
-    amp = amplitude(g, x, pairing)
-    return gsign * amp / g.aut if amp else amp
+    Only the classes whose valency type is the sorted factor lengths of
+    some term of x are visited.  Every other class has no rank-compatible
+    assignment of factors to vertices, so its amplitude is 0 and skipping
+    it leaves the sum as it is."""
+    ranks = x.by_ranks()
+    total = Fraction(0)
+    terms = graph.terms.items() if isinstance(graph, GraphChain) \
+        else ((graph, 1),)
+    for g, c in terms:
+        if g.vtype not in ranks:
+            continue
+        amp = amplitude(g, x, pairing)
+        if amp:
+            total = total + c * amp / g.aut
+    return total
 
 
 def _balanced(dim: SuperDim, factors) -> bool:
@@ -149,10 +146,10 @@ def integral_I(x: CEChain) -> GraphChain:
     return GraphChain(acc)
 
 
-def integral_I_inverse(graph) -> CEChain:
-    """A wedge chain integrating back to the given graph: one letter pair
-    p_r, q_r per edge, placed at the edge's two slots, over C^{2k|0}."""
-    g, gsign = canonicalize(graph)
+def integral_I_inverse(g) -> CEChain:
+    """A wedge chain integrating back to the canonical class g: one letter
+    pair p_r, q_r per edge, placed at the edge's two slots, over
+    C^{2k|0}."""
     if g.zero:
         return CEChain(SuperDim(len(g.chords), 0))
     k = len(g.chords)
@@ -166,4 +163,4 @@ def integral_I_inverse(graph) -> CEChain:
     for val in g.vtype:
         factors.append(tuple(word[pos:pos + val]))
         pos += val
-    return CEChain(dim, {tuple(factors): Fraction(gsign)})
+    return CEChain(dim, {tuple(factors): Fraction(1)})

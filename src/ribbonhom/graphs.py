@@ -449,16 +449,12 @@ def _standardize_diagram(vtype, legs_in, legs_out, chords):
     """Stable-sort the vertices by valency and relabel the slots to the
     consecutive scheme: (diagram, sign) with [input] = sign * [output].
 
-    The output becomes a `_scan_cached` key, so within the cap its chords
-    are the shared pairs of `_PAIRS`; past it (a glued diagram read only
-    by a state sum) they are new tuples."""
+    The diagram is within the cap and the output becomes a `_scan_cached`
+    key, so its chords are the shared pairs of `_PAIRS`."""
     vtype, new, sign = _sorting_relabeling(tuple(vtype))
-    if len(new) <= MAX_HALF_EDGES:
-        chords = tuple([_PAIRS[new[a]][new[b]] for a, b in chords])
-    else:
-        chords = tuple([(new[a], new[b]) for a, b in chords])
     return (vtype, tuple(new[s] for s in legs_in),
-            tuple(new[s] for s in legs_out), chords), sign
+            tuple(new[s] for s in legs_out),
+            tuple([_PAIRS[new[a]][new[b]] for a, b in chords])), sign
 
 
 def check_diagram(vtype, legs_in, legs_out, chords):
@@ -470,22 +466,24 @@ def check_diagram(vtype, legs_in, legs_out, chords):
 
 
 def canonicalize(obj):
-    """Canonical class and sign of a diagram: (RibbonGraph, sign) with
+    """Canonical class and sign of a raw diagram: (RibbonGraph, sign) with
     [input] = sign * [canonical].  For ZERO classes the sign is +1 by
     convention and the class must be discarded by chain arithmetic.  The
-    diagram is a RibbonGraph, a (vtype, chords) pair or a (vtype, legs_in,
-    legs_out, chords) tuple, its valencies in any order; empty leg lists
-    give the class without legs.  A diagram with a valency below 3, or
-    whose legs and chords do not cover every half-edge exactly once, is
-    rejected with ValueError."""
-    if isinstance(obj, RibbonGraph):
-        return obj, 1
+    diagram is a (vtype, chords) pair or a (vtype, legs_in, legs_out,
+    chords) tuple, its valencies in any order; empty leg lists give the
+    class without legs.  A diagram with a valency below 3, or whose legs
+    and chords do not cover every half-edge exactly once, is rejected with
+    ValueError, and one past the half-edge cap with NotImplementedError.
+
+    This is the one way from a raw diagram to a class: every function that
+    reads graphs past it takes canonical classes."""
     if len(obj) == 2:
         vtype, chords = obj
         legs_in = legs_out = ()
     else:
         vtype, legs_in, legs_out, chords = obj
     check_diagram(vtype, legs_in, legs_out, chords)
+    _check_size(sum(vtype))
     (vtype, legs_in, legs_out, chords), sign = \
         _standardize_diagram(vtype, legs_in, legs_out, chords)
     if not vtype:

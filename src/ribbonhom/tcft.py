@@ -11,14 +11,16 @@ correlator below respects on the nose: the vertex tensors are odd
 (transposing two vertices negates the state sum), the edge pairing is
 super-skew (reversing a direction negates it) and parity-even (the list
 order of the edges is immaterial).  Canonical forms come from
-`graphs.canonicalize`; a legged diagram, legs included, has at most 16
-half-edge slots.  Legged classes are enumerated from the leg placements
-that the search's leg rule leaves in place, each with every matching of
-the other slots.
+`graphs.canonicalize`; a legged class, legs included, has at most 16
+half-edge slots.  Every function below that reads a graph takes
+canonical classes, except `correlation`.  Legged classes are enumerated
+from the leg placements that the search's leg rule leaves in place, each
+with every matching of the other slots.
 
 Gluing joins outgoing leg j of the first graph to incoming leg j of the
-second by a new internal edge directed first-to-second; `compose` extends
-it bilinearly to `complexes.GraphChain`s of legged classes.  The correlator
+second by a new internal edge directed first-to-second; the glued
+diagram is raw, and `glue` canonicalizes it.  `compose` extends gluing
+bilinearly to `complexes.GraphChain`s of legged classes.  The correlator
 of an algebra over a legged graph is the partition-function state sum
 `superspace.contract` -- one Hamiltonian tensor per vertex, internal
 edges contracted with the dual inner product -- with the leg slots left
@@ -27,7 +29,9 @@ division (so a graph without legs evaluates to |Aut| times its
 partition-function coefficient).  Gluing then corresponds to composing
 correlators, the same state sum over the two correlators: contract the
 outgoing slots of the first against the incoming slots of the second
-with the same dual pairing.
+with the same dual pairing.  `correlation` reads a class or a raw
+diagram, since a state sum is defined on any diagram: the glued diagram
+of two classes is evaluated as it is, even past the half-edge cap.
 """
 
 from __future__ import annotations
@@ -38,48 +42,33 @@ from functools import lru_cache
 from .ainfinity import AInfinityAlgebra, ValidationReport
 from .complexes import GraphChain
 from .graphs import (EMPTY_GRAPH, RibbonGraph, _check_size, _classify,
-                     _place_legs, _standardize_diagram, _valency_partitions,
-                     canonicalize, perfect_matchings)
+                     _place_legs, _valency_partitions, canonicalize,
+                     perfect_matchings)
 from .scalars import format_scalar
 from .superspace import SuperTensor, contract
 
 
 # ----------------------------------------------------------------- gluing
 
-def _as_diagram(g):
-    if isinstance(g, RibbonGraph):
-        return g.diagram()
-    vtype, legs_in, legs_out, chords = g
-    return (tuple(vtype), tuple(legs_in), tuple(legs_out),
-            tuple(tuple(c) for c in chords))
-
-
 def glue_diagram(g1, g2):
-    """Join outgoing leg j of g1 to incoming leg j of g2 by a new internal
-    edge directed first-to-second, the first graph's vertices listed
-    first: (diagram, sign), standardized but not canonicalized."""
-    vt1, li1, lo1, ch1 = _as_diagram(g1)
-    vt2, li2, lo2, ch2 = _as_diagram(g2)
+    """Join outgoing leg j of the class g1 to incoming leg j of the class
+    g2 by a new internal edge directed first-to-second, the first graph's
+    vertices listed first: the glued (vtype, legs_in, legs_out, chords)
+    diagram, neither standardized nor canonicalized."""
+    vt1, li1, lo1, ch1 = g1.diagram()
+    vt2, li2, lo2, ch2 = g2.diagram()
     if len(lo1) != len(li2):
         raise ValueError(f"cannot glue {len(lo1)} outgoing legs "
                          f"to {len(li2)} incoming legs")
     shift = sum(vt1)
-    chords = list(ch1)
-    chords += [(a + shift, b + shift) for a, b in ch2]
-    chords += [(lo1[j], li2[j] + shift) for j in range(len(lo1))]
-    vtype = vt1 + vt2
-    legs_in = li1
-    legs_out = tuple(s + shift for s in lo2)
-    if not vtype:
-        return ((), (), (), ()), 1
-    return _standardize_diagram(vtype, legs_in, legs_out, tuple(chords))
+    chords = (*ch1, *((a + shift, b + shift) for a, b in ch2),
+              *((a, b + shift) for a, b in zip(lo1, li2)))
+    return vt1 + vt2, li1, tuple(s + shift for s in lo2), chords
 
 
 def glue(g1, g2):
-    """Glued canonical class: (RibbonGraph, sign)."""
-    diagram, sign = glue_diagram(g1, g2)
-    g, s2 = canonicalize(diagram)
-    return g, sign * s2
+    """Glued canonical class of two classes: (RibbonGraph, sign)."""
+    return canonicalize(glue_diagram(g1, g2))
 
 
 # ----------------------------------------------------------------- chains
@@ -107,17 +96,19 @@ def correlation(algebra: AInfinityAlgebra, graph) -> SuperTensor:
     left open and ordered incoming labels then outgoing labels.
 
     Accepts a canonical RibbonGraph or a raw (vtype, legs_in, legs_out,
-    chords) diagram; on canonical zero classes the result is the zero
-    tensor, which is also what the state sum itself produces on any
-    diagram of such a class."""
+    chords) diagram, such as a glued one; on canonical zero classes the
+    result is the zero tensor, which is also what the state sum itself
+    produces on any diagram of such a class."""
     dim = algebra.form.dim
-    if isinstance(graph, RibbonGraph) and graph.zero:
-        return SuperTensor.zero(dim, graph.nin + graph.nout)
-    vtype, legs_in, legs_out, chords = _as_diagram(graph)
+    if isinstance(graph, RibbonGraph):
+        if graph.zero:
+            return SuperTensor.zero(dim, graph.nin + graph.nout)
+        graph = graph.diagram()
+    vtype, legs_in, legs_out, chords = graph
     if not vtype:
         return SuperTensor(dim, 0, {(): Fraction(1)})
     return contract([algebra.hamiltonian(k) for k in vtype], chords,
-                    algebra.dual_pairing(), legs_in + legs_out)
+                    algebra.dual_pairing(), (*legs_in, *legs_out))
 
 
 def compose_tensors(t1: SuperTensor, t2: SuperTensor, n, pairing):
@@ -135,13 +126,11 @@ def compose_tensors(t1: SuperTensor, t2: SuperTensor, n, pairing):
 
 def composition_compatibility(algebra: AInfinityAlgebra, g1, g2,
                               correlators=None):
-    """Report whether the correlator of the glued graph equals the
-    composition of the two correlators, exactly.  `correlators`, a dict
-    kept across calls on the same algebra, memoizes the correlator of
-    each canonical graph."""
+    """Report whether the correlator of the glued diagram of the classes
+    g1 and g2 equals the composition of their two correlators, exactly.
+    `correlators`, a dict kept across calls on the same algebra, memoizes
+    the correlator of each class."""
     report = ValidationReport()
-    g1, s1 = canonicalize(g1)
-    g2, s2 = canonicalize(g2)
     if g1.nout != g2.nin:
         report.fail("arity", f"{g1.nout} outgoing legs against "
                              f"{g2.nin} incoming")
@@ -151,11 +140,9 @@ def composition_compatibility(algebra: AInfinityAlgebra, g1, g2,
     for g in (g1, g2):
         if g not in correlators:
             correlators[g] = correlation(algebra, g)
-    diagram, s = glue_diagram(g1, g2)
-    glued = correlation(algebra, diagram).scale(s * s1 * s2)
-    composed = compose_tensors(correlators[g1].scale(s1),
-                               correlators[g2].scale(s2),
-                               g1.nout, algebra.dual_pairing())
+    glued = correlation(algebra, glue_diagram(g1, g2))
+    composed = compose_tensors(correlators[g1], correlators[g2], g1.nout,
+                               algebra.dual_pairing())
     if glued != composed:
         diff = glued - composed
         w = min(diff.terms, key=lambda w: (len(w), w))

@@ -470,6 +470,10 @@ def test_input_errors_exit_2(capsys, tmp_path):
                         (("kontsevich", "--edges", "9"), "20 half-edge slots"),
                         (("adjointness", "--edges", "9"),
                          "18 half-edge slots"),
+                        # the window names the option that sets the reach
+                        (("triangle", "--order", "18"),
+                         "verify triangle --edges 4 --order 18 reaches "
+                         "diagrams of 18 half-edge slots"),
                         (("kontsevich", "--order", "2"), "3 letters"),
                         (("triangle", "--order", "2"), "3 letters"),
                         # options the named suite never reads

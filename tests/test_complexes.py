@@ -297,6 +297,39 @@ def test_homology_reads_only_connected_windows_below_the_cap():
     assert all(connected or v <= 1 for v, e, connected in windows)
 
 
+IS_BOUNDARY_PROBE = """
+import json
+from ribbonhom import complexes, graphs
+windows = set()
+enumerate_graphs = graphs.enumerate_graphs
+def spy(nvert, nedge, connected=False):
+    windows.add((nvert, nedge, connected))
+    return enumerate_graphs(nvert, nedge, connected)
+for module in (graphs, complexes):
+    module.enumerate_graphs = spy
+h, _ = graphs.canonicalize(((3, 3, 4),
+                            ((0, 4), (1, 7), (2, 5), (3, 9), (6, 8))))
+x = complexes.boundary(complexes.GraphChain.of(h))
+witness = complexes.is_boundary(x)
+print(json.dumps([sorted(windows), x.bidegree(),
+                  complexes.boundary(witness) == x]))
+"""
+
+
+def test_is_boundary_never_enumerates_the_cell_above():
+    # a new interpreter, so that no cache hides a window.  The witness
+    # columns are the classes that the passes of the (2, 4) basis reach,
+    # so nothing is enumerated at e = 5
+    src = os.path.dirname(os.path.dirname(complexes.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", IS_BOUNDARY_PROBE], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    windows, deg, solved = json.loads(out)
+    assert deg == [2, 4] and solved
+    assert [2, 4, False] in windows
+    assert all(e < 5 for v, e, _ in windows), windows
+
+
 def test_boundary_rows_by_adjointness_equal_the_contraction_rows():
     # the rows that homology ranks and `is_boundary` solves against are
     # read from the expansion passes of the targets; the boundary of a

@@ -101,3 +101,18 @@ def test_classes_are_made_in_one_place():
                     and _name(node.func) == "RibbonGraph"):
                 found.append(f"{path.stem}:{node.lineno} {ast.unparse(node)}")
     assert not found, f"a second way to a class: {', '.join(found)}"
+
+
+def test_raw_diagrams_are_read_only_where_they_are_made():
+    # `canonicalize` is the one reader of raw diagrams into classes, and
+    # every function past it takes classes: it is called only where a raw
+    # diagram is made, by a union, an integration, a gluing or a file
+    calls = set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call) and \
+                        _name(node.func) == "canonicalize":
+                    calls.add(f"{path.stem}.{getattr(stmt, 'name', None)}")
+    assert calls == {"graphs.disjoint_union", "feynman.integral_I",
+                     "tcft.glue", "jsonio.graph_from_json"}

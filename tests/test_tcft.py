@@ -298,8 +298,32 @@ def test_composition_compatibility_on_twisted_algebra():
                     for g2 in enumerate_legged_graphs(n, k, e2):
                         rep = composition_compatibility(B, g1, g2)
                         assert rep.valid, (g1, g2, rep)
-                        live += bool(correlation(B, glue_diagram(g1, g2)[0]))
+                        live += bool(correlation(B, glue_diagram(g1, g2)))
     assert live >= 40
+
+
+def test_composition_compatibility_past_the_cap():
+    # three outgoing legs on three edges glued to three incoming legs on
+    # three edges: a glued diagram of 18 slots, whose class is out of scope
+    # but whose state sum is not
+    rng = random.Random(61)
+    side1 = enumerate_legged_graphs(0, 3, 3)
+    side2 = enumerate_legged_graphs(3, 0, 3)
+    with pytest.raises(NotImplementedError, match="16 half-edge slots"):
+        glue(side1[0], side2[0])
+    for algebra in (A, twisted_11()):
+        live1, live2 = ([g for g in side
+                         if set(g.vtype) <= set(algebra.hamiltonians)]
+                        for side in (side1, side2))
+        correlators = {}
+        sample2 = rng.sample(live2, 8)
+        for g1 in rng.sample(live1, 8):
+            for g2 in sample2:
+                diagram = glue_diagram(g1, g2)
+                assert sum(diagram[0]) == 18
+                rep = composition_compatibility(algebra, g1, g2, correlators)
+                assert rep.valid, (g1, g2, rep)
+                assert correlation(algebra, diagram), (g1, g2)
 
 
 def test_composition_compatibility_when_a_valency_has_no_tensor():

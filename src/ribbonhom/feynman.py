@@ -140,8 +140,6 @@ def integral_I(x: CEChain) -> GraphChain:
             if not val:
                 continue
             g, sign = canonicalize((ranks, matching))
-            if g.zero:
-                continue
             acc[g] = acc.get(g, 0) + coeff * val * sign
     return GraphChain(acc)
 

@@ -1,30 +1,34 @@
 """Oriented ribbon graphs as chord diagrams, with exact orientation signs.
 
-A graph of type ``(k_1 <= ... <= k_m)`` (vertex valencies, all >= 3) is
-stored on half-edges ``0 .. 2e-1``: vertex v owns the consecutive block of
-length k_v starting at ``k_1 + ... + k_{v-1}``, the block order being the
-cyclic order at the vertex, and the edges form a perfect matching of the
-half-edges.  An orientation is an ordering of the vertices together with a
-direction of every edge; transposing two vertices or flipping one edge
-negates the graph.
+A diagram of type ``(k_1, ..., k_m)`` (vertex valencies, all >= 3, in
+any order) is stored on half-edges ``0 .. 2e-1``: vertex v owns the
+consecutive block of length k_v starting at ``k_1 + ... + k_{v-1}``, the
+block order being the cyclic order at the vertex, and the edges form a
+perfect matching of the half-edges.  An orientation is an ordering of the
+vertices together with a direction of every edge; transposing two
+vertices or flipping one edge negates the graph.  A class lists its
+vertices sorted by valency.
 
 Two diagrams give the same oriented graph exactly when a relabeling built
-from a valency-preserving vertex permutation and rotations of the cyclic
-orders carries one matching to the other; the sign of the relabeling is
-the vertex-permutation sign times (-1) per reversed edge.  The canonical
-form is the least image matching over this group (as partner arrays,
-compared lexicographically); a class is ZERO when some relabeling
-stabilizes the matching with sign -1.
+from a valency-preserving bijection of their vertices and rotations of
+the cyclic orders carries one matching to the other; the sign of the
+relabeling is the sign of the vertex order it induces times (-1) per
+reversed edge.  The canonical form is the least image matching over this
+group (as partner arrays, compared lexicographically); a class is ZERO
+when some relabeling stabilizes the matching with sign -1.
 
 Canonical forms come from one pruned search (`_canonical_search`), the
 individualization of nauty (McKay & Piperno 2014) and the rooted code of
 plantri (Brinkmann & McKay 2007) applied to the least partner array.  It
-fills the image labels in order: it branches only where a label's block
-holds no vertex yet, over the unplaced vertices of that valency and their
-rotations; everywhere else the least entry forces the placement.  Depth
-first, with the least image so far as the incumbent, it drops a branch at
-its first larger entry; the relabelings that survive are the coset onto
-the canonical form, so they give the sign, |Aut| and the ZERO flag.
+fills the image labels, whose blocks follow the sorted type, in order: it
+branches only where a label's block holds no vertex yet, over the
+unplaced vertices of that valency and their rotations; everywhere else
+the least entry forces the placement.  So the search alone decides which
+block a vertex goes to, and a diagram's vertices may come in any order.
+Depth first, with the least image so far as the incumbent, it drops a
+branch at its first larger entry; the relabelings that survive are the
+coset onto the canonical form, so they give the sign, |Aut| and the ZERO
+flag.
 
 A class may carry labelled legs, the open slots of the TCFT reading of
 the same graphs (`tcft`): `legs_in[i]` is the slot of incoming label i,
@@ -45,16 +49,17 @@ tables of classes are most of the memory a large window spends.
 The moves of the complex, contracting an edge and expanding an ideal
 edge, relabel half-edges in a way that depends only on the valency type
 and the half-edges involved, not on the other chords.  Each such
-relabeling, composed with the standardization and its sign, is built once
-and cached as a tuple of labels (a move template): one per edge of a
-type (`_contraction_template`), and one tuple per type for its ideal
-edges (`_expansion_moves`).  The moves of one graph are its chords read
-through the templates (`_contractions`, `_expansions`), and each move is
-canonicalized by one call of `_classify`.  The expansions of a class are
-canonicalized once, in one cached pass (`_expansion_pass`) that lists
-every class they land in with its integer coefficient: it is the
-coboundary of the class, the boundary into it by adjointness, and the
-enumeration's source of the classes one vertex up.
+relabeling lists the vertices in the move's own order; with the sign of
+its vertex shuffle it is built once and cached as a tuple of labels (a
+move template): one per edge of a type (`_contraction_template`), and one
+tuple per type for its ideal edges (`_expansion_moves`).  The moves of
+one graph are its chords read through the templates (`_contractions`,
+`_expansions`), and each move is canonicalized by one call of
+`_classify`.  The expansions of a class are canonicalized once, in one
+cached pass (`_expansion_pass`) that lists every class they land in with
+its integer coefficient: it is the coboundary of the class, the boundary
+into it by adjointness, and the enumeration's source of the classes one
+vertex up.
 
 Enumeration generates classes from smaller ones and keeps one of each
 through the search.  One-vertex classes add a shortest chord to the
@@ -143,32 +148,40 @@ def _check_size(size):
 
 @lru_cache(maxsize=None)
 def _search_frame(vtype):
-    """Tables of the canonical search for one type.
+    """Tables of the canonical search for one type, its vertices in any
+    order, and the sorted type `std` whose label blocks they fill.
 
-    `offs[v]` is the block offset of vertex v, and `base[h]` and `val[h]`
-    are the block offset and the valency of the vertex of slot h.  Placing
-    the vertex of h in the block at offset b with h first writes `cyc[h]`
-    (its slots in cyclic order from h) to the labels from b on, and
-    `spot[h][b]` (the labels of its slots, in slot order) to its slots.
-    `blocks[k]` lists the block offsets of valency k in order, and
+    The slot tables follow the given order: `offs[v]` is the block offset
+    of vertex v, `base[h]` and `val[h]` are the block offset and the
+    valency of the vertex of slot h, and `sources[k]` lists the offsets of
+    the vertices of valency k in order.  The label tables follow `std`:
+    `blocks[k]` lists the label blocks of valency k in order, and
     `starts[t]` is the valency of the block starting at label t (0 inside
-    a block).  A type past the half-edge cap is refused here, so no search
-    runs on it.
+    a block).  Placing the vertex of h in the block at label b with h
+    first writes `cyc[h]` (its slots in cyclic order from h) to the labels
+    from b on, and `spot[h][b]` (the labels of its slots, in slot order)
+    to its slots.  The search alone decides which block a vertex goes to,
+    so no sort of the vertices runs before it.  A type past the half-edge
+    cap is refused here, so no search runs on it.
     """
     _check_size(sum(vtype))
+    std = tuple(sorted(vtype))
     offs = type_offsets(vtype)
     base = [o for o, k in zip(offs, vtype) for _ in range(k)]
     val = [k for k in vtype for _ in range(k)]
+    sources = [[] for _ in range(max(vtype) + 1)]
+    for o, k in zip(offs, vtype):
+        sources[k].append(o)
     blocks = [[] for _ in range(max(vtype) + 1)]
     starts = [0] * sum(vtype)
-    for o, k in zip(offs, vtype):
+    for o, k in zip(type_offsets(std), std):
         blocks[k].append(o)
         starts[o] = k
     cyc = [tuple(o + (s + r) % k for s in range(k))
            for o, k in zip(offs, vtype) for r in range(k)]
     spot = [{b: tuple(b + (s - r) % k for s in range(k)) for b in blocks[k]}
             for k in vtype for r in range(k)]
-    return offs, base, val, cyc, spot, blocks, starts
+    return std, offs, base, val, cyc, spot, sources, blocks, starts
 
 
 def _place_legs(vtype, legs):
@@ -177,7 +190,7 @@ def _place_legs(vtype, legs):
     first; a leg on a vertex already placed moves with it.  Returns (img,
     inv, taken): the label of each slot, the slot at each label (-1 where
     nothing is placed yet) and the count of blocks taken per valency."""
-    _, base, val, cyc, spot, blocks, _ = _search_frame(vtype)
+    _, _, base, val, cyc, spot, _, blocks, _ = _search_frame(vtype)
     img = [-1] * len(base)
     inv = [-1] * len(base)
     taken = [0] * len(blocks)
@@ -197,19 +210,19 @@ def _canonical_search(vtype, chords, legs=()):
     every slot.
 
     Labels are filled in order.  At a label whose block holds no vertex
-    yet, the search branches over the unplaced vertices of its valency and
-    their rotations; otherwise the entry is the image of the partner of
-    the half-edge there, and an unplaced partner vertex goes to the next
-    free block of its valency, rotated so that the partner comes first,
-    which is the only least choice.  Blocks of one valency are therefore
-    taken in order.  The search runs depth first with the least image so
-    far as the incumbent and drops a branch at its first larger entry;
-    the leaves left are exactly the relabelings onto the least image.
-    Each leg is placed the same way first, in order (`_place_legs`), and
-    is then a fixed point of the matching.  `free` counts the labels that
-    hold no slot yet.
+    yet, the search branches over the unplaced vertices of its valency
+    (`sources`, in the diagram's order) and their rotations; otherwise the
+    entry is the image of the partner of the half-edge there, and an
+    unplaced partner vertex goes to the next free block of its valency,
+    rotated so that the partner comes first, which is the only least
+    choice.  Blocks of one valency are therefore taken in order.  The
+    search runs depth first with the least image so far as the incumbent
+    and drops a branch at its first larger entry; the leaves left are
+    exactly the relabelings onto the least image.  Each leg is placed the
+    same way first, in order (`_place_legs`), and is then a fixed point of
+    the matching.  `free` counts the labels that hold no slot yet.
     """
-    _, base, val, cyc, spot, blocks, starts = _search_frame(vtype)
+    _, _, base, val, cyc, spot, sources, blocks, starts = _search_frame(vtype)
     size = len(base)
     if legs:
         partner = list(range(size))
@@ -245,7 +258,7 @@ def _canonical_search(vtype, chords, legs=()):
                 k = starts[t]
                 taken[k] += 1
                 least, picks = size, None
-                for o in blocks[k]:
+                for o in sources[k]:
                     if img[o] >= 0:
                         continue
                     for h in range(o, o + k):
@@ -392,25 +405,28 @@ def _classify(vtype, chords, legs_in=(), legs_out=()):
     """The class of one oriented diagram: (RibbonGraph, sign) with
     [input] = sign * [class], the sign None for a ZERO class.
 
-    `vtype` is sorted, `chords` holds the oriented chords as (a, b) pairs
-    and `legs_in` and `legs_out` the slots of the legs, possibly none.
-    The class is the entry of its type's table under the least image of
-    `_canonical_search`, as bytes, with the incoming leg count and the leg
-    images in front for a class with legs; its chords, `aut` and `zero`
-    are built only when the table has no such entry.  The relabelings onto
-    the least image are one coset of its stabilizer, on which the sign is
-    a character: their signs are all equal, or split evenly and sum to
-    zero exactly for ZERO classes.  So a new class sums the signs of all
+    `vtype` lists the valencies in any order, `chords` holds the oriented
+    chords as (a, b) pairs and `legs_in` and `legs_out` the slots of the
+    legs, possibly none.  The class is the entry of the table of the
+    sorted type under the least image of `_canonical_search`, as bytes,
+    with the incoming leg count and the leg images in front for a class
+    with legs; its chords, `aut` and `zero` are built only when the table
+    has no such entry.  The sign of a relabeling counts the permutation
+    from the given vertex order to the label order (`_leaf_sign`), so it
+    holds the sign of sorting the vertices.  The relabelings onto the
+    least image are one coset of its stabilizer, on which the sign is a
+    character: their signs are all equal, or split evenly and sum to zero
+    exactly for ZERO classes.  So a new class sums the signs of all
     of them, and a class already in the table reads its sign off one.
     """
     legs = legs_in + legs_out
     best, leaves = _canonical_search(vtype, chords, legs)
-    offs = _search_frame(vtype)[0]
+    std, offs = _search_frame(vtype)[:2]
     images = tuple([leaves[0][h] for h in legs])
     key = bytes([len(legs_in), *images, *best]) if legs else bytes(best)
-    table = RibbonGraph._intern.get(vtype)
+    table = RibbonGraph._intern.get(std)
     if table is None:
-        table = RibbonGraph._intern[vtype] = {}
+        table = RibbonGraph._intern[std] = {}
     g = table.get(key)
     if g is not None:
         return g, None if g.zero else _leaf_sign(offs, chords, leaves[0])
@@ -418,7 +434,7 @@ def _classify(vtype, chords, legs_in=(), legs_out=()):
     # a new class of a known type keeps the type its table already has
     first = next(iter(table.values()), None)
     g = table[key] = RibbonGraph(
-        first.vtype if first else vtype, images[:len(legs_in)],
+        first.vtype if first else std, images[:len(legs_in)],
         images[len(legs_in):],
         tuple([_PAIRS[a][b] for a, b in enumerate(best) if a < b]),
         len(leaves) if net else len(leaves) // 2, not net)
@@ -431,31 +447,6 @@ EMPTY_GRAPH = RibbonGraph((), (), (), (), 1, False)
 
 
 # ----------------------------------------------------------------- moves
-
-@lru_cache(maxsize=None)
-def _sorting_relabeling(vtype):
-    """Stable sort of the vertices by valency: (sorted type, new slot of
-    each slot, sign of the vertex permutation)."""
-    order = sorted(range(len(vtype)), key=lambda v: vtype[v])
-    offs = type_offsets(vtype)
-    new = [0] * sum(vtype)
-    for n, s in enumerate(offs[v] + s for v in order for s in range(vtype[v])):
-        new[s] = n
-    return (tuple(vtype[v] for v in order), tuple(new),
-            perm_parity(tuple(order)))
-
-
-def _standardize_diagram(vtype, legs_in, legs_out, chords):
-    """Stable-sort the vertices by valency and relabel the slots to the
-    consecutive scheme: (diagram, sign) with [input] = sign * [output].
-
-    The diagram is within the cap and the output becomes a `_scan_cached`
-    key, so its chords are the shared pairs of `_PAIRS`."""
-    vtype, new, sign = _sorting_relabeling(tuple(vtype))
-    return (vtype, tuple(new[s] for s in legs_in),
-            tuple(new[s] for s in legs_out),
-            tuple([_PAIRS[new[a]][new[b]] for a, b in chords])), sign
-
 
 def check_diagram(vtype, legs_in, legs_out, chords):
     if any(k < 3 for k in vtype):
@@ -474,6 +465,8 @@ def canonicalize(obj):
     class without legs.  A diagram with a valency below 3, or whose legs
     and chords do not cover every half-edge exactly once, is rejected with
     ValueError, and one past the half-edge cap with NotImplementedError.
+    The diagram goes to the search as given, its chords made the shared
+    pairs of `_PAIRS`, since it becomes a `_scan_cached` key.
 
     This is the one way from a raw diagram to a class: every function that
     reads graphs past it takes canonical classes."""
@@ -484,23 +477,25 @@ def canonicalize(obj):
         vtype, legs_in, legs_out, chords = obj
     check_diagram(vtype, legs_in, legs_out, chords)
     _check_size(sum(vtype))
-    (vtype, legs_in, legs_out, chords), sign = \
-        _standardize_diagram(vtype, legs_in, legs_out, chords)
     if not vtype:
-        return EMPTY_GRAPH, sign
-    g, csign = _scan_cached(vtype, chords, legs_in, legs_out)
-    return g, sign * (1 if g.zero else csign)
+        return EMPTY_GRAPH, 1
+    chords = tuple([_PAIRS[a][b] for a, b in chords])
+    g, sign = _scan_cached(tuple(vtype), chords, tuple(legs_in),
+                           tuple(legs_out))
+    return g, 1 if g.zero else sign
 
 
-def _move_relabeling(vertices, size, shuffle):
-    """Template of a move that lists `vertices` (tuples of labels below
-    `size`) in this order after the vertex shuffle `shuffle`: (vtype, R,
-    sign), R[h] the standard label of h (0 for a label no vertex lists)."""
-    vtype, new, sign = _sorting_relabeling(tuple(len(v) for v in vertices))
-    R = [0] * size
-    for h, n in zip([h for v in vertices for h in v], new):
+def _move_relabeling(vertices, shuffle):
+    """Template of a move that lists `vertices` (tuples of labels) in this
+    order after the vertex shuffle `shuffle`: (vtype, R, sign), vtype the
+    valencies in the move's own order, R[h] the position of h in the
+    listing (0 for a label no vertex lists) and sign that of the shuffle."""
+    labels = [h for v in vertices for h in v]
+    R = [0] * (max(labels) + 1)
+    for n, h in enumerate(labels):
         R[h] = n
-    return vtype, tuple(R), sign * perm_parity(tuple(shuffle))
+    return (tuple(len(v) for v in vertices), tuple(R),
+            perm_parity(tuple(shuffle)))
 
 
 def _relabel(R, chords):
@@ -530,7 +525,7 @@ def _contraction_template(vtype, a, b):
         return block[i + 1:] + block[:i + 1]
 
     merged = to_last(blocks[va], a)[:-1] + to_last(blocks[vb], b)[:-1]
-    return _move_relabeling([merged] + [blocks[i] for i in rest], sum(vtype),
+    return _move_relabeling([merged] + [blocks[i] for i in rest],
                             [va, vb] + rest)
 
 
@@ -576,7 +571,7 @@ def _expansion_moves(vtype):
         rest = [i for i in range(len(vtype)) if i != v]
         vertices = [arc_a + (size,), arc_b + (size + 1,)]
         moves.append(_move_relabeling(vertices + [blocks[i] for i in rest],
-                                      size + 2, [v] + rest))
+                                      [v] + rest))
     return tuple(moves)
 
 

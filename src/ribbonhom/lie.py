@@ -258,9 +258,11 @@ class CEChain(LinearCombination):
 
 def ce_differential(x: CEChain, form=None) -> CEChain:
     """Wedge-complex differential: replace one pair of factors by its
-    bracket, summed over pairs with the usual graded signs."""
+    bracket, summed over pairs with the usual graded signs.  The raw terms
+    are summed first and reduced once, in one chain, as reduction is
+    linear."""
     dim = x.dim
-    out = CEChain(dim)
+    raw: dict = {}
     for factors, coeff in x.terms.items():
         pars = [dim.word_parity(w) for w in factors]
         prefix = [0]
@@ -276,6 +278,7 @@ def ce_differential(x: CEChain, form=None) -> CEChain:
                     continue
                 rest = tuple(w for t, w in enumerate(factors) if t not in (i, j))
                 sign = -1 if eps % 2 else 1
-                out = out + CEChain(dim, {
-                    (w,) + rest: coeff * c * sign for w, c in br.terms.items()})
-    return out
+                for w, c in br.terms.items():
+                    key = (w,) + rest
+                    raw[key] = raw.get(key, 0) + coeff * c * sign
+    return CEChain(dim, raw)

@@ -54,7 +54,7 @@ def glue_diagram(g1, g2):
     """Join outgoing leg j of the class g1 to incoming leg j of the class
     g2 by a new internal edge directed first-to-second, the first graph's
     vertices listed first: the glued (vtype, legs_in, legs_out, chords)
-    diagram, neither standardized nor canonicalized."""
+    diagram, not canonicalized."""
     vt1, li1, lo1, ch1 = g1.diagram()
     vt2, li2, lo2, ch2 = g2.diagram()
     if len(lo1) != len(li2):
@@ -83,8 +83,7 @@ def compose(x: GraphChain, y: GraphChain) -> GraphChain:
     for g1, c1 in x.terms.items():
         for g2, c2 in y.terms.items():
             g, s = glue(g1, g2)
-            if not g.zero:
-                acc[g] = acc.get(g, 0) + c1 * c2 * s
+            acc[g] = acc.get(g, 0) + c1 * c2 * s
     return GraphChain(acc, x.nin, y.nout)
 
 

@@ -345,7 +345,7 @@ def test_each_window_is_one_cache_entry(monkeypatch):
     assert cached.cache_info().misses == len(windows)
 
 
-def test_stored_chords_are_the_shared_pairs():
+def test_stored_chords_are_the_shared_pairs(monkeypatch):
     # every producer of classes stores the one tuple of each chord, and the
     # move caches of the complex hold no tuple per term
     def shared(chords):
@@ -370,8 +370,16 @@ def test_stored_chords_are_the_shared_pairs():
     for g in made:
         assert shared(g.chords), g
     # the cached tables that keep chords: scan keys and insertions
-    assert shared(graphs._standardize_diagram(user[0], (), (), user[1])
-                  [0][3])
+    scanned = []
+    scan = graphs._scan_cached
+
+    def spy(vtype, chords, legs_in, legs_out):
+        scanned.append(chords)
+        return scan(vtype, chords, legs_in, legs_out)
+
+    monkeypatch.setattr(graphs, "_scan_cached", spy)
+    canonicalize(user)
+    assert scanned and all(shared(chords) for chords in scanned)
     assert all(shared(moved) for _, _, moved, _ in
                graphs._chord_insertions(10))
 
@@ -403,9 +411,32 @@ def test_classes_keep_few_bytes_each():
     assert float(out) < 1200
 
 
+def _standardized(vtype, chords, legs=()):
+    """The oracle's standard form of a diagram whose vertices come in any
+    order: (sorted type, chords, legs, sign of the stable vertex sort).  A
+    leg is a fixed point of the matching, so it is relabeled as a chord
+    (h, h)."""
+    offs = O.type_offsets(vtype)
+    vertices = [range(o, o + k) for o, k in zip(offs, vtype)]
+    vt, ch, sign = O.standardize(vertices, [*chords, *((h, h) for h in legs)])
+    return vt, ch[:len(chords)], tuple(a for a, _ in ch[len(chords):]), sign
+
+
+def _standard_moves(moves):
+    """Moves (vtype, chords, sign) in the oracle's standard form, the sign
+    of the vertex sort folded into the move's."""
+    out = []
+    for vtype, chords, sign in moves:
+        vt, ch, _, s = _standardized(vtype, chords)
+        out.append((vt, ch, sign * s))
+    return out
+
+
 def test_search_matches_orbit_oracle():
     # every class with e <= 5 in a random orientation, with all of its
-    # contractions and ideal-edge expansions, against the exhaustive scan
+    # contractions and ideal-edge expansions, against the exhaustive scan.
+    # A move lists its vertices in its own order, so the oracle scans its
+    # standard form, whose sign the class's sign includes
     rng = random.Random(5)
     cases = []
     for e in range(1, 6):
@@ -416,10 +447,12 @@ def test_search_matches_orbit_oracle():
                 cases += [(vt, chords) for vt, chords, _ in
                           [*_contractions(g), *_expansions(g)]]
     for vtype, chords in cases:
-        d = O.orbit_scan(vtype, chords)
+        std, std_chords, _, s = _standardized(vtype, chords)
+        d = O.orbit_scan(std, std_chords)
         g, sign = _classify(vtype, chords)
         assert (g.chords, sign, g.aut, g.zero) == \
-            (d["canonical"], d["sign"], d["aut"], d["zero"]), (vtype, chords)
+            (d["canonical"], None if d["zero"] else s * d["sign"], d["aut"],
+             d["zero"]), (vtype, chords)
 
 
 def test_generated_windows_match_the_sweep_counts():
@@ -443,7 +476,7 @@ def _classes_to_e6():
 def test_contraction_templates_match_oracle():
     # every contraction of every class with e <= 6 against the oracle: a
     # template for each edge that is no loop, and the moves read through
-    # them
+    # them, in the oracle's standard form
     for g in _classes_to_e6():
         loops = _loops(g)
         edges = [j for j in range(g.nedges) if j not in loops]
@@ -451,27 +484,30 @@ def test_contraction_templates_match_oracle():
                 if _contraction_template(g.vtype, *chord)] == edges, g
         expected = [O.contract_edge_oracle(g.vtype, g.chords, j)
                     for j in edges]
-        assert _contractions(g) == expected, g
+        assert _standard_moves(_contractions(g)) == expected, g
 
 
 def test_expansion_templates_match_oracle():
     # the ideal edges of every class with e <= 6, in order, and every
-    # expansion against the oracle
+    # expansion against the oracle, in its standard form
     for g in _classes_to_e6():
         expected = O.ideal_expansions_oracle(g.vtype, g.chords)
         assert len(_expansion_moves(g.vtype)) == len(expected), g
-        assert _expansions(g) == [move for _, move in expected], g
+        assert _standard_moves(_expansions(g)) == \
+            [move for _, move in expected], g
 
 
 @st.composite
 def raw_diagrams(draw):
     """A batch of random oriented diagrams of one valency type with at most
-    16 slots, legged (with the same leg count) or plain."""
+    16 slots, its vertices in a random order, legged (with the same leg
+    count) or plain."""
     nlegs = draw(st.sampled_from([0, 0, 1, 2, 3]))
     nedges = draw(st.integers(1 if nlegs else 2, (16 - nlegs) // 2))
     size = 2 * nedges + nlegs
-    vtype = draw(st.sampled_from([t for m in range(1, size // 3 + 1)
-                                  for t in _valency_partitions(size, m)]))
+    vtype = tuple(draw(st.permutations(draw(st.sampled_from(
+        [t for m in range(1, size // 3 + 1)
+         for t in _valency_partitions(size, m)])))))
     chord_lists, leg_lists = [], []
     for _ in range(draw(st.integers(1, 4))):
         slots = draw(st.permutations(range(size)))
@@ -486,20 +522,22 @@ def raw_diagrams(draw):
 def test_scan_batch_matches_row_reference(diagram):
     # against the exhaustive scan over every relabeling; the legs go in
     # as incoming legs, so the oracle's key (legs, (), matching) compares
-    # with the class's (legs_in, legs_out, chords).  Each diagram is
-    # classified twice: a class new to its table sums the signs of every
-    # relabeling onto it, a class already there reads the sign off one
+    # with the class's (legs_in, legs_out, chords).  The oracle scans the
+    # diagram's standard form, whose sign the class's sign includes.  Each
+    # diagram is classified twice: a class new to its table sums the signs
+    # of every relabeling onto it, a class already there reads the sign
+    # off one
     vtype, chord_lists, leg_lists = diagram
     for i, chords in enumerate(chord_lists):
+        legs = () if leg_lists is None else leg_lists[i]
+        std, std_chords, std_legs, s = _standardized(vtype, chords, legs)
         if leg_lists is None:
-            d = O.orbit_scan(vtype, chords)
-            legs = ()
+            d = O.orbit_scan(std, std_chords)
         else:
-            d = O.legged_orbit_scan(vtype, leg_lists[i], (), chords)
-            legs = leg_lists[i]
+            d = O.legged_orbit_scan(std, std_legs, (), std_chords)
+        expected = (d["canonical"], None if d["zero"] else s * d["sign"],
+                    d["aut"], d["zero"])
         for _ in range(2):
             g, sign = _classify(vtype, chords, legs)
             form = (g.legs_in, g.legs_out, g.chords) if legs else g.chords
-            assert (form, sign, g.aut, g.zero) == \
-                (d["canonical"], d["sign"], d["aut"], d["zero"]), \
-                (vtype, chords)
+            assert (form, sign, g.aut, g.zero) == expected, (vtype, chords)

@@ -258,7 +258,11 @@ def connected_partition_function(pf: PartitionFunction) -> GraphChain:
 def exp_chain(x: GraphChain, window) -> GraphChain:
     """Exponential under disjoint union, truncated to the window: the sum
     of 1/n! times n-fold unions.  Identical components are automatically
-    weighted by the inverse order of their swap group."""
+    weighted by the inverse order of their swap group.  x has no constant
+    term: with one, every power holds the empty graph and none is zero."""
+    if EMPTY_GRAPH in x.terms:
+        raise ValueError(f"exp_chain of a chain with constant term "
+                         f"{x.terms[EMPTY_GRAPH]}: its powers never vanish")
     vmax, emax = window
     total = GraphChain({EMPTY_GRAPH: Fraction(1)})
     power = total

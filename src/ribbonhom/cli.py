@@ -20,7 +20,8 @@ error; every input error is raised before the first row, so a run that
 exits 2 writes nothing on stdout.
 
 A verify suite is one entry of SUITE_TABLE, so a new suite is one new
-entry, and the pre-flight makes every refusal of its input from it.
+entry, and the pre-flight makes every refusal of its input from it.  A
+suite returns only what it found, and `cmd_verify` writes every row.
 """
 
 import argparse
@@ -157,11 +158,12 @@ def write_report(command, params, rows, fmt):
     """Write one report to sys.stdout, each row as the generator `rows`
     yields it, and return its exit code.
 
-    The generator's return value (result, code) closes the report.  A
-    refusal it raises before its first row is written as one `error:`
-    line on stderr instead, with exit code 2 and nothing on stdout; one
-    raised later is a fault and propagates.  sys.stdout is looked up here,
-    on each call, so a replaced stream (a test's capture) receives it."""
+    The generator's return value, the result, closes the report; the exit
+    code is 1 when its status is "fail" and 0 otherwise.  A refusal the
+    generator raises before its first row is written as one `error:` line
+    on stderr instead, with exit code 2 and nothing on stdout; one raised
+    later is a fault and propagates.  sys.stdout is looked up here, on
+    each call, so a replaced stream (a test's capture) receives it."""
     head, render, tail = _FORMATS[fmt]
     out = sys.stdout
     count = 0
@@ -169,7 +171,7 @@ def write_report(command, params, rows, fmt):
         try:
             row = next(rows)
         except StopIteration as stop:
-            result, code = stop.value
+            result = stop.value
             break
         except _REFUSALS as exc:
             if count:
@@ -183,7 +185,7 @@ def write_report(command, params, rows, fmt):
     if not count:
         out.write(head(command, params))
     out.write(tail(result, count))
-    return code
+    return 1 if result["status"] == "fail" else 0
 
 
 def _algebra(args):
@@ -238,14 +240,10 @@ def _grid(emax):
             for v in range(1, (2 * e) // 3 + 1)]
 
 
-def _sorted_fails(fails):
-    return sorted(fails, key=lambda row: json.dumps(row, sort_keys=True))
-
-
 # ----------------------------------------------------------------- verbs
 # Each verb is a generator: it yields its rows as it makes them and
-# returns (result, exit code).  Every refusal is raised before the first
-# row.
+# returns its result, whose status sets the exit code.  Every refusal is
+# raised before the first row.
 
 def cmd_enumerate(args):
     cells = _cells(args)
@@ -259,7 +257,7 @@ def cmd_enumerate(args):
             yield {"kind": "graph", "v": v, "e": e, "index": i,
                    **jsonio.graph_to_json(g)}
         total += len(classes)
-    return {"status": "ok", "classes": total}, 0
+    return {"status": "ok", "classes": total}
 
 
 def cmd_homology(args):
@@ -270,7 +268,7 @@ def cmd_homology(args):
         # known; the connected ranks that cells share are cached
         (dim,) = homology_dims((v, v), (e, e)).values()
         yield {"kind": "betti", "v": v, "e": e, "dim": dim}
-    return {"status": "ok", "cells": len(cells)}, 0
+    return {"status": "ok", "cells": len(cells)}
 
 
 def cmd_partition(args):
@@ -302,8 +300,7 @@ def cmd_partition(args):
                            "graph": jsonio.graph_to_json(g),
                            "value": json_scalar(total)}
     yield {"kind": "cycle-check", "graphs": checked, "failures": failures}
-    return {"status": "pass" if not failures else "fail",
-            "failures": failures}, (0 if not failures else 1)
+    return {"status": "pass" if not failures else "fail", "failures": failures}
 
 
 def cmd_characteristic(args):
@@ -316,7 +313,7 @@ def cmd_characteristic(args):
     for t in terms:
         yield {"kind": "term", "degree": len(t["factors"]),
                "factors": t["factors"], "coeff": t["coeff"]}
-    return {"status": "ok", "terms": len(terms)}, 0
+    return {"status": "ok", "terms": len(terms)}
 
 
 def cmd_correlate(args):
@@ -328,18 +325,18 @@ def cmd_correlate(args):
     for word in sorted(tensor.terms, key=lambda w: (len(w), w)):
         yield {"kind": "entry", "word": list(word),
                "coeff": json_scalar(tensor.terms[word])}
-    return {"status": "ok", "rank": tensor.rank,
-            "entries": len(tensor.terms)}, 0
+    return {"status": "ok", "rank": tensor.rank, "entries": len(tensor.terms)}
 
 
 # ---------------------------------------------------------- verify suites
 # Each suite takes its arguments (its SUITE_TABLE options, defaults filled
 # in), its random stream and the algebra that cmd_verify read for it (None
-# when no named suite reads one), and returns (bounds, checks, fail rows).
+# when no named suite reads one), and returns (extras, checks, failures):
+# the counts only it knows, and the fields of each fail row it found.
 # A new suite is one SUITE_TABLE entry, from which the pre-flight makes
 # every refusal of its input.
 
-def _square_suite(args, suite, operator):
+def _square_suite(args, operator):
     checks = 0
     fails = []
     for v, e in _grid(args.edges):
@@ -348,19 +345,18 @@ def _square_suite(args, suite, operator):
             residue = operator(operator(GraphChain.of(g)))
             if residue:
                 h = min(residue.terms, key=lambda t: t.sort_key)
-                fails.append({"kind": "fail", "suite": suite, "v": v, "e": e,
-                              "graph": jsonio.graph_to_json(g),
+                fails.append({"v": v, "e": e, "graph": jsonio.graph_to_json(g),
                               "residue": jsonio.graph_to_json(h),
                               "coeff": json_scalar(residue.terms[h])})
-    return {"edges": args.edges}, checks, _sorted_fails(fails)
+    return {}, checks, fails
 
 
 def _suite_d2(args, rng, algebra):
-    return _square_suite(args, "d2", boundary)
+    return _square_suite(args, boundary)
 
 
 def _suite_delta2(args, rng, algebra):
-    return _square_suite(args, "delta2", coboundary)
+    return _square_suite(args, coboundary)
 
 
 def _suite_adjointness(args, rng, algebra):
@@ -380,13 +376,12 @@ def _suite_adjointness(args, rng, algebra):
                 lhs = bg.coefficient(h)
                 rhs = cob[h].coefficient(g)
                 if lhs != rhs:
-                    fails.append({"kind": "fail", "suite": "adjointness",
-                                  "v": v, "e": e,
+                    fails.append({"v": v, "e": e,
                                   "graph": jsonio.graph_to_json(g),
                                   "other": jsonio.graph_to_json(h),
                                   "lhs": json_scalar(lhs),
                                   "rhs": json_scalar(rhs)})
-    return {"edges": args.edges}, checks, _sorted_fails(fails)
+    return {}, checks, fails
 
 
 def _rank_menus(order):
@@ -419,7 +414,7 @@ def _random_chain(rng, dim, menus):
                 return x
 
 
-def _chain_graph_suite(args, rng, suite, of_graph, of_chain, sides):
+def _chain_graph_suite(args, rng, of_graph, of_chain, sides):
     """Compare two pairings of random CE chains x with the graphs g of the
     suite's window: sides(x, of_chain(x), g, of_graph(g)) is (lhs, rhs)."""
     graphs = [g for v, e in _grid(args.edges) for g in basis(v, e)]
@@ -435,19 +430,17 @@ def _chain_graph_suite(args, rng, suite, of_graph, of_chain, sides):
                 checks += 1
                 lhs, rhs = sides(x, fx, g, fg)
                 if lhs != rhs:
-                    fails.append({"kind": "fail", "suite": suite,
-                                  "n": dim.n, "m": dim.m, "chain": i,
+                    fails.append({"n": dim.n, "m": dim.m, "chain": i,
                                   "graph": jsonio.graph_to_json(g),
                                   "lhs": json_scalar(lhs),
                                   "rhs": json_scalar(rhs)})
-    return {"edges": args.edges, "order": args.order,
-            "chains": CHAINS_PER_SIGNATURE}, checks, fails
+    return {"chains": CHAINS_PER_SIGNATURE}, checks, fails
 
 
 def _suite_kontsevich(args, rng, algebra):
     # <dx, g> = <x, delta g>
     return _chain_graph_suite(
-        args, rng, "kontsevich", lambda g: coboundary(GraphChain.of(g)),
+        args, rng, lambda g: coboundary(GraphChain.of(g)),
         ce_differential,
         lambda x, dx, g, dg: (pair_chain_graph(dx, g),
                               pair_chain_graph(x, dg)))
@@ -456,7 +449,7 @@ def _suite_kontsevich(args, rng, algebra):
 def _suite_triangle(args, rng, algebra):
     # <x, g> = <I(x), g>
     return _chain_graph_suite(
-        args, rng, "triangle", GraphChain.of, integral_I,
+        args, rng, GraphChain.of, integral_I,
         lambda x, ix, g, chain: (pair_chain_graph(x, g),
                                  pairing(ix, chain)))
 
@@ -469,11 +462,10 @@ def _suite_roundtrip(args, rng, algebra):
             checks += 1
             back = integral_I(integral_I_inverse(g))
             if back != GraphChain.of(g):
-                fails.append({"kind": "fail", "suite": "roundtrip",
-                              "graph": jsonio.graph_to_json(g),
+                fails.append({"graph": jsonio.graph_to_json(g),
                               "coeff": json_scalar(back.coefficient(g)),
                               "terms": len(back.terms)})
-    return {"edges": args.edges}, checks, fails
+    return {}, checks, fails
 
 
 def _suite_exp(args, rng, algebra):
@@ -486,11 +478,10 @@ def _suite_exp(args, rng, algebra):
     diff = lhs - full
     if diff:
         g = min(diff.terms, key=lambda t: t.sort_key)
-        fails.append({"kind": "fail", "suite": "exp",
-                      "graph": jsonio.graph_to_json(g),
+        fails.append({"graph": jsonio.graph_to_json(g),
                       "exp": json_scalar(lhs.coefficient(g)),
                       "direct": json_scalar(full.coefficient(g))})
-    return {"vertices": args.vertices, "edges": args.edges}, checks, fails
+    return {}, checks, fails
 
 
 def _suite_equivalence(args, rng, algebra):
@@ -506,11 +497,10 @@ def _suite_equivalence(args, rng, algebra):
                 lhs = pair_chain_graph(cc, g, algebra.dual_pairing())
                 rhs = pf.value(g)
                 if lhs != rhs:
-                    fails.append({"kind": "fail", "suite": "equivalence",
-                                  "graph": jsonio.graph_to_json(g),
+                    fails.append({"graph": jsonio.graph_to_json(g),
                                   "paired": json_scalar(lhs),
                                   "direct": json_scalar(rhs)})
-    return {"edges": emax, "order": order}, checks, fails
+    return {}, checks, fails
 
 
 def _suite_invariance(args, rng, algebra):
@@ -535,8 +525,7 @@ def _suite_invariance(args, rng, algebra):
         twisted = twist(algebra, gamma)
         rep = validate(twisted)
         if not rep.valid:
-            fails.append({"kind": "fail", "suite": "invariance",
-                          "twist": produced, "detail": repr(rep)})
+            fails.append({"twist": produced, "detail": repr(rep)})
             continue
         shifted = partition_function(twisted, (vmax, emax))
         for v in range(1, vmax + 1):
@@ -549,10 +538,9 @@ def _suite_invariance(args, rng, algebra):
                     continue
                 witness = is_boundary(diff)
                 if witness is None or boundary(witness) != diff:
-                    fails.append({"kind": "fail", "suite": "invariance",
-                                  "twist": produced, "v": v, "e": e,
+                    fails.append({"twist": produced, "v": v, "e": e,
                                   "difference": jsonio.chain_to_json(diff)})
-    return {"edges": emax, "twists": TWIST_COUNT}, checks, fails
+    return {"twists": TWIST_COUNT}, checks, fails
 
 
 def _live(algebra, g):
@@ -561,8 +549,7 @@ def _live(algebra, g):
 
 
 def _tcft_failure(g1, g2, rep):
-    return {"kind": "fail", "suite": "tcft",
-            "g1": jsonio.graph_to_json(g1), "g2": jsonio.graph_to_json(g2),
+    return {"g1": jsonio.graph_to_json(g1), "g2": jsonio.graph_to_json(g2),
             "detail": "; ".join(f"{c}: {d}" for c, d in rep.failures)}
 
 
@@ -591,7 +578,6 @@ def _suite_tcft(args, rng, algebra):
         if side1 and side2 and (len(live1) < len(side1)
                                 or len(live2) < len(side2)):
             dead_blocks.append((side1, side2))
-    fails = _sorted_fails(fails)
     # vertices whose valency carries no Hamiltonian make both sides of the
     # compatibility identity vanish (gluing preserves internal valencies),
     # so those pairs are spot-checked rather than swept.
@@ -605,8 +591,7 @@ def _suite_tcft(args, rng, algebra):
             rep = composition_compatibility(algebra, g1, g2, correlators)
             if not rep.valid:
                 fails.append(_tcft_failure(g1, g2, rep))
-    return {"edges": args.edges, "legs": TCFT_LEGS, "sampled": sampled}, \
-        checks + sampled, fails
+    return {"legs": TCFT_LEGS, "sampled": sampled}, checks + sampled, fails
 
 
 def _three_letters(args):
@@ -625,7 +610,7 @@ def _even_twists(algebra):
 
 class Suite(NamedTuple):
     """One verify suite; the pre-flight refuses its input from it alone."""
-    run: Callable  # (args, rng, algebra) -> (bounds, checks, fail rows)
+    run: Callable  # (args, rng, algebra) -> (extras, checks, failures)
     options: dict  # option read besides --seed -> default; no other is read
     least: dict  # option -> least value at which the suite makes a check
     slots: Callable = lambda args: 2 * args.edges  # half-edge slots reached
@@ -670,6 +655,12 @@ SUITES = tuple(SUITE_TABLE)
 _SUITE_FNS = {name: suite.run for name, suite in SUITE_TABLE.items()}
 
 
+def _shown(resolved):
+    """A suite's resolved options as its reports name them: not --algebra."""
+    return {key: value for key, value in vars(resolved).items()
+            if key != "algebra"}
+
+
 def _resolve(args, name):
     """The arguments of one suite, its defaults filled in, refused before
     any work: by the suite's own check, past the half-edge cap, or where
@@ -679,8 +670,7 @@ def _resolve(args, name):
         key: default if getattr(args, key) is None else getattr(args, key)
         for key, default in suite.options.items()})
     suite.check(resolved)
-    options = "".join(f" --{key} {value}" for key, value
-                      in vars(resolved).items() if key != "algebra")
+    options = "".join(f" --{k} {v}" for k, v in _shown(resolved).items())
     _check_slots(f"verify {name}{options}", suite.slots(resolved))
     if any(getattr(resolved, key) < least
            for key, least in suite.least.items()):
@@ -693,8 +683,8 @@ def _resolve(args, name):
 
 def cmd_verify(args):
     """Refuse every bad input before any suite runs, then run the named
-    suites in order, writing each one's fail rows and its `suite` row as
-    it ends.
+    suites in order, writing each one's fail rows, in the order it found
+    them, and its `suite` row as it ends.
 
     The pre-flight refuses an option no named suite reads, resolves each
     suite's arguments from its SUITE_TABLE entry, and reads and validates
@@ -716,15 +706,16 @@ def cmd_verify(args):
     checks = failures = 0
     for name, suite_args in zip(names, resolved):
         rng = random.Random(f"{args.seed}:{name}")
-        bounds, n, fails = _SUITE_FNS[name](suite_args, rng, algebra)
-        yield from fails
-        yield {"kind": "suite", "name": name, **bounds, "checks": n,
-               "failures": len(fails),
+        extras, n, fails = _SUITE_FNS[name](suite_args, rng, algebra)
+        for fields in fails:
+            yield {"kind": "fail", "suite": name, **fields}
+        yield {"kind": "suite", "name": name, **_shown(suite_args), **extras,
+               "checks": n, "failures": len(fails),
                "status": "pass" if not fails else "fail"}
         checks += n
         failures += len(fails)
     return {"status": "pass" if not failures else "fail", "checks": checks,
-            "failures": failures}, (0 if not failures else 1)
+            "failures": failures}
 
 
 # ------------------------------------------------------------------ main

@@ -1,20 +1,22 @@
 """Algebra validation, partition functions, twists, characteristic classes."""
 
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
-from ribbonhom import ainfinity, lie
+from ribbonhom import ainfinity, jsonio, lie
 from ribbonhom.ainfinity import (AInfinityAlgebra, characteristic_class,
                                  connected_partition_function, direct_sum,
                                  exp_chain, hamiltonian_from_products,
                                  partition_function, twist, validate)
-from ribbonhom.complexes import GraphChain, coboundary, is_boundary
+from ribbonhom.complexes import (GraphChain, basis, boundary, coboundary,
+                                 is_boundary)
 from ribbonhom.feynman import pair_chain_graph
 from ribbonhom.fixtures import (frobenius_pair, nilpotent_11,
                                 sphere_cohomology, trivial, twisted_11)
-from ribbonhom.graphs import canonicalize, enumerate_graphs
+from ribbonhom.graphs import EMPTY_GRAPH, canonicalize, enumerate_graphs
 from ribbonhom.lie import CEChain, CyclicWord, ce_differential
 from ribbonhom.superspace import SuperDim, SuperTensor, SymplecticForm
 
@@ -24,6 +26,7 @@ DUMBBELL = canonicalize(((3, 3), ((0, 1), (2, 3), (4, 5))))[0]
 THETA_TWISTED = canonicalize(((3, 3), ((0, 3), (1, 4), (2, 5))))[0]
 THETA_PLANAR = canonicalize(((3, 3), ((0, 3), (1, 5), (2, 4))))[0]
 LOOP_PAIR = canonicalize(((4,), ((0, 1), (2, 3))))[0]
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def test_fixtures_validate():
@@ -226,6 +229,37 @@ def test_exponential_identity_and_wreath_factor():
                            ((0, 3), (1, 4), (2, 5),
                             (6, 9), (7, 10), (8, 11))))[0]
     assert sq.terms[double] == c * c / 2
+
+
+def test_exponential_refuses_a_constant_term():
+    # every power of a chain holding the empty graph holds it again, with
+    # coefficient 1/n!, so the sum of powers never ended
+    with pytest.raises(ValueError, match="constant term 1"):
+        exp_chain(GraphChain({EMPTY_GRAPH: Fraction(1)}), (2, 3))
+
+
+def test_odd_line_class_at_4_7_is_not_a_boundary():
+    # one odd letter, h = x^3 + x^5 + x^7: its connected chain at (4,7)
+    # lives on the valency type (3,3,3,5), so its coefficient is t3^3 t5,
+    # and it is a cycle that is not a boundary, the first class that only
+    # a higher product makes
+    A = jsonio.read_algebra(os.path.join(DATA, "odd_line.json"))
+    assert validate(A).valid
+    classes = basis(4, 7, True)
+
+    def chain(algebra):
+        pairing = algebra.dual_pairing()
+        return GraphChain({g: ainfinity._graph_value(algebra, g, pairing)
+                           for g in classes})
+
+    z = chain(A)
+    assert (len(classes), len(z.terms)) == (364, 161)
+    assert {g.vtype for g in z.terms} == {(3, 3, 3, 5)}
+    assert not boundary(z)
+    assert is_boundary(z) is None
+    hs = {k: A.hamiltonian(k).scale(t) for k, t in ((3, 2), (5, 3), (7, 1))}
+    scaled = AInfinityAlgebra(A.form, hs, A.truncation)
+    assert chain(scaled) == z.scale(24)
 
 
 def test_direct_sum():

@@ -148,14 +148,19 @@ def test_verify_suite_passes_and_is_deterministic(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
+    # a suite returns only what it found; the runner writes its fail rows
+    # in the order found, then its suite row with the resolved options
     def broken(args, rng, algebra):
-        return {"edges": 1}, 1, [{"kind": "fail", "suite": "d2",
-                                  "detail": "forced"}]
+        return {}, 2, [{"detail": "b"}, {"detail": "a"}]
 
     monkeypatch.setitem(cli._SUITE_FNS, "d2", broken)
     code, rep, _ = structured(capsys, "verify", "d2")
     assert code == 1
-    assert any(r["kind"] == "fail" for r in rep["rows"])
+    assert rep["rows"] == [
+        {"kind": "fail", "suite": "d2", "detail": "b"},
+        {"kind": "fail", "suite": "d2", "detail": "a"},
+        {"kind": "suite", "name": "d2", "edges": 6, "checks": 2,
+         "failures": 2, "status": "fail"}]
     assert rep["result"]["status"] == "fail"
 
 

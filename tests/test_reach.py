@@ -116,3 +116,18 @@ def test_raw_diagrams_are_read_only_where_they_are_made():
                     calls.add(f"{path.stem}.{getattr(stmt, 'name', None)}")
     assert calls == {"graphs.disjoint_union", "feynman.integral_I",
                      "tcft.glue", "jsonio.graph_from_json"}
+
+
+def test_only_the_verbs_build_report_rows():
+    # every row carries a "kind"; a suite returns the fields of what it
+    # found and `cmd_verify` writes the rows, so a dict with that key is
+    # built only inside a verb
+    cli = ast.parse((SRC / "cli.py").read_text())
+    verbs = [s for s in cli.body if isinstance(s, ast.FunctionDef)
+             and s.name.startswith("cmd_")]
+    assert len(verbs) == 6
+    found = [f"cli:{node.lineno} {ast.unparse(node)}"
+             for node in _outside(cli, verbs) if isinstance(node, ast.Dict)
+             and any(isinstance(k, ast.Constant) and k.value == "kind"
+                     for k in node.keys)]
+    assert not found, f"a row built outside a verb: {', '.join(found)}"

@@ -16,7 +16,12 @@ characteristic class (the wedge exponential of the word chain, a
 `lie.CEChain`), which `feynman.pair_chain_graph` pairs against graphs
 through the same dual pairing to the same numbers as the partition
 function.  Everything is computed in the algebra's own coordinates: no
-basis change normalizes the inner product first.
+basis change normalizes the inner product first; the dual pairing is the
+form's own `dual`, inverted once when the form is built.
+
+The three exponentials -- under disjoint union (`exp_chain`), of the flow
+of a twist (`twist`) and of the word chain (`characteristic_class`) -- are
+one series, `_exp_series`, each with its own linear step.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ class AInfinityAlgebra:
     """Minimal cyclic A-infinity structure: inner product plus odd
     invariant tensors h_k for 3 <= k <= truncation."""
 
-    __slots__ = ("dim", "form", "hamiltonians", "truncation", "_dual")
+    __slots__ = ("dim", "form", "hamiltonians", "truncation")
 
     def __init__(self, form: SymplecticForm, hamiltonians, truncation: int):
         self.dim = form.dim
@@ -68,15 +73,6 @@ class AInfinityAlgebra:
         for k, t in sorted(self.hamiltonians.items()):
             total = total + CyclicWord.from_tensor(t).scale(Fraction(1, k))
         return total
-
-    def dual_pairing(self):
-        """The pairing dual to the form, as a tuple of row tuples: the form
-        is inverted on the first call and the result kept."""
-        try:
-            return self._dual
-        except AttributeError:
-            self._dual = tuple(tuple(r) for r in self.form.dual_matrix())
-            return self._dual
 
     def __repr__(self):
         ks = ",".join(str(k) for k in sorted(self.hamiltonians)) or "-"
@@ -130,38 +126,14 @@ def hamiltonian_from_products(products, form: SymplecticForm):
     return out
 
 
-class ValidationReport:
-    """Outcome of structural validation; false-y when any check failed."""
-
-    __slots__ = ("failures",)
-
-    def __init__(self):
-        self.failures = []
-
-    def fail(self, check: str, detail: str):
-        self.failures.append((check, detail))
-
-    @property
-    def valid(self) -> bool:
-        return not self.failures
-
-    def __bool__(self):
-        return self.valid
-
-    def __repr__(self):
-        if self.valid:
-            return "ValidationReport(valid)"
-        lines = "; ".join(f"{c}: {d}" for c, d in self.failures)
-        return f"ValidationReport(invalid: {lines})"
-
-
-def validate(algebra: AInfinityAlgebra) -> ValidationReport:
+def validate(algebra: AInfinityAlgebra) -> list:
     """Check the oddness and rotation invariance of every tensor, and the
     structure equation {h,h} = 0 at every order the retained tensors
     determine (up to truncation + 1; a pair of orders k, l contributes at
     k + l - 2, so orders beyond that could involve truncated-away tensors).
     To certify a finite Hamiltonian completely choose a truncation of at
-    least 2 k_max - 2.  Report-valued; the first bad monomial is named.
+    least 2 k_max - 2.  Returns the failed checks as (check, detail)
+    pairs, none when the algebra passes; the first bad monomial is named.
     The form needs no check here: `SymplecticForm` refuses a misshapen,
     mixed-parity, non-super-skew or singular matrix when it is built.
 
@@ -169,28 +141,42 @@ def validate(algebra: AInfinityAlgebra) -> ValidationReport:
     building those orders and dropping them: a pair of lengths k, l makes
     words of length k + l - 2 only, so the orders it keeps are exactly the
     full bracket's."""
-    report = ValidationReport()
+    failures = []
     dim = algebra.dim
     for k, t in sorted(algebra.hamiltonians.items()):
         for w in t.terms:
             if dim.word_parity(w) == 0:
-                report.fail(f"h{k}-odd",
-                            "even monomial "
-                            + ".".join(dim.letter_name(a) for a in w))
+                failures.append((f"h{k}-odd", "even monomial "
+                                 + ".".join(dim.letter_name(a) for a in w)))
                 break
         if cyclic_shift(t) != t:
-            report.fail(f"h{k}-cyclic", "not rotation invariant")
-    if not report.valid:
-        return report
+            failures.append((f"h{k}-cyclic", "not rotation invariant"))
+    if failures:
+        return failures
     h = algebra.word_hamiltonian()
-    square = bracket(h, h, algebra.dual_pairing(), algebra.truncation + 1)
+    square = bracket(h, h, algebra.form.dual, algebra.truncation + 1)
     if square:
         w = min(square.terms, key=lambda w: (len(w), w))
-        report.fail("structure-equation",
-                    "{h,h} has monomial "
-                    + ".".join(dim.letter_name(a) for a in w)
-                    + " with coefficient " + format_scalar(square.terms[w]))
-    return report
+        failures.append(("structure-equation", "{h,h} has monomial "
+                         + ".".join(dim.letter_name(a) for a in w)
+                         + " with coefficient "
+                         + format_scalar(square.terms[w])))
+    return failures
+
+
+def _exp_series(term, step, limit=None):
+    """The sum over n of step^n(term) / n!, for a linear `step`: it stops
+    at the first power that vanishes, or once n reaches `limit`.  The
+    exponentials of the paper are all this series: exp under disjoint
+    union, the flow exp(ad gamma) of a twist and the characteristic
+    class exp(h)."""
+    total = term
+    n = 0
+    while term and (limit is None or n < limit):
+        n += 1
+        term = step(term).scale(Fraction(1, n))
+        total = total + term
+    return total
 
 
 # ------------------------------------------------------ partition function
@@ -234,7 +220,7 @@ def partition_function(algebra: AInfinityAlgebra, window) -> PartitionFunction:
     """Evaluate the algebra on every canonical graph class in the window
     (the empty graph contributes 1)."""
     vmax, emax = window
-    pairing = algebra.dual_pairing()
+    pairing = algebra.form.dual
     acc = {EMPTY_GRAPH: Fraction(1)}
     for v in range(1, vmax + 1):
         if v % 2:
@@ -252,7 +238,7 @@ def partition_function(algebra: AInfinityAlgebra, window) -> PartitionFunction:
 def connected_partition_function(pf: PartitionFunction) -> GraphChain:
     """The connected classes of a partition function's chain."""
     return GraphChain({g: c for g, c in pf.chain.terms.items()
-                       if g is not EMPTY_GRAPH and g.connected})
+                       if g.connected})
 
 
 def exp_chain(x: GraphChain, window) -> GraphChain:
@@ -264,11 +250,8 @@ def exp_chain(x: GraphChain, window) -> GraphChain:
         raise ValueError(f"exp_chain of a chain with constant term "
                          f"{x.terms[EMPTY_GRAPH]}: its powers never vanish")
     vmax, emax = window
-    total = GraphChain({EMPTY_GRAPH: Fraction(1)})
-    power = total
-    n = 0
-    while power:
-        n += 1
+
+    def times_x(power):
         terms: dict = {}
         for g1, c1 in power.terms.items():
             for g2, c2 in x.terms.items():
@@ -277,9 +260,9 @@ def exp_chain(x: GraphChain, window) -> GraphChain:
                     continue
                 gu, s = disjoint_union(g1, g2)
                 terms[gu] = terms.get(gu, 0) + c1 * c2 * s
-        power = GraphChain(terms).scale(Fraction(1, n))
-        total = total + power
-    return total
+        return GraphChain(terms)
+
+    return _exp_series(GraphChain({EMPTY_GRAPH: Fraction(1)}), times_x)
 
 
 # ----------------------------------------------------- sums and twists
@@ -343,16 +326,11 @@ def twist(algebra: AInfinityAlgebra, gamma: CyclicWord,
         raise ValueError("twist data of order two or less never closes "
                          "under truncation; use words of order three or "
                          "more")
-    pairing = algebra.dual_pairing()
-    cur = algebra.word_hamiltonian()
-    cur = CyclicWord(algebra.dim, {w: c for w, c in cur.terms.items()
-                                   if len(w) <= k_max})
-    total = cur
-    j = 0
-    while cur:
-        j += 1
-        cur = bracket(gamma, cur, pairing, k_max).scale(Fraction(1, j))
-        total = total + cur
+    h = algebra.word_hamiltonian()
+    h = CyclicWord(algebra.dim, {w: c for w, c in h.terms.items()
+                                 if len(w) <= k_max})
+    total = _exp_series(
+        h, lambda w: bracket(gamma, w, algebra.form.dual, k_max))
     return AInfinityAlgebra(algebra.form, _word_to_tensors(total), k_max)
 
 
@@ -365,11 +343,4 @@ def characteristic_class(algebra: AInfinityAlgebra,
     dim = algebra.dim
     factor = CEChain(dim, {(w,): c for w, c
                            in algebra.word_hamiltonian().terms.items()})
-    total = CEChain.one(dim)
-    power = total
-    for j in range(1, degree_bound + 1):
-        power = power.wedge_mul(factor).scale(Fraction(1, j))
-        if not power:
-            break
-        total = total + power
-    return total
+    return _exp_series(CEChain.one(dim), factor.wedge_mul, degree_bound)

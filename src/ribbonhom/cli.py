@@ -195,9 +195,9 @@ def _algebra(args):
     if not path:
         return frobenius_pair()
     algebra = jsonio.read_algebra(path)
-    rep = validate(algebra)
-    if not rep.valid:
-        check, detail = rep.failures[0]
+    failures = validate(algebra)
+    if failures:
+        check, detail = failures[0]
         raise ValueError(f"invalid algebra: {check}: {detail}")
     return algebra
 
@@ -304,6 +304,10 @@ def cmd_partition(args):
 
 
 def cmd_characteristic(args):
+    if args.exterior is not None and args.exterior > args.order:
+        raise ValueError(f"--exterior {args.exterior} is above --order "
+                         f"{args.order}: the class is computed up to "
+                         f"exterior degree {args.order} only")
     chain = characteristic_class(_algebra(args), args.order)
     if args.exterior is not None:
         chain = chain.degree_part(args.exterior)
@@ -494,7 +498,7 @@ def _suite_equivalence(args, rng, algebra):
         for e in range(1, emax + 1):
             for g in enumerate_graphs(v, e):
                 checks += 1
-                lhs = pair_chain_graph(cc, g, algebra.dual_pairing())
+                lhs = pair_chain_graph(cc, g, algebra.form.dual)
                 rhs = pf.value(g)
                 if lhs != rhs:
                     fails.append({"graph": jsonio.graph_to_json(g),
@@ -523,9 +527,9 @@ def _suite_invariance(args, rng, algebra):
             continue
         produced += 1
         twisted = twist(algebra, gamma)
-        rep = validate(twisted)
-        if not rep.valid:
-            fails.append({"twist": produced, "detail": repr(rep)})
+        failures = validate(twisted)
+        if failures:
+            fails.append({"twist": produced, "detail": _detail(failures)})
             continue
         shifted = partition_function(twisted, (vmax, emax))
         for v in range(1, vmax + 1):
@@ -548,9 +552,9 @@ def _live(algebra, g):
     return all(k in algebra.hamiltonians for k in g.vtype)
 
 
-def _tcft_failure(g1, g2, rep):
-    return {"g1": jsonio.graph_to_json(g1), "g2": jsonio.graph_to_json(g2),
-            "detail": "; ".join(f"{c}: {d}" for c, d in rep.failures)}
+def _detail(failures):
+    """The (check, detail) failures of a check, joined for a fail row."""
+    return "; ".join(f"{c}: {d}" for c, d in failures)
 
 
 def _suite_tcft(args, rng, algebra):
@@ -563,6 +567,14 @@ def _suite_tcft(args, rng, algebra):
     correlators = {}
     checks = 0
     fails = []
+
+    def check(g1, g2):
+        failures = composition_compatibility(algebra, g1, g2, correlators)
+        if failures:
+            fails.append({"g1": jsonio.graph_to_json(g1),
+                          "g2": jsonio.graph_to_json(g2),
+                          "detail": _detail(failures)})
+
     dead_blocks = []
     for m, n, k, e1, e2 in blocks:
         side1 = enumerate_legged_graphs(m, n, e1)
@@ -572,9 +584,7 @@ def _suite_tcft(args, rng, algebra):
         for g1 in live1:
             for g2 in live2:
                 checks += 1
-                rep = composition_compatibility(algebra, g1, g2, correlators)
-                if not rep.valid:
-                    fails.append(_tcft_failure(g1, g2, rep))
+                check(g1, g2)
         if side1 and side2 and (len(live1) < len(side1)
                                 or len(live2) < len(side2)):
             dead_blocks.append((side1, side2))
@@ -588,9 +598,7 @@ def _suite_tcft(args, rng, algebra):
             g1 = side1[rng.randrange(len(side1))]
             g2 = side2[rng.randrange(len(side2))]
             sampled += 1
-            rep = composition_compatibility(algebra, g1, g2, correlators)
-            if not rep.valid:
-                fails.append(_tcft_failure(g1, g2, rep))
+            check(g1, g2)
     return {"legs": TCFT_LEGS, "sampled": sampled}, checks + sampled, fails
 
 

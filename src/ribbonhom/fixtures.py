@@ -15,7 +15,7 @@ from .superspace import SuperDim, SuperTensor, SymplecticForm
 
 def trivial(n: int, m: int, truncation: int = 7) -> AInfinityAlgebra:
     """No products at all: every invariant vanishes except the empty graph."""
-    return AInfinityAlgebra(SymplecticForm.canonical(SuperDim(n, m)), {},
+    return AInfinityAlgebra(SymplecticForm(SuperDim(n, m)), {},
                             truncation)
 
 
@@ -28,7 +28,7 @@ def frobenius_pair(truncation: int = 7) -> AInfinityAlgebra:
     """
     dim = SuperDim(0, 2)
     h3 = SuperTensor(dim, 3, {(0, 0, 0): Fraction(1), (1, 1, 1): Fraction(1)})
-    return AInfinityAlgebra(SymplecticForm.canonical(dim), {3: h3}, truncation)
+    return AInfinityAlgebra(SymplecticForm(dim), {3: h3}, truncation)
 
 
 def sphere_cohomology(truncation: int = 7) -> AInfinityAlgebra:
@@ -61,7 +61,7 @@ def nilpotent_11(truncation: int = 7) -> AInfinityAlgebra:
     dim = SuperDim(1, 1)
     x = 2
     h3 = SuperTensor(dim, 3, {(x, x, x): Fraction(1)})
-    return AInfinityAlgebra(SymplecticForm.canonical(dim), {3: h3}, truncation)
+    return AInfinityAlgebra(SymplecticForm(dim), {3: h3}, truncation)
 
 
 def twisted_11(truncation: int = 7) -> AInfinityAlgebra:

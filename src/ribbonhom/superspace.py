@@ -87,44 +87,35 @@ class SymplecticForm:
 
     "Super-skew" means <b,a> = -(-1)^{|a||b|} <a,b): the even x even block
     is skew-symmetric, the odd x odd block symmetric, and the mixed blocks
-    vanish ("even").
+    vanish ("even").  `dual` is the induced pairing on the dual basis, the
+    transpose of the inverse, as a tuple of row tuples: the one inversion
+    of the form, made when it is built.  For the canonical form it is the
+    canonical matrix itself, which is what pins the convention.
     """
 
-    __slots__ = ("dim", "matrix")
+    __slots__ = ("dim", "matrix", "dual")
 
     def __init__(self, dim: SuperDim, matrix=None):
         self.dim = dim
         if matrix is None:
             matrix = canonical_form_matrix(dim)
         self.matrix = tuple(tuple(row) for row in matrix)
-        self._check()
-
-    def _check(self):
-        t = self.dim.total
+        t = dim.total
         if len(self.matrix) != t or any(len(r) != t for r in self.matrix):
             raise ValueError("form matrix has wrong shape")
         for a in range(t):
             for b in range(t):
-                pa, pb = self.dim.parity(a), self.dim.parity(b)
+                pa, pb = dim.parity(a), dim.parity(b)
                 if pa != pb and self.matrix[a][b]:
                     raise ValueError("form is not even: mixed-parity entry")
                 expect = -self.matrix[a][b] if (1 - pa * pb) else self.matrix[a][b]
                 if self.matrix[b][a] != expect:
                     raise ValueError("form is not super-skew-symmetric")
         try:
-            mat_inverse(self.matrix)
+            inverse = mat_inverse(self.matrix)
         except ValueError:
             raise ValueError("form is degenerate") from None
-
-    @classmethod
-    def canonical(cls, dim: SuperDim) -> "SymplecticForm":
-        return cls(dim)
-
-    def dual_matrix(self):
-        """Matrix of the induced pairing on the dual basis: the transpose of
-        the inverse.  For the canonical form this is the canonical matrix
-        itself, which is what pins the convention."""
-        return [list(col) for col in zip(*mat_inverse(self.matrix))]
+        self.dual = tuple(zip(*inverse))
 
     def __eq__(self, other):
         return (isinstance(other, SymplecticForm)

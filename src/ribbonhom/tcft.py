@@ -39,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .ainfinity import AInfinityAlgebra, ValidationReport
+from .ainfinity import AInfinityAlgebra
 from .complexes import GraphChain
 from .graphs import (EMPTY_GRAPH, RibbonGraph, _check_size, _classify,
                      _place_legs, _valency_partitions, canonicalize,
@@ -107,7 +107,7 @@ def correlation(algebra: AInfinityAlgebra, graph) -> SuperTensor:
     if not vtype:
         return SuperTensor(dim, 0, {(): Fraction(1)})
     return contract([algebra.hamiltonian(k) for k in vtype], chords,
-                    algebra.dual_pairing(), (*legs_in, *legs_out))
+                    algebra.form.dual, (*legs_in, *legs_out))
 
 
 def compose_tensors(t1: SuperTensor, t2: SuperTensor, n, pairing):
@@ -125,33 +125,30 @@ def compose_tensors(t1: SuperTensor, t2: SuperTensor, n, pairing):
 
 def composition_compatibility(algebra: AInfinityAlgebra, g1, g2,
                               correlators=None):
-    """Report whether the correlator of the glued diagram of the classes
-    g1 and g2 equals the composition of their two correlators, exactly.
+    """Check that the correlator of the glued diagram of the classes g1
+    and g2 equals the composition of their two correlators, exactly; the
+    failures come back as (check, detail) pairs, none when it does.
     `correlators`, a dict kept across calls on the same algebra, memoizes
-    the correlator of each class."""
-    report = ValidationReport()
-    if g1.nout != g2.nin:
-        report.fail("arity", f"{g1.nout} outgoing legs against "
-                             f"{g2.nin} incoming")
-        return report
+    the correlator of each class.  Classes whose legs do not match are
+    refused by `glue_diagram` with a ValueError."""
+    diagram = glue_diagram(g1, g2)
     if correlators is None:
         correlators = {}
     for g in (g1, g2):
         if g not in correlators:
             correlators[g] = correlation(algebra, g)
-    glued = correlation(algebra, glue_diagram(g1, g2))
+    glued = correlation(algebra, diagram)
     composed = compose_tensors(correlators[g1], correlators[g2], g1.nout,
-                               algebra.dual_pairing())
-    if glued != composed:
-        diff = glued - composed
-        w = min(diff.terms, key=lambda w: (len(w), w))
-        name = ".".join(algebra.form.dim.letter_name(a) for a in w) or "1"
-        report.fail("composition",
-                    f"correlators differ at {name}: glued "
-                    + format_scalar(glued.terms.get(w, Fraction(0)))
-                    + " against composed "
-                    + format_scalar(composed.terms.get(w, Fraction(0))))
-    return report
+                               algebra.form.dual)
+    if glued == composed:
+        return []
+    diff = glued - composed
+    w = min(diff.terms, key=lambda w: (len(w), w))
+    name = ".".join(algebra.form.dim.letter_name(a) for a in w) or "1"
+    return [("composition", f"correlators differ at {name}: glued "
+             + format_scalar(glued.terms.get(w, Fraction(0)))
+             + " against composed "
+             + format_scalar(composed.terms.get(w, Fraction(0))))]
 
 
 # ------------------------------------------------------------ enumeration

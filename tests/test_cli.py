@@ -126,6 +126,22 @@ def test_characteristic_of_an_indefinite_form(capsys):
     assert [t["degree"] for t in rep["rows"]] == [0, 1, 2]
 
 
+def test_characteristic_refuses_an_exterior_degree_above_the_order(
+        capsys, tmp_path):
+    # the class holds no term above --order, so --exterior above it is
+    # refused before the algebra file is read (this one does not exist)
+    missing = str(tmp_path / "missing.json")
+    code, _, err = run(capsys, "characteristic", "--algebra", missing,
+                       "--order", "2", "--exterior", "3")
+    assert code == 2
+    assert err == ("error: --exterior 3 is above --order 2: the class is "
+                   "computed up to exterior degree 2 only\n")
+    code, rep, _ = structured(capsys, "characteristic", "--algebra",
+                              ALGEBRA, "--order", "2", "--exterior", "2")
+    assert code == 0
+    assert {t["degree"] for t in rep["rows"]} == {2}
+
+
 def test_correlate_legless_theta(capsys, tmp_path):
     path = tmp_path / "theta.json"
     path.write_text(json.dumps({"vertices": [[0, 1, 2], [3, 4, 5]],
@@ -228,7 +244,9 @@ def test_invariance_writes_a_row_for_each_twist_that_fails_validate(
     fails = [r for r in rep["rows"] if r["kind"] == "fail"]
     assert code == 1
     assert [r["twist"] for r in fails] == list(range(1, 11))
-    assert all("h4-odd: even monomial" in r["detail"] for r in fails)
+    # the detail joins the (check, detail) failures as the tcft rows do
+    assert all(r["detail"].startswith("h4-odd: even monomial ")
+               for r in fails)
     assert rep["rows"][-1] == {"kind": "suite", "name": "invariance",
                                "edges": 4, "twists": 10, "checks": 0,
                                "failures": 10, "status": "fail"}

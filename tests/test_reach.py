@@ -118,6 +118,27 @@ def test_raw_diagrams_are_read_only_where_they_are_made():
                      "tcft.glue", "jsonio.graph_from_json"}
 
 
+def _scopes_reading(node, name, scope=()):
+    """The dotted scopes (classes and functions) in which `name` is read."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _scopes_reading(child, name, scope + (child.name,))
+            continue
+        if isinstance(child, (ast.Name, ast.Attribute)) and \
+                _name(child) == name:
+            yield ".".join(scope)
+        yield from _scopes_reading(child, name, scope)
+
+
+def test_the_form_is_inverted_once():
+    # a form keeps its dual pairing, the transpose of its inverse, from the
+    # inversion that checks it is nondegenerate; no other code inverts
+    found = [f"{path.stem}.{scope}" for path in sorted(SRC.glob("*.py"))
+             for scope in _scopes_reading(ast.parse(path.read_text()),
+                                          "mat_inverse")]
+    assert found == ["superspace.SymplecticForm.__init__"]
+
+
 def test_only_the_verbs_build_report_rows():
     # every row carries a "kind"; a suite returns the fields of what it
     # found and `cmd_verify` writes the rows, so a dict with that key is

@@ -164,11 +164,11 @@ def test_contract_rejects_uncovered_slots():
 
 
 def test_symplectic_form_canonical_and_checks():
-    form = SymplecticForm.canonical(D11)
+    form = SymplecticForm(D11)
     mat = canonical_form_matrix(D11)
     assert form.matrix == mat
     assert form.matrix[0][1] == Fraction(1)
-    dual = form.dual_matrix()
+    dual = form.dual
     n = D11.total
     prod = [[sum(form.matrix[i][k] * dual[k][j] for k in range(n))
              for j in range(n)] for i in range(n)]
